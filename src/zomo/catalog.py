@@ -20,13 +20,13 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from . import analysis
+from . import ZomoError, analysis
 from .coset import BudgetExceeded
 from .group import FiniteGroup, coset_enumerate
 from .words import Presentation, parse_presentation, parse_word
 
 
-class CatalogError(ValueError):
+class CatalogError(ZomoError, ValueError):
     pass
 
 

@@ -10,7 +10,8 @@ Subcommands:
     report --format json|markdown [--out FILE] [--seed N]
 
 Exit codes: 0 all executed checks pass, 1 a check failed, 2 usage or
-configuration error.  ZOMO_BUDGET overrides the enumeration budget.
+configuration error (a ``ZomoError``, printed as ``error: ...`` without a
+traceback).  ZOMO_BUDGET overrides the enumeration budget.
 Reports are deterministic apart from the elapsed fields.
 """
 
@@ -21,14 +22,12 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import analysis, catalog, curves, kummer
-from .coset import BudgetExceeded
+from . import ZomoError, analysis, catalog, curves, kummer
 from .funcfield import ffelem_str, lemma_factorization_check, valuation_at
 from .field import PrimeField
-from .genus import (BoundQuery, ProfileError, RamificationProfile,
-                    enumerate_profiles, rh_genus, zomorrodian_bound)
+from .genus import (BoundQuery, RamificationProfile, enumerate_profiles,
+                    rh_genus, zomorrodian_bound)
 from .group import analyze_presentation
-from .words import ParseError
 
 TOOL_NAME = "artifact"
 
@@ -41,7 +40,7 @@ def _tool_version():
         return "0.0"
 
 
-class UsageError(ValueError):
+class UsageError(ZomoError, ValueError):
     pass
 
 
@@ -59,13 +58,14 @@ class CheckRecord:
 
 
 def _record(rid, citation, expected, fn):
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         actual, ok = fn()
     except Exception as exc:
         actual, ok = "error: %s" % exc, False
     return CheckRecord(rid, citation, expected, str(actual),
-                       "pass" if ok else "fail", round(time.time() - t0, 3))
+                       "pass" if ok else "fail",
+                       round(time.perf_counter() - t0, 3))
 
 
 def _report_json(records):
@@ -264,11 +264,7 @@ def _cmd_analyze(args):
         text = open(args.file).read()
     except OSError as exc:
         raise UsageError(str(exc))
-    try:
-        G = analyze_presentation(text)
-    except (ParseError, BudgetExceeded) as exc:
-        raise UsageError(str(exc))
-    fp = analysis.fingerprint(G)
+    fp = analysis.fingerprint(analyze_presentation(text))
     print("order: %d" % fp.order)
     print("center order: %d" % fp.center_order)
     print("nilpotency class: %d" % fp.nilpotency_class)
@@ -281,20 +277,12 @@ def _cmd_analyze(args):
 
 
 def _cmd_bound(args):
-    try:
-        res = zomorrodian_bound(BoundQuery(args.d, args.g))
-    except ProfileError as exc:
-        raise UsageError(str(exc))
-    print(res.bound)
+    print(zomorrodian_bound(BoundQuery(args.d, args.g)).bound)
     return 0
 
 
 def _cmd_profiles(args):
-    try:
-        profs = enumerate_profiles(args.d, args.order, args.g)
-    except ProfileError as exc:
-        raise UsageError(str(exc))
-    for p in profs:
+    for p in enumerate_profiles(args.d, args.order, args.g):
         print("gbar=%d orbits=%s" % (p.quotient_genus,
                                      ",".join(str(l) for l in p.orbit_sizes)))
     return 0
@@ -307,14 +295,8 @@ def _cmd_kummer_build(args):
         except OSError as exc:
             raise UsageError(str(exc))
     else:
-        try:
-            golden = kummer.load_golden(args.q)
-        except kummer.KummerError as exc:
-            raise UsageError(str(exc))
-    try:
-        out = kummer.build_kummer(args.q, golden)
-    except kummer.KummerError as exc:
-        raise UsageError(str(exc))
+        golden = kummer.load_golden(args.q)
+    out = kummer.build_kummer(args.q, golden)
     if out.h != args.h:
         raise UsageError("q = %d gives h = %d, not %d"
                          % (args.q, out.h, args.h))
@@ -473,7 +455,7 @@ def main(argv=None):
         return 2
     try:
         return fn(args)
-    except (UsageError, catalog.CatalogError) as exc:
+    except ZomoError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

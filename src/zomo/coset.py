@@ -7,10 +7,11 @@ table entry, with immediate coincidence processing.  Coset numbering is
 deterministic (definition order), so element indices are reproducible.
 """
 
+from . import ZomoError
 from .words import Presentation
 
 
-class EnumerationError(RuntimeError):
+class EnumerationError(ZomoError, RuntimeError):
     pass
 
 

@@ -16,12 +16,13 @@ generating maps actually permute.
 import os
 from dataclasses import dataclass
 
+from . import ZomoError
 from .field import ExtField, PrimeField
 from .funcfield import Endo, FunctionField, apply_endo
 from .group import FiniteGroup, group_from_permutations
 
 
-class CurveError(ValueError):
+class CurveError(ZomoError, ValueError):
     pass
 
 
@@ -34,7 +35,12 @@ DEFAULT_BUDGET = 4_000_000
 
 def point_budget():
     env = os.environ.get("ZOMO_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise ZomoError("ZOMO_BUDGET=%r is not an integer" % env) from None
 
 
 @dataclass(frozen=True)

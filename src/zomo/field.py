@@ -9,10 +9,10 @@ element equality.
 
 from dataclasses import dataclass
 
-from . import polys
+from . import ZomoError, polys
 
 
-class FieldError(ArithmeticError):
+class FieldError(ZomoError, ArithmeticError):
     pass
 
 

@@ -9,11 +9,11 @@ project's printed-equation style, and a small bivariate-polynomial helper.
 
 from dataclasses import dataclass
 
-from . import polys
+from . import ZomoError, polys
 from .field import RatFunc, RatFuncField
 
 
-class FuncFieldError(ArithmeticError):
+class FuncFieldError(ZomoError, ArithmeticError):
     pass
 
 
@@ -206,18 +206,6 @@ class FFElem:
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
-
-
-def ff_add(a, b):
-    return a + b
-
-
-def ff_mul(a, b):
-    return a * b
-
-
-def ff_inv(a):
-    return a.inverse()
 
 
 @dataclass(frozen=True)

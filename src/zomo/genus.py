@@ -11,8 +11,10 @@ Everything is integer or Fraction arithmetic; no floats.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import ZomoError
 
-class ProfileError(ValueError):
+
+class ProfileError(ZomoError, ValueError):
     pass
 
 

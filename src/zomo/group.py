@@ -9,11 +9,11 @@ action on cosets of the trivial subgroup) or from explicit permutations.
 
 from array import array
 
-from . import coset
+from . import ZomoError, coset
 from .words import Presentation, parse_presentation  # noqa: F401 (re-export)
 
 
-class GroupError(ValueError):
+class GroupError(ZomoError, ValueError):
     pass
 
 

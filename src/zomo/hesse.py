@@ -12,10 +12,11 @@ coordinates, which is how translation maps become endomorphisms.
 
 from dataclasses import dataclass
 
+from . import ZomoError
 from .funcfield import Endo, FuncFieldError, FunctionField
 
 
-class HesseError(ValueError):
+class HesseError(ZomoError, ValueError):
     pass
 
 
@@ -80,10 +81,6 @@ def third_point(C, a: HessePoint, b: HessePoint) -> HessePoint:
     return _normalize(C, t)
 
 
-def hesse_neg(C, a: HessePoint, O: HessePoint) -> HessePoint:
-    return third_point(C, a, O) if a != O else third_point(C, O, O)
-
-
 def hesse_add(C, a: HessePoint, b: HessePoint, O: HessePoint) -> HessePoint:
     u = third_point(C, a, b)
     return third_point(C, O, u) if u != O else third_point(C, O, O)
@@ -111,7 +108,12 @@ BASE_POINT = (-1, 0, 1)  # an inflection point, the group identity
 
 
 class EllipticGroup:
-    """(E(F_q), +) on the Hesse cubic with a chosen inflection as identity."""
+    """(E(F_q), +) on the Hesse cubic with a chosen inflection as identity.
+
+    ``table[i][j]`` is the index of points[i] + points[j].  Only the rows of
+    a generating set come from ``hesse_add``; every other row is a
+    composition of rows, row(P + g) = row(g) after row(P), which the
+    associativity of the group law makes exact."""
 
     def __init__(self, C, base=BASE_POINT):
         self.C = C
@@ -120,26 +122,48 @@ class EllipticGroup:
         self.index = {p: i for i, p in enumerate(self.points)}
         if self.O not in self.index:
             raise HesseError("base point not rational over this field")
+        self.iO = self.index[self.O]
+        self.table = self._add_table()
+
+    def _add_table(self):
+        n = len(self.points)
+        rows = {self.iO: list(range(n))}
+        gens = []
+        while len(rows) < n:
+            g = self.points[next(i for i in range(n) if i not in rows)]
+            gens.append([self.index[hesse_add(self.C, g, p, self.O)]
+                         for p in self.points])
+            todo = list(rows)
+            while todo:
+                i = todo.pop()
+                for row_g in gens:
+                    j = row_g[i]
+                    if j not in rows:
+                        rows[j] = [row_g[k] for k in rows[i]]
+                        todo.append(j)
+        return [rows[i] for i in range(n)]
 
     def add(self, a, b):
-        return hesse_add(self.C, a, b, self.O)
+        return self.points[self.table[self.index[a]][self.index[b]]]
 
     def neg(self, a):
-        return hesse_neg(self.C, a, self.O)
+        return self.points[self.table[self.index[a]].index(self.iO)]
 
     def order_of(self, a):
-        k, p = 1, a
-        while p != self.O:
-            p = self.add(p, a)
+        row = self.table[self.index[a]]
+        k, i = 1, row[self.iO]
+        while i != self.iO:
+            i = row[i]
             k += 1
         return k
 
     def multiples(self, a):
+        row = self.table[self.index[a]]
         out = [self.O]
-        p = a
-        while p != self.O:
-            out.append(p)
-            p = self.add(p, a)
+        i = row[self.iO]
+        while i != self.iO:
+            out.append(self.points[i])
+            i = row[i]
         return out
 
     def sylow3(self):
@@ -169,7 +193,7 @@ class EllipticGroup:
 
     def translation_perm(self, t):
         """Translation by t as a permutation (list of point indices)."""
-        return [self.index[self.add(t, p)] for p in self.points]
+        return list(self.table[self.index[t]])
 
     def map_perm(self, fn):
         """A coordinate map as a permutation; raises if not a bijection."""

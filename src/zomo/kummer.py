@@ -18,7 +18,7 @@ then up to a multiplicative constant that is a cube in F_q.
 
 from dataclasses import dataclass
 
-from . import polys
+from . import ZomoError, polys
 from .analysis import frattini
 from .field import PrimeField
 from .funcfield import FFElem, apply_endo, ffelem_str, valuation_at
@@ -29,7 +29,7 @@ from .hesse import (EllipticGroup, HessePoint, cube_roots_of_unity,
                     scaling_point_map, translation_endo)
 
 
-class KummerError(ValueError):
+class KummerError(ZomoError, ValueError):
     pass
 
 
@@ -57,13 +57,17 @@ def _sylow_generators(E, pts, invariants):
 
 
 def _spans(E, a, b, target):
+    """Whether the multiples of a, each translated by every multiple of b,
+    cover ``target`` points; walks point indices through E's table."""
+    row_b = E.table[E.index[b]]
+    order_b = E.order_of(b)
     seen = set()
     for p in E.multiples(a):
-        x = p
-        seen.add(x)
-        for _ in range(E.order_of(b)):
-            x = E.add(x, b)
-            seen.add(x)
+        i = E.index[p]
+        seen.add(i)
+        for _ in range(order_b):
+            i = row_b[i]
+            seen.add(i)
     return len(seen) == target
 
 
@@ -168,12 +172,6 @@ def build_t(field, m):
     return (mm * x - y + mm) / (x + field.one)
 
 
-def third_on_line(E, P, Q):
-    """Third intersection point of the line through P and Q with the curve."""
-    from .hesse import third_point
-    return third_point(E.C, P, Q)
-
-
 # -- fast product of the Frattini pullbacks ---------------------------------
 #
 # Each pullback of t is m - u_T with u_T = (y/(x+1)) composed with the
@@ -225,19 +223,30 @@ def _triple_mul(F, R, a, b):
     return (c0, c1, c2)
 
 
+def _product(mul, items, one):
+    """The product of items by a balanced tree: the operands of each level
+    have similar sizes, so the big products go through Kronecker
+    substitution.  The ring is commutative, so the result is the one a
+    left-to-right product gives."""
+    while len(items) > 1:
+        items = [mul(*items[i:i + 2]) if i + 1 < len(items) else items[i]
+                 for i in range(0, len(items), 2)]
+    return items[0] if items else one
+
+
 def build_w(field, m, pullbacks, lifted=None):
     """prod (m - u_T) over the Frattini pullbacks u_T, as an FFElem."""
     F = field.constants
     R = _cubic_reduction(field)
     if lifted is None:
         lifted = [_lift(field, u) for u in pullbacks]
-    num = ((F.one,), (), ())
-    den = (F.one,)
-    for nums, d in lifted:
-        fac = (polys.psub(F, polys.pscale(F, d, m), nums[0]),
-               polys.pneg(F, nums[1]), polys.pneg(F, nums[2]))
-        num = _triple_mul(F, R, num, fac)
-        den = polys.pmul(F, den, d)
+    facs = [(polys.psub(F, polys.pscale(F, d, m), nums[0]),
+             polys.pneg(F, nums[1]), polys.pneg(F, nums[2]))
+            for nums, d in lifted]
+    num = _product(lambda a, b: _triple_mul(F, R, a, b), facs,
+                   ((F.one,), (), ()))
+    den = _product(lambda a, b: polys.pmul(F, a, b),
+                   [d for _, d in lifted], (F.one,))
     K = field.K
     return field.elem(tuple(K.make(c, den) for c in num))
 
@@ -348,7 +357,9 @@ def _cached_gbar(q, epsilon=None):
 
 
 def _cached_lifted(field, data: GbarData):
-    key = (data.q, data.epsilon)
+    # both primitive cube roots give the same <alpha>, hence the same
+    # Frattini translations: key by that set, not by epsilon
+    key = (data.q, frozenset(data.phi_translations))
     if key not in _LIFT_CACHE:
         us = phi_pullbacks(field, data.E, data.phi_translations)
         _LIFT_CACHE[key] = [_lift(field, u) for u in us]
@@ -361,10 +372,12 @@ def build_kummer(q, golden_text=None, enumerate_all=True):
     F = PrimeField(q)
     best = None
     seen_equations = []
+    products = {}   # (Frattini translations, m) -> (w, equation)
     for epsilon in sorted(cube_roots_of_unity(F)):
         data = _cached_gbar(q, epsilon)
         field = hesse_function_field(F)
         lifted = _cached_lifted(field, data)
+        S = frozenset(data.phi_translations)
         th2 = data.theta[1]
         tried = set()
         for Q in th2:
@@ -372,8 +385,10 @@ def build_kummer(q, golden_text=None, enumerate_all=True):
             if m in tried:
                 continue
             tried.add(m)
-            w = build_w(field, m, None, lifted=lifted)
-            eq = equation_text(w)
+            if (S, m) not in products:
+                w = build_w(field, m, None, lifted=lifted)
+                products[S, m] = (w, equation_text(w))
+            w, eq = products[S, m]
             if eq not in seen_equations:
                 seen_equations.append(eq)
             exact = golden_text is not None and eq == golden_text

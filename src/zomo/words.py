@@ -10,8 +10,10 @@ powers, negative allowed), ``[u, v]`` (commutator u^-1 v^-1 u v), ``u^v``
 import re
 from dataclasses import dataclass
 
+from . import ZomoError
 
-class ParseError(ValueError):
+
+class ParseError(ZomoError, ValueError):
     pass
 
 

@@ -71,6 +71,27 @@ def test_curve_check_unknown_name(capsys):
     assert code == 2
 
 
+def test_curve_check_composite_q_is_usage_error(capsys):
+    code, out, err = run(capsys, "curve", "check", "--name", "x0", "--q", "4")
+    assert code == 2
+    assert err == "error: 4 is not prime\n"
+
+
+def test_curve_check_bad_budget_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("ZOMO_BUDGET", "abc")
+    code, _, err = run(capsys, "curve", "check", "--name", "x0", "--q", "19")
+    assert code == 2
+    assert err == "error: ZOMO_BUDGET='abc' is not an integer\n"
+
+
+def test_analyze_non_3_group_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "c2.pres"
+    p.write_text("<a | a^2>\n")
+    code, _, err = run(capsys, "groups", "analyze", str(p))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_kummer_build_json(tmp_path, capsys):
     out_file = tmp_path / "k19.json"
     code, _, _ = run(capsys, "kummer", "build", "--q", "19", "--h", "3",

@@ -112,6 +112,123 @@ def test_ratfunc_field_ops(an, ad, bn, bd):
         assert K.mul(K.mul(a, b), K.inv(b)) == a
 
 
+# -- the int kernel against field-method loops ---------------------------
+#
+# The reference below is schoolbook arithmetic through the field's methods,
+# which reduce every coefficient they compute.  The kernel must return the
+# same tuples, also for coefficients outside [0, p) and for lengths past the
+# Kronecker threshold.
+
+F271 = PrimeField(271)
+
+
+def _ref_trim(F, c):
+    c = list(c)
+    while c and c[-1] == F.zero:
+        c.pop()
+    return tuple(c)
+
+
+def _ref_add(F, a, b):
+    n = max(len(a), len(b))
+    return _ref_trim(F, [F.add(a[i] if i < len(a) else 0,
+                               b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _ref_sub(F, a, b):
+    return _ref_add(F, a, tuple(F.neg(c) for c in b))
+
+
+def _ref_scale(F, a, c):
+    return () if c == F.zero else _ref_trim(F, [F.mul(x, c) for x in a])
+
+
+def _ref_mul(F, a, b):
+    if not a or not b:
+        return ()
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return _ref_trim(F, out)
+
+
+def _ref_divmod(F, a, b):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    binv = F.inv(b[-1])
+    q = [F.zero] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    while len(r) >= len(b) and any(c != F.zero for c in r):
+        while r[-1] == F.zero:
+            r.pop()
+        if len(r) < len(b):
+            break
+        k = len(r) - len(b)
+        c = F.mul(r[-1], binv)
+        q[k] = c
+        for i, bc in enumerate(b):
+            r[k + i] = F.sub(r[k + i], F.mul(c, bc))
+    return _ref_trim(F, q), _ref_trim(F, r)
+
+
+def _ref_gcd(F, a, b):
+    while b:
+        a, b = b, _ref_divmod(F, a, b)[1]
+    return _ref_scale(F, a, F.inv(a[-1])) if a else a
+
+
+def _ref_xgcd(F, a, b):
+    r0, r1, u0, u1, v0, v1 = a, b, (F.one,), (), (), (F.one,)
+    while r1:
+        q, r = _ref_divmod(F, r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, _ref_sub(F, u0, _ref_mul(F, q, u1))
+        v0, v1 = v1, _ref_sub(F, v0, _ref_mul(F, q, v1))
+    if r0:
+        c = F.inv(r0[-1])
+        r0, u0, v0 = (_ref_scale(F, r0, c), _ref_scale(F, u0, c),
+                      _ref_scale(F, v0, c))
+    return r0, u0, v0
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@st.composite
+def _poly_pairs(draw):
+    F = draw(st.sampled_from([F19, F271]))
+    coeff = st.integers(-2 * F.q, 3 * F.q)
+    a, b = (tuple(draw(st.lists(coeff, min_size=n, max_size=n)))
+            for n in draw(st.tuples(st.integers(0, 80), st.integers(0, 80))))
+    return F, a, b, draw(coeff)
+
+
+@given(_poly_pairs())
+@settings(max_examples=150, deadline=None)
+def test_int_kernel_matches_field_method_loops(case):
+    F, a, b, c = case
+    assert polys.padd(F, a, b) == _ref_add(F, a, b)
+    assert polys.psub(F, a, b) == _ref_sub(F, a, b)
+    assert polys.pneg(F, a) == tuple(F.neg(x) for x in a)
+    assert polys.pscale(F, a, c) == _ref_scale(F, a, c)
+    assert polys.pmul(F, a, b) == _ref_mul(F, a, b)
+    for kernel, ref in ((polys.pdivmod, _ref_divmod),
+                        (polys.pgcd, _ref_gcd), (polys.pxgcd, _ref_xgcd)):
+        assert _outcome(kernel, F, a, b) == _outcome(ref, F, a, b)
+
+
+def test_kronecker_product_of_long_factors():
+    # both factors past the threshold, every coefficient at its maximum
+    n = polys.KRONECKER_MIN + 50
+    a = (F271.q - 1,) * n
+    assert polys.pmul(F271, a, a) == _ref_mul(F271, a, a)
+
+
 def test_ratfunc_normalization():
     K = RatFuncField(F19)
     # same function, different representations

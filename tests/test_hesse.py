@@ -1,6 +1,6 @@
 import pytest
 
-from zomo import hesse
+from zomo import hesse, kummer
 from zomo.field import PrimeField
 from zomo.funcfield import apply_endo
 
@@ -9,16 +9,18 @@ F73 = PrimeField(73)
 
 
 def _add_table(E):
+    """The addition table from the chord-tangent law, pair by pair."""
     n = len(E.points)
-    return [[E.index[E.add(E.points[i], E.points[j])] for j in range(n)]
-            for i in range(n)]
+    return [[E.index[hesse.hesse_add(E.C, E.points[i], E.points[j], E.O)]
+             for j in range(n)] for i in range(n)]
 
 
 def _check_group_law(E):
     n = len(E.points)
     tab = _add_table(E)
     iO = E.index[E.O]
-    neg = [E.index[E.neg(p)] for p in E.points]
+    # -p is the third point on the line through p and O
+    neg = [E.index[hesse.third_point(E.C, p, E.O)] for p in E.points]
     for i in range(n):
         assert tab[i][iO] == i
         assert tab[i][neg[i]] == iO
@@ -41,6 +43,28 @@ def test_group_law_f73_exhaustive():
     E = hesse.EllipticGroup(F73)
     assert len(E.points) == 81
     _check_group_law(E)
+
+
+@pytest.mark.parametrize("F", [F19, F73], ids=["F19", "F73"])
+def test_table_matches_chord_tangent_law(F):
+    E = hesse.EllipticGroup(F)
+    assert E.table == _add_table(E)
+    for p in E.points:
+        assert E.neg(p) == hesse.third_point(F, p, E.O)
+        assert E.order_of(p) == len(E.multiples(p))
+
+
+@pytest.mark.parametrize("q, g1, g2", [
+    (19, (4, 5, 1), (0, 8, 1)),
+    (73, (2, 4, 1), (7, 33, 1)),
+    (271, (3, 23, 1), (2, 132, 1)),
+])
+def test_sylow_generators_pinned(q, g1, g2):
+    # the generators the point-by-point span test chose; the table-driven
+    # span test must choose the same ones, or Gbar's element order changes
+    E, pts, invariants = kummer.translation_sylow3(q)
+    got = kummer._sylow_generators(E, pts, invariants)
+    assert tuple(p.coords for p in got) == (g1, g2)
 
 
 def test_point_validation():
