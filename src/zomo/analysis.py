@@ -99,13 +99,6 @@ def center(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(members))
 
 
-def centralizer(G: FiniteGroup, elems):
-    elems = list(elems)
-    members = [x for x in range(G.order)
-               if all(G.mult(x, a) == G.mult(a, x) for a in elems)]
-    return Subgroup(G, tuple(members))
-
-
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
     seeds = {G.comm(a, b) for a in G.gens for b in G.gens}
     return normal_closure(G, seeds)

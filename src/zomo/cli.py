@@ -12,21 +12,18 @@ Subcommands:
 Exit codes: 0 all executed checks pass, 1 a check failed, 2 usage or
 configuration error (a ``ZomoError``, printed as ``error: ...`` without a
 traceback).  ZOMO_BUDGET overrides the enumeration budget.
-Reports are deterministic apart from the elapsed fields.
+The report's checks are the rows of ``zomo.checks``; reports are
+deterministic apart from the elapsed fields.
 """
 
 import argparse
 import json
-import random
 import sys
 import time
 from dataclasses import dataclass
 
-from . import ZomoError, analysis, catalog, curves, kummer
-from .funcfield import ffelem_str, lemma_factorization_check, valuation_at
-from .field import PrimeField
-from .genus import (BoundQuery, RamificationProfile, enumerate_profiles,
-                    rh_genus, zomorrodian_bound)
+from . import ZomoError, analysis, catalog, checks, curves, kummer
+from .genus import BoundQuery, enumerate_profiles, zomorrodian_bound
 from .group import analyze_presentation
 
 TOOL_NAME = "artifact"
@@ -95,144 +92,6 @@ def _report_markdown(records):
                      % (r.id, r.citation, r.expected.replace("|", "\\|"),
                         r.actual.replace("|", "\\|"), r.status, r.elapsed))
     return "\n".join(lines) + "\n"
-
-
-def _suite_records(seed=0):
-    rng = random.Random(seed)
-    records = []
-
-    for entry in catalog.load_catalog():
-        def run(entry=entry):
-            rep = catalog.verify_entry(entry)
-            if rep.error:
-                return rep.error, False
-            bad = [r for r in rep.rows if not r.passed]
-            if bad:
-                return "; ".join("%s=%r" % (r.prop, r.actual) for r in bad), \
-                    False
-            return "all %d expectations hold" % len(rep.rows), True
-        records.append(_record("catalog-%s" % entry.id,
-                               "catalog:%s" % entry.id,
-                               "all expectations hold", run))
-
-    records.append(_record(
-        "genus-bound-g10", "builtin:bound",
-        "81", lambda: (zomorrodian_bound(BoundQuery(3, 10)).bound,
-                       zomorrodian_bound(BoundQuery(3, 10)).bound == 81)))
-
-    for h in (2, 3, 4):
-        order = 3 ** (h + 2)
-        genus = 3 ** h + 1
-        want = (order // 9, order // 3, order // 3)
-
-        def run(order=order, genus=genus, want=want):
-            profs = [p for p in enumerate_profiles(3, order, genus)
-                     if p.quotient_genus == 0]
-            sizes = sorted(p.orbit_sizes for p in profs)
-            return sizes, sizes == [want]
-        records.append(_record("genus-profile-h%d" % h, "builtin:profiles",
-                               str([want]), run))
-
-    records.append(_record(
-        "rh-genus-81", "builtin:genus-formula", "10",
-        lambda: (rh_genus(RamificationProfile(81, 0, (9, 27, 27))),
-                 rh_genus(RamificationProfile(81, 0, (9, 27, 27))) == 10)))
-
-    for q in (19, 73, 271):
-        def run(q=q):
-            out = kummer.build_kummer(q, kummer.load_golden(q))
-            if out.matched_golden:
-                return "exact match", True
-            if out.matched_up_to_cube and q != 19:
-                return "match up to a constant cube", True
-            return "no match (up to cube: %s)" % out.matched_up_to_cube, False
-        records.append(_record("kummer-q%d" % q, "golden:kummer_q%d.txt" % q,
-                               "reference equation reproduced", run))
-
-    def run_micro():
-        out = kummer.small_construction(19)
-        got = (out.m, out.equation, ffelem_str(out.delta_ratio))
-        want = (18, "(16)/(y^2)x", "y^3")
-        return got, got == want
-    records.append(_record("kummer-micro-27", "frozen:small-construction",
-                           "(18, '(16)/(y^2)x', 'y^3')", run_micro))
-
-    def run_x0_a():
-        G, _, _, _ = curves.automorphism_group(
-            curves.x0_scaling_maps(19), curves.x0_curve(), 19)
-        return G.order, G.order == 27
-    records.append(_record("curve-x0-scalings", "curve:x0", "order 27",
-                           run_x0_a))
-
-    def run_x0_g():
-        maps = curves.x0_scaling_maps(19) + [curves.x0_alpha2()]
-        G, S, dom, _ = curves.automorphism_group(maps, curves.x0_curve(), 19)
-        Z = analysis.center(G)
-        S1 = curves.enumerate_points(curves.x0_curve(), 19, 1)
-        perm = curves.act(curves.x0_center_map(19), S1)
-        fixed = sorted(S1.nonsingular()[i]
-                       for i in curves.fixed_points(perm))
-        ok = (G.order == 81 and len(Z.members) == 3
-              and fixed == [(8, 0, 1), (12, 0, 1), (18, 0, 1)])
-        return "order %d, |Z| %d, fixed %s" % (G.order, len(Z.members),
-                                               fixed), ok
-    records.append(_record("curve-x0-with-a2", "curve:x0",
-                           "order 81, center order 3, 3 fixed points",
-                           run_x0_g))
-
-    def run_fermat():
-        G, _, _, _ = curves.automorphism_group(
-            curves.fermat9_maps(19), curves.fermat9_curve(), 19)
-        return G.order, G.order == 243
-    records.append(_record("curve-fermat9", "curve:fermat9", "order 243",
-                           run_fermat))
-
-    def run_g28():
-        G, _, _ = curves.genus28_group(19)
-        fp = analysis.fingerprint(G)
-        ref = analysis.fingerprint(
-            catalog.materialize(catalog.entry_by_id("qu24agosto_odd_n2")))
-        ok = G.order == 243 and fp == ref
-        return "order %d, fingerprint match %s" % (G.order, fp == ref), ok
-    records.append(_record("curve-genus28", "curve:genus28",
-                           "order 243, catalog fingerprint", run_g28))
-
-    def run_t():
-        F = curves.x0_function_field(19)
-        t = curves.x0_invariant_t(F)
-        same = (t - curves.x0_three_term_t(F)).is_zero()
-        inv = curves.verify_invariant_function(t, curves.x0_endos(F))
-        vals = [valuation_at(t, x0, 0)
-                for x0 in curves.x0_branch_x_values(19)]
-        ok = same and inv and vals == [-9, -9, -9]
-        return "forms equal %s, invariant %s, vals %s" % (same, inv, vals), ok
-    records.append(_record("invariant-t", "curve:x0",
-                           "equal forms, fixed by all 81, valuation -9",
-                           run_t))
-
-    for q in (19, 23):
-        def run_fact(q=q):
-            ok = lemma_factorization_check(PrimeField(q))
-            return str(ok), bool(ok)
-        records.append(_record("factorization-f%d" % q,
-                               "builtin:factorization", "True", run_fact))
-
-    def run_sample():
-        S = curves.enumerate_points(curves.x0_curve(), 19, 2)
-        pts = S.nonsingular()
-        cu = curves.x0_curve()
-        sample = rng.sample(pts, min(20, len(pts)))
-        for m in curves.x0_scaling_maps(19):
-            for p in sample:
-                ip = m.eval_at(S.field, p)
-                if cu.eval_at(S.field, ip) != S.field.zero:
-                    return "image off curve under %s" % m.name, False
-        return "%d sampled points stay on the curve" % len(sample), True
-    records.append(_record("map-image-sample", "curve:x0",
-                           "sampled images satisfy the curve equation",
-                           run_sample))
-
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +235,9 @@ def _cmd_curve_check(args):
 
 
 def _cmd_report(args):
-    records = _suite_records(args.seed)
+    # a bad ZOMO_BUDGET stops the run instead of failing every curve check
+    curves.point_budget()
+    records = [_record(*row) for row in checks.claims(args.seed)]
     records.sort(key=lambda r: r.id)
     if args.format == "json":
         text = _report_json(records)

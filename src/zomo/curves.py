@@ -9,15 +9,16 @@ cleared denominators; a point where all three forms vanish is a hard error,
 as is a map that fails to permute the chosen point set.
 
 The degree-28 cover needs a space model (two affine equations); it gets its
-own small enumerator and a domain restricted to the largest subset the two
-generating maps actually permute.
+own small enumerator, and its maps may be undefined at a point (image None).
+Both kinds of model share one fixpoint (``stable_domain``: the largest
+subset every map permutes) and one extension-degree loop (``_closure``).
 """
 
 import os
 from dataclasses import dataclass
 
 from . import ZomoError
-from .field import ExtField, PrimeField
+from .field import ExtField, PrimeField, _normalize
 from .funcfield import Endo, FunctionField, apply_endo
 from .group import FiniteGroup, group_from_permutations
 
@@ -101,14 +102,6 @@ class PointSet:
 
     def nonsingular(self):
         return [p for i, p in enumerate(self.points) if i not in self.singular]
-
-
-def _normalize(C, xyz):
-    last = next((c for c in reversed(xyz) if c != C.zero), None)
-    if last is None:
-        raise CurveError("zero vector is not a projective point")
-    inv = C.inv(last)
-    return tuple(C.mul(c, inv) for c in xyz)
 
 
 def field_for(q, k):
@@ -254,9 +247,9 @@ def act(m: RationalMap, S: PointSet, domain=None):
 
 def stable_domain(maps, S: PointSet, max_rounds=50):
     """Largest subset of the nonsingular points every map sends into the
-    subset.  A point whose image under some map is singular (or already
-    removed) drops out; the survivors are the common permutation domain.
-    A base point of a map remains a hard error."""
+    subset.  A point whose image under some map is undefined (None),
+    singular or already removed drops out; the survivors are the common
+    permutation domain.  A base point of a map remains a hard error."""
     C = S.field
     alive = set(S.nonsingular())
     for _ in range(max_rounds):
@@ -272,9 +265,9 @@ def stable_domain(maps, S: PointSet, max_rounds=50):
     raise CurveError("stable domain did not settle")
 
 
-def automorphism_group(maps, curve: PlaneCurve, q, k_max=4):
-    """Permutation group generated by the maps on F_{q^k}-points, growing k
-    until the order is stable for two consecutive usable degrees and the
+def _closure(maps, point_set, k_max):
+    """Permutation group generated by the maps on ``point_set(k)``, growing
+    k until the order is stable for two consecutive usable degrees and the
     generator permutations are pairwise distinct.
 
     Each map acts on the largest map-stable subset of the nonsingular
@@ -284,14 +277,14 @@ def automorphism_group(maps, curve: PlaneCurve, q, k_max=4):
     last_err = None
     for k in range(1, k_max + 1):
         try:
-            S = enumerate_points(curve, q, k)
+            S = point_set(k)
             domain = stable_domain(maps, S)
             if not domain:
                 raise CurveError("empty stable domain at k = %d" % k)
             perms = [act(m, S, domain) for m in maps]
             G = group_from_permutations(perms,
                                         gen_names=[m.name for m in maps])
-        except (CurveError, BudgetError) as e:
+        except CurveError as e:
             last_err = e
             continue
         distinct = len({tuple(p) for p in perms}) == len(perms)
@@ -303,6 +296,12 @@ def automorphism_group(maps, curve: PlaneCurve, q, k_max=4):
                          "(last order %d)" % (k_max, prev_order))
     raise CurveError("no usable point set up to k = %d: %s"
                      % (k_max, last_err))
+
+
+def automorphism_group(maps, curve: PlaneCurve, q, k_max=4):
+    """The group the maps generate on the curve's F_{q^k}-points (see
+    ``_closure``); returns (group, point set, domain, k)."""
+    return _closure(maps, lambda k: enumerate_points(curve, q, k), k_max)
 
 
 def orbit_structure(G: FiniteGroup, npoints):
@@ -363,16 +362,7 @@ def genus10_curve():
 
 
 def roots_of_unity(C, n):
-    out = []
-    for e in C.elements():
-        if e == C.zero:
-            continue
-        acc = C.one
-        for _ in range(n):
-            acc = C.mul(acc, e)
-        if acc == C.one:
-            out.append(e)
-    return out
+    return _power_table(C, n).get(C.one, [])
 
 
 def x0_scaling_maps(q):
@@ -484,7 +474,8 @@ def elimination_check(q=19):
 class AffineRationalMap:
     """(x, y, z) -> component polynomials over a common denominator in y.
 
-    comps are {(i, j, k): n} dicts in (x, y, z); den is a {j: n} dict in y.
+    comps are {(i, j, k): n} dicts in (x, y, z); den is a {j: n} dict in y,
+    stored like the comps as monomials in (x, y, z).
     """
     name: str
     comps: tuple
@@ -494,35 +485,17 @@ class AffineRationalMap:
     def make(name, comps, den):
         comps = tuple(tuple(sorted((k, v) for k, v in c.items() if v))
                       for c in comps)
-        den = tuple(sorted((k, v) for k, v in den.items() if v))
+        den = tuple(sorted(((0, j, 0), v) for j, v in den.items() if v))
         return AffineRationalMap(name, comps, den)
 
     def eval_at(self, C, p):
         """Image point, or None when the denominator vanishes."""
-        x, y, z = p
-        d = C.zero
-        for j, n in self.den:
-            term = C.from_int(n)
-            for _ in range(j):
-                term = C.mul(term, y)
-            d = C.add(d, term)
+        d = _eval_monomials(C, self.den, p)
         if d == C.zero:
             return None
         dinv = C.inv(d)
-        out = []
-        for comp in self.comps:
-            acc = C.zero
-            for (i, j, k), n in comp:
-                term = C.from_int(n)
-                for _ in range(i):
-                    term = C.mul(term, x)
-                for _ in range(j):
-                    term = C.mul(term, y)
-                for _ in range(k):
-                    term = C.mul(term, z)
-                acc = C.add(acc, term)
-            out.append(C.mul(acc, dinv))
-        return tuple(out)
+        return tuple(C.mul(_eval_monomials(C, comp, p), dinv)
+                     for comp in self.comps)
 
 
 def genus28_points(q=19, k=1):
@@ -558,58 +531,12 @@ def genus28_maps(q=19):
     return f, g
 
 
-def invariant_domain(C, points, maps, max_rounds=50):
-    """Largest subset of points each map sends into the subset.
-
-    Points whose image is undefined or falls outside are removed until the
-    set is stable; the maps then permute what remains (checked downstream).
-    """
-    alive = set(points)
-    for _ in range(max_rounds):
-        dead = set()
-        for p in alive:
-            for m in maps:
-                ip = m.eval_at(C, p)
-                if ip is None or ip not in alive:
-                    dead.add(p)
-                    break
-        if not dead:
-            return sorted(alive)
-        alive -= dead
-    raise CurveError("invariant domain did not stabilize")
-
-
 def genus28_group(q=19, k_max=4):
-    """Group generated by the two maps on the space-model point set,
-    growing the extension degree like automorphism_group does."""
-    maps = genus28_maps(q)
-    prev_order = None
-    last_err = None
-    for k in range(1, k_max + 1):
+    """Group generated by the two maps on the space-model point set, grown
+    over the extension degrees like ``automorphism_group``; returns
+    (group, domain, k)."""
+    def point_set(k):
         C, pts = genus28_points(q, k)
-        domain = invariant_domain(C, pts, maps)
-        if not domain:
-            last_err = CurveError("empty invariant domain at k = %d" % k)
-            continue
-        index = {p: i for i, p in enumerate(domain)}
-        perms = []
-        try:
-            for m in maps:
-                images = [index[m.eval_at(C, p)] for p in domain]
-                if sorted(images) != list(range(len(domain))):
-                    raise CurveError("map %s is not injective on the domain"
-                                     % m.name)
-                perms.append(images)
-        except (KeyError, CurveError) as e:
-            last_err = e if isinstance(e, CurveError) else \
-                CurveError("image left the domain at k = %d" % k)
-            continue
-        G = group_from_permutations(perms, gen_names=[m.name for m in maps])
-        distinct = len({tuple(p) for p in perms}) == len(perms)
-        if prev_order == G.order and distinct:
-            return G, domain, k
-        prev_order = G.order
-    if prev_order is not None:
-        raise CurveError("group order did not stabilize up to k = %d "
-                         "(last order %d)" % (k_max, prev_order))
-    raise CurveError("no usable domain up to k = %d: %s" % (k_max, last_err))
+        return PointSet(C, pts, set())
+    G, _, domain, k = _closure(genus28_maps(q), point_set, k_max)
+    return G, domain, k

@@ -235,3 +235,13 @@ class RatFuncField:
 
     def __hash__(self):
         return hash(("RatFuncField", self.coeff, self.var))
+
+
+def _normalize(C, xyz):
+    """The projective point xyz over the field object C, scaled so that its
+    last nonzero coordinate is one."""
+    last = next((c for c in reversed(xyz) if c != C.zero), None)
+    if last is None:
+        raise FieldError("zero vector is not a projective point")
+    inv = C.inv(last)
+    return tuple(C.mul(c, inv) for c in xyz)

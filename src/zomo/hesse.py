@@ -13,6 +13,7 @@ coordinates, which is how translation maps become endomorphisms.
 from dataclasses import dataclass
 
 from . import ZomoError
+from .field import _normalize
 from .funcfield import Endo, FuncFieldError, FunctionField
 
 
@@ -28,18 +29,10 @@ class HessePoint:
         return "(%s : %s : %s)" % self.coords
 
 
-def _normalize(C, xyz):
-    if all(c == C.zero for c in xyz):
-        raise HesseError("zero vector is not a projective point")
-    last = next(c for c in reversed(xyz) if c != C.zero)
-    inv = C.inv(last)
-    return HessePoint(tuple(C.mul(c, inv) for c in xyz))
-
-
 def make_point(C, x, y, z):
-    p = _normalize(C, (C.from_int(x) if isinstance(x, int) else x,
-                       C.from_int(y) if isinstance(y, int) else y,
-                       C.from_int(z) if isinstance(z, int) else z))
+    p = HessePoint(_normalize(C, (C.from_int(x) if isinstance(x, int) else x,
+                                  C.from_int(y) if isinstance(y, int) else y,
+                                  C.from_int(z) if isinstance(z, int) else z)))
     if not on_curve(C, p):
         raise HesseError("point %r is not on the cubic" % (p,))
     return p
@@ -71,14 +64,14 @@ def third_point(C, a: HessePoint, b: HessePoint) -> HessePoint:
         if all(c == C.zero for c in t):
             # inflection point: the tangent meets triply, third point is a
             return a
-        return _normalize(C, t)
+        return HessePoint(_normalize(C, t))
     c1 = C.zero
     c2 = C.zero
     for ai, bi in zip(A, B):
         c1 = C.add(c1, C.mul(C.mul(ai, ai), bi))
         c2 = C.add(c2, C.mul(ai, C.mul(bi, bi)))
     t = tuple(C.sub(C.mul(c2, ai), C.mul(c1, bi)) for ai, bi in zip(A, B))
-    return _normalize(C, t)
+    return HessePoint(_normalize(C, t))
 
 
 def hesse_add(C, a: HessePoint, b: HessePoint, O: HessePoint) -> HessePoint:
@@ -216,7 +209,7 @@ def scaling_point_map(C, eps):
     """(X : Y : Z) -> (X : eps Y : Z) on points."""
     def fn(p):
         x, y, z = p.coords
-        return _normalize(C, (x, C.mul(eps, y), z))
+        return HessePoint(_normalize(C, (x, C.mul(eps, y), z)))
     return fn
 
 

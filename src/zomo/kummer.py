@@ -19,7 +19,7 @@ then up to a multiplicative constant that is a cube in F_q.
 from dataclasses import dataclass
 
 from . import ZomoError, polys
-from .analysis import frattini
+from .analysis import _log3, frattini
 from .field import PrimeField
 from .funcfield import FFElem, apply_endo, ffelem_str, valuation_at
 from .group import FiniteGroup, group_from_permutations
@@ -105,16 +105,6 @@ def build_gbar(q, epsilon=None):
         raise KummerError("Frattini translation part has size %d" % len(S))
     theta = _theta_cosets(E, pts, S)
     return GbarData(q, h, epsilon, E, G, tuple(pts), tuple(S), theta)
-
-
-def _log3(n):
-    k = 0
-    while n % 3 == 0:
-        n //= 3
-        k += 1
-    if n != 1:
-        raise KummerError("%d is not a power of 3" % n)
-    return k
 
 
 def translation_point(G, E, element):
@@ -269,24 +259,6 @@ def verify_w_divisor(field, w: FFElem, theta):
     return True, checked
 
 
-def cube_ratio_ok(field, E, w, endo, sample_points, modulus=3):
-    """Whether endo(w)/w has all valuations divisible by 3 at the samples
-    (constant ratios must be cube constants)."""
-    F = field.constants
-    ratio = apply_endo(endo, w) / w
-    if all(c.is_zero() for c in ratio.coeffs[1:]):
-        r = ratio.coeffs[0]
-        if polys.pdeg(r.num) == 0 and r.den == (F.one,):
-            return _is_cube_constant(F, r.num[0])
-    for p in sample_points:
-        x_, y_, z_ = p.coords
-        if z_ != F.one:
-            continue
-        if valuation_at(ratio, y_, x_) % modulus != 0:
-            return False
-    return True
-
-
 def _is_cube_constant(F, c):
     return any(F.mul(a, F.mul(a, a)) == c for a in F.elements())
 
@@ -437,8 +409,7 @@ def small_gbar27(q=19, epsilon=None):
 
     def rot(p):
         x, y, z = p.coords
-        from .hesse import _normalize
-        return _normalize(F, (y, z, x))
+        return make_point(F, y, z, x)
 
     delta = E.map_perm(rot)
     G = group_from_permutations([alpha, delta], gen_names=("al", "de"))

@@ -1,11 +1,13 @@
-"""End-to-end acceptance checks, one numbered test per claim group."""
+"""End-to-end acceptance checks, one numbered test per claim group.
+
+The claims that ``zomo report`` states as rows of ``zomo.checks`` (the
+extremal profiles, the invariant t, the factorization identity) are tested
+row by row in ``test_checks.py``; these tests go beyond them."""
 
 import time
 
-from zomo import analysis, catalog, curves, genus, hesse, kummer
+from zomo import analysis, catalog, curves, hesse, kummer
 from zomo.field import PrimeField
-from zomo.funcfield import (apply_endo, lemma_factorization_check,
-                            valuation_at)
 from zomo.words import parse_word
 
 
@@ -146,18 +148,6 @@ def test_06_center_and_quotient_pattern():
     assert time.perf_counter() - start < 60
 
 
-def test_07_extremal_profile_uniqueness():
-    for h in (2, 3, 4):
-        order = 3 ** (h + 2)
-        g = 3 ** h + 1
-        profs = [p for p in genus.enumerate_profiles(3, order, g)
-                 if p.quotient_genus == 0]
-        assert len(profs) == 1
-        assert profs[0].orbit_sizes == (order // 9, order // 3, order // 3)
-    assert genus.rh_genus(
-        genus.RamificationProfile(81, 0, (9, 27, 27))) == 10
-
-
 def _compose(p, q):
     return [p[i] for i in q]
 
@@ -196,22 +186,6 @@ def test_08_curve_actions(x0_scaling_group, x0_full_group, fermat_group,
     G28, _, _ = genus28
     assert G28.order == 243
     assert time.perf_counter() - start < 300
-
-
-def test_09_invariant_function():
-    field = curves.x0_function_field(19)
-    t = curves.x0_invariant_t(field)
-    assert t == curves.x0_three_term_t(field)
-    endos = curves.x0_endos(field)
-    assert len(endos) == 81
-    assert all(apply_endo(e, t) == t for e in endos)
-    for x0 in curves.x0_branch_x_values(19):
-        assert valuation_at(t, x0, 0) == -9
-
-
-def test_10_factorization_identity():
-    assert lemma_factorization_check(PrimeField(19))
-    assert lemma_factorization_check(PrimeField(23))
 
 
 def test_11_property_suites():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from zomo import cli
+from zomo import checks, cli
 
 
 def run(capsys, *argv):
@@ -128,13 +128,31 @@ def test_report_json_schema_and_determinism(tmp_path, capsys):
                 for c in r["checks"]]
     assert strip(ra) == strip(rb)
     assert all(c["status"] == "pass" for c in ra["checks"])
+    assert [c["id"] for c in ra["checks"]] == sorted(
+        row[0] for row in checks.claims(1))
 
 
-@pytest.mark.slow
-def test_report_markdown(tmp_path, capsys):
+def test_report_markdown(monkeypatch, tmp_path, capsys):
+    rows = [("b-fails", "builtin:b", "2", lambda: (3, False)),
+            ("a-holds", "builtin:a", "x|y", lambda: ("x|y", True))]
+    monkeypatch.setattr(checks, "claims", lambda seed: rows)
     out_file = tmp_path / "r.md"
     code, _, _ = run(capsys, "report", "--format", "markdown",
                      "--out", str(out_file))
-    assert code == 0
-    text = out_file.read_text()
-    assert text.startswith("#") or "|" in text
+    assert code == 1
+    lines = out_file.read_text().splitlines()
+    assert lines[0] == "# verification report"
+    assert lines[3] == "overall: fail"
+    assert lines[5:7] == ["| id | citation | expected | actual | status "
+                          "| elapsed |", "|---|---|---|---|---|---|"]
+    assert [line.rsplit("|", 2)[0] for line in lines[7:]] == [
+        "| a-holds | builtin:a | x\\|y | x\\|y | pass ",
+        "| b-fails | builtin:b | 2 | 3 | fail "]
+
+
+def test_report_bad_budget_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("ZOMO_BUDGET", "abc")
+    code, out, err = run(capsys, "report", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: ZOMO_BUDGET='abc' is not an integer\n"

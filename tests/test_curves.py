@@ -50,6 +50,23 @@ def test_act_identity_and_orders():
     assert perm != list(range(len(dom)))
 
 
+def test_stable_domain_drops_undefined_images():
+    # (x, y, z) -> (x, 1/y, z) over the denominator y: undefined at y = 0
+    inv_y = curves.AffineRationalMap.make(
+        "inv_y", ({(1, 1, 0): 1}, {(0, 0, 0): 1}, {(0, 1, 1): 1}), {1: 1})
+    C = PrimeField(19)
+    line = curves.PointSet(C, [(0, y, 1) for y in range(19)], set())
+    assert inv_y.eval_at(C, (0, 0, 1)) is None
+    dom = curves.stable_domain([inv_y], line)
+    assert dom == [(0, y, 1) for y in range(1, 19)]
+    perm = curves.act(inv_y, line, dom)
+    assert [perm[i] for i in perm] == list(range(18))
+    assert perm != list(range(18))
+    # y = 2 maps to 1/2 = 10, outside the set: only y = 1 survives
+    few = curves.PointSet(C, [(0, y, 1) for y in range(3)], set())
+    assert curves.stable_domain([inv_y], few) == [(0, 1, 1)]
+
+
 def test_act_functoriality():
     S = curves.enumerate_points(curves.x0_curve(), 19)
     maps = curves.x0_scaling_maps(19)
