@@ -227,36 +227,47 @@ class RationalMap:
         return _normalize(C, out)
 
 
-def act(m: RationalMap, S: PointSet, domain=None):
+def act(m: RationalMap, S: PointSet, domain=None, images=None):
     """The map as a permutation (index list) of the nonsingular points,
-    or of an explicitly restricted domain."""
+    or of an explicitly restricted domain.  ``images`` is an optional
+    {point: image} memo of the map, such as ``stable_domain`` fills."""
     C = S.field
     domain = S.nonsingular() if domain is None else domain
+    images = {} if images is None else images
     index = {p: i for i, p in enumerate(domain)}
-    images = []
+    perm = []
     for p in domain:
-        ip = m.eval_at(C, p)
+        ip = images[p] if p in images else m.eval_at(C, p)
         if ip not in index:
             raise CurveError("map %s sends %r off the nonsingular point set"
                              % (m.name, p))
-        images.append(index[ip])
-    if sorted(images) != list(range(len(domain))):
+        perm.append(index[ip])
+    if sorted(perm) != list(range(len(domain))):
         raise CurveError("map %s is not injective on the point set" % m.name)
-    return images
+    return perm
 
 
-def stable_domain(maps, S: PointSet, max_rounds=50):
+def stable_domain(maps, S: PointSet, max_rounds=50, images=None):
     """Largest subset of the nonsingular points every map sends into the
     subset.  A point whose image under some map is undefined (None),
     singular or already removed drops out; the survivors are the common
-    permutation domain.  A base point of a map remains a hard error."""
+    permutation domain.  A base point of a map remains a hard error.
+
+    Each (map, point) pair is evaluated at most once, into ``images`` (one
+    {point: image} dict per map) when the caller passes that list; every
+    point of the domain then has its image under every map there."""
     C = S.field
     alive = set(S.nonsingular())
+    images = [{} for _ in maps] if images is None else images
     for _ in range(max_rounds):
         dead = set()
         for p in alive:
-            for m in maps:
-                if m.eval_at(C, p) not in alive:
+            for m, seen in zip(maps, images):
+                if p in seen:
+                    ip = seen[p]
+                else:
+                    ip = seen[p] = m.eval_at(C, p)
+                if ip not in alive:
                     dead.add(p)
                     break
         if not dead:
@@ -271,17 +282,21 @@ def _closure(maps, point_set, k_max):
     generator permutations are pairwise distinct.
 
     Each map acts on the largest map-stable subset of the nonsingular
-    points.  Returns (group, point set, domain, k) for the last degree used.
+    points, and each (map, point) pair is evaluated at most once per degree.
+    Returns (group, point set, domain, k) for the last degree used.
     """
     prev_order = None
     last_err = None
     for k in range(1, k_max + 1):
         try:
             S = point_set(k)
-            domain = stable_domain(maps, S)
+            images = [{} for _ in maps]
+            domain = stable_domain(maps, S, images=images)
             if not domain:
                 raise CurveError("empty stable domain at k = %d" % k)
-            perms = [act(m, S, domain) for m in maps]
+            perms = [act(m, S, domain, seen)
+                     for m, seen in zip(maps, images)]
+            del images  # the memo lives for one degree only
             G = group_from_permutations(perms,
                                         gen_names=[m.name for m in maps])
         except CurveError as e:

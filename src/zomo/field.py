@@ -5,9 +5,18 @@ attributes ``zero`` and ``one`` plus methods add, sub, mul, neg, inv,
 from_int.  Elements are plain immutable values (ints for PrimeField, int
 tuples for ExtField, RatFunc for RatFuncField), so structural equality is
 element equality.
+
+An ``ExtField`` is F_q[t]/(modulus) for the least irreducible modulus of its
+degree.  Its elements are coefficient tuples (c_0, ..., c_{k-1}); add, sub
+and neg work on them coefficientwise, while mul and inv are lookups in a
+log/antilog table over the least primitive element, built on the first
+product or inverse (the discrete-log coding of FLINT's ``fq_zech``, without
+its Zech table for addition).  Polynomial arithmetic only builds the
+modulus and that table.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import ZomoError, polys
 
@@ -92,8 +101,27 @@ def _is_irreducible(F: PrimeField, poly):
     return True
 
 
+def _prime_factors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
 class ExtField:
-    """F_{q^k} as F_q[t]/(modulus); elements are length-k int tuples."""
+    """F_{q^k} as F_q[t]/(modulus); elements are length-k int tuples.
+
+    ``exp[i]`` is g^i for the least primitive element g of ``elements()``
+    and ``log`` maps each element back to its exponent (zero to None).  Both
+    stay None until the first mul or inv: callers that multiply scan the
+    whole field anyway, and a field that is only sized (say, to refuse a
+    point budget) never pays for the table.
+    """
 
     def __init__(self, base: PrimeField, k):
         if k < 1:
@@ -105,15 +133,14 @@ class ExtField:
         self.modulus = _least_irreducible(base, k)
         self.zero = (0,) * k
         self.one = tuple([1 % base.q] + [0] * (k - 1))
+        self.exp = None
+        self.log = None
 
     def from_int(self, n):
         return tuple([n % self.q] + [0] * (self.k - 1))
 
     def from_base(self, a):
         return tuple([a % self.q] + [0] * (self.k - 1))
-
-    def _wrap(self, poly):
-        return tuple(poly[i] if i < len(poly) else 0 for i in range(self.k))
 
     def add(self, a, b):
         return tuple((x + y) % self.q for x, y in zip(a, b))
@@ -124,26 +151,63 @@ class ExtField:
     def neg(self, a):
         return tuple((-x) % self.q for x in a)
 
+    def tables(self):
+        """(exp, log), built on the first call and kept on the object."""
+        if self.exp is None:
+            F, mod, n = self.base, self.modulus, self.order - 1
+            factors = _prime_factors(n)
+            for e in self.elements():
+                g = polys.ptrim(F, e)
+                if g and all(polys.ppow_mod(F, g, n // r, mod) != (F.one,)
+                             for r in factors):
+                    break
+            exp = []
+            power = (F.one,)
+            for _ in range(n):
+                exp.append(power + (0,) * (self.k - len(power)))
+                power = polys.pmod(F, polys.pmul(F, power, g), mod)
+            log = {e: i for i, e in enumerate(exp)}
+            log[self.zero] = None
+            self.exp, self.log = exp, log
+        return self.exp, self.log
+
+    def _not_element(self, *args):
+        """The error for the first argument the log table does not hold."""
+        for a in args:
+            try:
+                if a in self.log:
+                    continue
+            except TypeError:
+                pass
+            return FieldError("%r is not an element of %r" % (a, self))
+
     def mul(self, a, b):
-        F = self.base
-        prod = polys.pmod(F, polys.pmul(F, polys.ptrim(F, a),
-                                        polys.ptrim(F, b)), self.modulus)
-        return self._wrap(prod)
+        exp, log = self.exp, self.log
+        if log is None:
+            exp, log = self.tables()
+        try:
+            i, j = log[a], log[b]
+        except (KeyError, TypeError):
+            raise self._not_element(a, b) from None
+        if i is None or j is None:
+            return self.zero
+        # 0 <= i + j < 2n, so the index lies in [-n, n) and names g^(i+j)
+        return exp[i + j - len(exp)]
 
     def inv(self, a):
-        F = self.base
-        pa = polys.ptrim(F, a)
-        if not pa:
+        exp, log = self.exp, self.log
+        if log is None:
+            exp, log = self.tables()
+        try:
+            i = log[a]
+        except (KeyError, TypeError):
+            raise self._not_element(a) from None
+        if i is None:
             raise ZeroDivisionError("inverse of 0 in F_%d^%d" % (self.q, self.k))
-        g, u, _ = polys.pxgcd(F, pa, self.modulus)
-        if polys.pdeg(g) != 0:
-            raise FieldError("modulus not irreducible")
-        return self._wrap(polys.pscale(F, u, F.inv(g[0])))
+        return exp[-i]  # g^(n - i), and exp[0] = one for i = 0
 
     def elements(self):
-        from itertools import product
-        for tup in product(range(self.q), repeat=self.k):
-            yield tup
+        return product(range(self.q), repeat=self.k)
 
     def __repr__(self):
         return "F_%d^%d" % (self.q, self.k)

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zomo
 from zomo import checks, cli
+
+SRC = str(Path(zomo.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -110,15 +117,30 @@ def test_kummer_build_wrong_h(capsys):
     assert code == 2
 
 
+def run_fresh(*argv, timeout):
+    """``python -m zomo`` in a new interpreter: no cache of this process."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "zomo", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_curve_check_over_budget_fails_fast():
+    # sizing F_{271^3} must not build its tables
+    done = run_fresh("curve", "check", "--name", "genus10", "--q", "271",
+                     "--k", "3", timeout=10)
+    assert done.returncode == 1
+    assert "exceeds the budget" in done.stderr
+
+
 @pytest.mark.slow
 def test_report_json_schema_and_determinism(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     code1, _, _ = run(capsys, "report", "--format", "json", "--seed", "1",
                       "--out", str(a))
-    code2, _, _ = run(capsys, "report", "--format", "json", "--seed", "1",
-                      "--out", str(b))
-    assert code1 == 0 and code2 == 0
+    fresh = run_fresh("report", "--format", "json", "--seed", "1",
+                      "--out", str(b), timeout=600)
+    assert code1 == 0 and fresh.returncode == 0
     ra = json.loads(a.read_text())
     rb = json.loads(b.read_text())
     assert ra["schema"] == 1

@@ -79,6 +79,24 @@ def test_act_functoriality():
     assert comp == [p1[p2[i]] for i in range(len(dom))]
 
 
+def test_base_point_in_domain_is_an_error():
+    # (X Y : X Y : X Y) vanishes at the nonsingular points (x : 0 : 1)
+    xy = curves.RationalMap.make("xy", {(1, 1, 0): 1}, {(1, 1, 0): 1},
+                                 {(1, 1, 0): 1})
+    with pytest.raises(curves.CurveError, match="base point"):
+        curves.automorphism_group([xy], curves.x0_curve(), 19, k_max=2)
+
+
+def test_closure_matches_stable_domain_and_act(x0_full_group):
+    # the closure reads its permutations from one evaluation per pair
+    G, S, domain, k = x0_full_group
+    maps = curves.x0_scaling_maps(19) + [curves.x0_alpha2()]
+    assert k == 2
+    assert domain == curves.stable_domain(maps, S)
+    assert [G.perms[g] for g in G.gens] == [curves.act(m, S, domain)
+                                            for m in maps]
+
+
 def test_center_map_fixed_points():
     S = curves.enumerate_points(curves.x0_curve(), 19)
     C = S.field

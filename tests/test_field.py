@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,79 @@ def test_zero_inverse_raises():
         F7.inv(0)
     with pytest.raises(ZeroDivisionError):
         F49.inv(F49.zero)
+
+
+# -- the log/antilog tables against polynomial arithmetic ------------------
+
+F361 = ExtField(F19, 2)
+F6859 = ExtField(F19, 3)
+
+
+def _poly_mul(K, a, b):
+    F = K.base
+    prod = polys.pmod(F, polys.pmul(F, polys.ptrim(F, a), polys.ptrim(F, b)),
+                      K.modulus)
+    return prod + (0,) * (K.k - len(prod))
+
+
+def test_ext_field_moduli_and_element_order():
+    assert F361.modulus == (1, 0, 1)
+    assert F6859.modulus == (2, 0, 0, 1)
+    assert list(F361.elements())[:5] == [(0, 0), (0, 1), (0, 2), (0, 3),
+                                         (0, 4)]
+    assert list(F6859.elements())[:5] == [(0, 0, 0), (0, 0, 1), (0, 0, 2),
+                                          (0, 0, 3), (0, 0, 4)]
+
+
+def test_ext_field_tables_are_built_on_first_use():
+    K = ExtField(PrimeField(271), 3)
+    assert K.exp is None and K.log is None
+    K2 = ExtField(F7, 2)
+    assert K2.mul(K2.one, K2.one) == K2.one
+    assert len(K2.exp) == 48
+
+
+@pytest.mark.parametrize("K", [F49, F361, F6859], ids=repr)
+def test_ext_field_exp_lists_each_nonzero_element_once(K):
+    exp, log = K.tables()
+    assert exp[0] == K.one
+    assert sorted(exp) == [e for e in K.elements() if e != K.zero]
+    assert all(log[e] == i for i, e in enumerate(exp))
+    assert log[K.zero] is None
+
+
+@pytest.mark.parametrize("K", [F49, F361], ids=repr)
+def test_ext_field_tables_match_polynomial_arithmetic(K):
+    elements = list(K.elements())
+    for a in elements:
+        for b in elements:
+            assert K.mul(a, b) == _poly_mul(K, a, b)
+        if a != K.zero:
+            assert K.mul(a, K.inv(a)) == K.one
+
+
+_fq3 = st.tuples(*[st.integers(0, 18)] * 3)
+
+
+@given(_fq3, _fq3)
+@settings(max_examples=300, deadline=None)
+def test_fq3_tables_match_polynomial_arithmetic(a, b):
+    assert F6859.mul(a, b) == _poly_mul(F6859, a, b)
+    if a != F6859.zero:
+        assert F6859.mul(a, F6859.inv(a)) == F6859.one
+
+
+@pytest.mark.parametrize("bad", [(19, 0, 0), (1, 0), (1, 0, 0, 0), (-1, 0, 0),
+                                 [1, 0, 0], 5])
+def test_ext_field_rejects_non_elements(bad):
+    with pytest.raises(FieldError, match=re.escape(repr(bad))):
+        F6859.mul(F6859.one, bad)
+    with pytest.raises(FieldError, match=re.escape(repr(bad))):
+        F6859.mul(bad, F6859.zero)
+    with pytest.raises(FieldError, match=re.escape(repr(bad))):
+        F6859.inv(bad)
+    with pytest.raises(ZeroDivisionError):
+        F6859.inv(F6859.zero)
 
 
 coeffs = st.lists(st.integers(0, 18), min_size=0, max_size=5)
