@@ -295,19 +295,6 @@ def minimal_nonabelian_of_index3(G: FiniteGroup):
             if 3 * len(H) == G.order]
 
 
-def unique_special_maximal(G: FiniteGroup) -> Subgroup:
-    """The unique maximal subgroup that is abelian or minimal non-abelian."""
-    hits = []
-    for M in maximal_subgroups(G):
-        if is_abelian_set(G, M.members) or _is_minimal_nonabelian(G, M):
-            hits.append(M)
-    if len(hits) != 1:
-        raise GroupError(
-            "expected exactly one abelian-or-minimal-non-abelian maximal "
-            "subgroup, found %d" % len(hits))
-    return hits[0]
-
-
 def central_quotient_center_pattern(G: FiniteGroup):
     """Multiset {|Z(G/Z)|} over the order-3 subgroups Z of the center."""
     Z = center(G)
@@ -325,10 +312,6 @@ def central_quotient_center_pattern(G: FiniteGroup):
         Q, _ = quotient(G, S)
         pattern.append(len(center(Q)))
     return sorted(pattern, reverse=True)
-
-
-def verify_word_identity(G: FiniteGroup, lhs, rhs, assignment):
-    return G.eval_word(lhs, assignment) == G.eval_word(rhs, assignment)
 
 
 def abelian_invariants(G: FiniteGroup, members=None):

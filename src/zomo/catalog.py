@@ -286,16 +286,15 @@ def evaluate_property(G: FiniteGroup, pres: Presentation, expr: str):
 _group_cache = {}
 
 
-def materialize(entry: CatalogEntry, max_cosets=100000) -> FiniteGroup:
-    key = (entry.id, max_cosets)
-    if key not in _group_cache:
-        _group_cache[key] = coset_enumerate(entry.presentation, max_cosets)
-    return _group_cache[key]
+def materialize(entry: CatalogEntry) -> FiniteGroup:
+    if entry.id not in _group_cache:
+        _group_cache[entry.id] = coset_enumerate(entry.presentation)
+    return _group_cache[entry.id]
 
 
-def verify_entry(entry: CatalogEntry, max_cosets=100000) -> EntryReport:
+def verify_entry(entry: CatalogEntry) -> EntryReport:
     try:
-        G = materialize(entry, max_cosets)
+        G = materialize(entry)
     except BudgetExceeded as exc:
         return EntryReport(entry.id, False, (), error=str(exc))
     rows = []

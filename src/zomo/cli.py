@@ -11,7 +11,9 @@ Subcommands:
 
 Exit codes: 0 all executed checks pass, 1 a check failed, 2 usage or
 configuration error (a ``ZomoError``, printed as ``error: ...`` without a
-traceback).  ZOMO_BUDGET overrides the enumeration budget.
+traceback), including an input file that cannot be read as text and an
+``--out`` file that cannot be written.  ZOMO_BUDGET overrides the
+enumeration budget.
 The report's checks are the rows of ``zomo.checks``; reports are
 deterministic apart from the elapsed fields.
 """
@@ -118,12 +120,18 @@ def _cmd_verify_catalog(args):
     return 0 if ok else 1
 
 
-def _cmd_analyze(args):
+def _read_text(path):
+    """The text of a file named on the command line; an unreadable or
+    non-text file is a usage error."""
     try:
-        text = open(args.file).read()
-    except OSError as exc:
-        raise UsageError(str(exc))
-    fp = analysis.fingerprint(analyze_presentation(text))
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError("cannot read %s: %s" % (path, exc)) from None
+
+
+def _cmd_analyze(args):
+    fp = analysis.fingerprint(analyze_presentation(_read_text(args.file)))
     print("order: %d" % fp.order)
     print("center order: %d" % fp.center_order)
     print("nilpotency class: %d" % fp.nilpotency_class)
@@ -149,10 +157,7 @@ def _cmd_profiles(args):
 
 def _cmd_kummer_build(args):
     if args.golden is not None:
-        try:
-            golden = open(args.golden).read()
-        except OSError as exc:
-            raise UsageError(str(exc))
+        golden = _read_text(args.golden)
     else:
         golden = kummer.load_golden(args.q)
     out = kummer.build_kummer(args.q, golden)
@@ -249,8 +254,11 @@ def _cmd_report(args):
 
 def _emit(text, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s" % (out, exc)) from None
     else:
         sys.stdout.write(text)
 

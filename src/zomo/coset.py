@@ -141,39 +141,27 @@ def enumerate_cosets(pres: Presentation, max_cosets=100000):
     ngens = len(pres.generators)
     relators = [_word_to_cols(w) for w in pres.relators]
     ct = CosetTable(ngens, max_cosets)
-    alpha = 0
-    while alpha < len(ct.table):
-        if ct.rep(alpha) != alpha:
-            alpha += 1
-            continue
-        for rel in relators:
-            ct.scan_and_fill(alpha, rel)
-            if ct.rep(alpha) != alpha:
-                break
-        if ct.rep(alpha) == alpha:
-            for col in range(ct.ncols):
-                if ct.table[alpha][col] is None:
-                    ct.define(alpha, col)
-        alpha += 1
-
-    # Coincidence processing can leave transient holes in rows already passed;
-    # rescan until a clean pass confirms closure.
+    # The first pass defines the table.  Coincidence processing can leave
+    # transient holes in rows already passed, so passes repeat until one
+    # leaves the table unchanged.
+    before = None
     while True:
-        before = _state(ct)
-        for alpha in range(len(ct.table)):
-            if ct.rep(alpha) != alpha:
-                continue
-            for rel in relators:
-                ct.scan_and_fill(alpha, rel)
-                if ct.rep(alpha) != alpha:
-                    break
+        alpha = 0
+        while alpha < len(ct.table):
             if ct.rep(alpha) == alpha:
-                for col in range(ct.ncols):
-                    if ct.table[alpha][col] is None:
-                        ct.define(alpha, col)
+                for rel in relators:
+                    ct.scan_and_fill(alpha, rel)
+                    if ct.rep(alpha) != alpha:
+                        break
+                else:
+                    for col in range(ct.ncols):
+                        if ct.table[alpha][col] is None:
+                            ct.define(alpha, col)
+            alpha += 1
         after = _state(ct)
         if after == before:
             break
+        before = after
 
     live = [c for c in range(len(ct.table)) if ct.rep(c) == c]
     renum = {c: i for i, c in enumerate(live)}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import ZomoError
 from .field import ExtField, PrimeField, _normalize
-from .funcfield import Endo, FunctionField, apply_endo
+from .funcfield import Endo, FunctionField, _eval_monomials, apply_endo
 from .group import FiniteGroup, group_from_permutations
 
 
@@ -83,17 +83,6 @@ class PlaneCurve:
                    for pd in self.partials())
 
 
-def _eval_monomials(C, monos, p):
-    acc = C.zero
-    for exps, n in monos:
-        term = C.from_int(n)
-        for coord, e in zip(p, exps):
-            for _ in range(e):
-                term = C.mul(term, coord)
-        acc = C.add(acc, term)
-    return acc
-
-
 @dataclass
 class PointSet:
     field: object
@@ -141,27 +130,16 @@ def _separated(aff):
     return m, aff[(0, m)], {i: n for (i, j), n in aff.items() if j == 0}
 
 
-def _eval_affine(C, aff, x, y):
-    acc = C.zero
-    for (i, j), n in aff.items():
-        term = C.from_int(n)
-        for _ in range(i):
-            term = C.mul(term, x)
-        for _ in range(j):
-            term = C.mul(term, y)
-        acc = C.add(acc, term)
-    return acc
-
-
-def enumerate_points(curve: PlaneCurve, q, k=1, budget=None):
+def enumerate_points(curve: PlaneCurve, q, k=1):
     """All projective F_{q^k}-points of the curve, with singular flags.
 
     When the affine equation separates as A(x) + c y^m the y-solutions come
     from a precomputed m-th power table, one field pass per x.  Otherwise a
-    full double loop runs, guarded by the point budget.
+    full double loop runs, refused with ``BudgetError`` when it would visit
+    more pairs than ``point_budget()`` (``ZOMO_BUDGET``) allows.
     """
     C = field_for(q, k)
-    budget = budget if budget is not None else point_budget()
+    budget = point_budget()
     aff, inf = _chart_split(curve)
     pts = []
     sep = _separated(aff)
@@ -184,12 +162,12 @@ def enumerate_points(curve: PlaneCurve, q, k=1, budget=None):
                               % C.order ** 2)
         for x in C.elements():
             for y in C.elements():
-                if _eval_affine(C, aff, x, y) == C.zero:
+                if _eval_monomials(C, aff.items(), (x, y)) == C.zero:
                     pts.append(_normalize(C, (x, y, C.one)))
     # z = 0 chart: points (x : 1 : 0), then (1 : 0 : 0)
     if inf:
         for x in C.elements():
-            if _eval_affine(C, inf, x, C.one) == C.zero:
+            if _eval_monomials(C, inf.items(), (x, C.one)) == C.zero:
                 pts.append(_normalize(C, (x, C.one, C.zero)))
     origin = (C.one, C.zero, C.zero)
     if curve.eval_at(C, origin) == C.zero:
@@ -247,11 +225,12 @@ def act(m: RationalMap, S: PointSet, domain=None, images=None):
     return perm
 
 
-def stable_domain(maps, S: PointSet, max_rounds=50, images=None):
+def stable_domain(maps, S: PointSet, images=None):
     """Largest subset of the nonsingular points every map sends into the
     subset.  A point whose image under some map is undefined (None),
     singular or already removed drops out; the survivors are the common
-    permutation domain.  A base point of a map remains a hard error.
+    permutation domain.  A base point of a map remains a hard error, and
+    so does a domain that has not settled after 50 rounds.
 
     Each (map, point) pair is evaluated at most once, into ``images`` (one
     {point: image} dict per map) when the caller passes that list; every
@@ -259,7 +238,7 @@ def stable_domain(maps, S: PointSet, max_rounds=50, images=None):
     C = S.field
     alive = set(S.nonsingular())
     images = [{} for _ in maps] if images is None else images
-    for _ in range(max_rounds):
+    for _ in range(50):
         dead = set()
         for p in alive:
             for m, seen in zip(maps, images):
@@ -368,12 +347,6 @@ def x0_curve():
 def fermat9_curve():
     return PlaneCurve.make("fermat9",
                            {(9, 0, 0): 1, (0, 9, 0): 1, (0, 0, 9): 1})
-
-
-def genus10_curve():
-    # affine x^6 y^3 + x^3 y^6 + 1 = 0
-    return PlaneCurve.make("genus10",
-                           {(6, 3, 0): 1, (3, 6, 0): 1, (0, 0, 9): 1})
 
 
 def roots_of_unity(C, n):
@@ -546,12 +519,12 @@ def genus28_maps(q=19):
     return f, g
 
 
-def genus28_group(q=19, k_max=4):
+def genus28_group(q=19):
     """Group generated by the two maps on the space-model point set, grown
     over the extension degrees like ``automorphism_group``; returns
     (group, domain, k)."""
     def point_set(k):
         C, pts = genus28_points(q, k)
         return PointSet(C, pts, set())
-    G, _, domain, k = _closure(genus28_maps(q), point_set, k_max)
+    G, _, domain, k = _closure(genus28_maps(q), point_set, k_max=4)
     return G, domain, k

@@ -60,19 +60,29 @@ def biv_deriv(C, a, axis):
     return biv_trim(C, out)
 
 
-def biv_eval(C, a, v_val, u_val):
+def _eval_monomials(C, monos, p):
+    """sum of n * p[0]^e0 * p[1]^e1 * ... over the (exponents, n) pairs,
+    each int n taken into C by ``from_int``."""
     acc = C.zero
-    for (i, j), c in a.items():
-        term = C.mul(c, C.mul(_cpow(C, v_val, i), _cpow(C, u_val, j)))
+    for exps, n in monos:
+        term = C.from_int(n)
+        for coord, e in zip(p, exps):
+            for _ in range(e):
+                term = C.mul(term, coord)
         acc = C.add(acc, term)
     return acc
 
 
-def _cpow(C, a, e):
-    acc = C.one
-    for _ in range(e):
-        acc = C.mul(acc, a)
-    return acc
+def _rows(C, biv):
+    """The rows of a bivariate by v-degree, as u-coefficient tuples."""
+    rows = []
+    for i in range(1 + max(vi for vi, _ in biv)):
+        row = [C.zero] * (1 + max([j for (vi, j) in biv if vi == i], default=0))
+        for (vi, j), c in biv.items():
+            if vi == i:
+                row[j] = c
+        rows.append(tuple(row))
+    return rows
 
 
 class FunctionField:
@@ -88,16 +98,9 @@ class FunctionField:
         self.v_name = v_name
         self.K = RatFuncField(constants, u_name)
         self.bivariate = biv_from_int_dict(constants, bivariate)
-        n = max(i for i, _ in self.bivariate)
+        coeffs = [self.K.make(row) for row in _rows(constants, self.bivariate)]
+        n = len(coeffs) - 1
         self.degree = n
-        coeffs = []
-        for i in range(n + 1):
-            poly = [constants.zero] * (1 + max(
-                [j for (vi, j) in self.bivariate if vi == i], default=0))
-            for (vi, j), c in self.bivariate.items():
-                if vi == i:
-                    poly[j] = c
-            coeffs.append(self.K.make(tuple(poly)))
         if coeffs[n] != self.K.one:
             raise FuncFieldError("modulus must be monic in %s" % v_name)
         self.modulus = tuple(coeffs)
@@ -297,73 +300,48 @@ def _s_ord(C, a):
     return None
 
 
-def _expand_point(field, C, u_val, v_val, prec):
-    """Series (U(s), V(s)) for the branch at a nonsingular point.
+def _expand_point(field, u_val, v_val, prec):
+    """Series (U(s), V(s)) for the branch at a nonsingular affine point,
+    with coefficients in the field's constants.
 
-    The local parameter s is whichever of u - u_val, v - v_val is transverse.
-    Coefficients of the curve equation are coerced into C (which may be an
-    extension of the field's prime constants).
+    The local parameter s is u - u_val when dm/dv is nonzero at the point,
+    and v is solved for by Newton's method on the rows of m by v-degree.
+    Otherwise s is v - v_val: the same solve runs on m with u and v
+    exchanged, and the pair comes back swapped.
     """
-    biv = {k: C.from_int(v) for k, v in
-           _as_int_dict(field).items()}
-    dv = biv_deriv(C, biv, 0)
-    du = biv_deriv(C, biv, 1)
-    dv_p = biv_eval(C, dv, v_val, u_val)
-    du_p = biv_eval(C, du, v_val, u_val)
-    if biv_eval(C, biv, v_val, u_val) != C.zero:
+    C = field.constants
+    biv = field.bivariate
+    at = (v_val, u_val)
+    if _eval_monomials(C, biv.items(), at) != C.zero:
         raise FuncFieldError("point is not on the curve")
+    dv_p = _eval_monomials(C, biv_deriv(C, biv, 0).items(), at)
+    du_p = _eval_monomials(C, biv_deriv(C, biv, 1).items(), at)
     if dv_p == C.zero and du_p == C.zero:
         raise FuncFieldError("singular point")
-    # rows of the equation by v-degree, as u-polynomials over C
-    n = max(i for i, _ in biv)
-    rows = []
-    for i in range(n + 1):
-        row = [C.zero] * (1 + max([j for (vi, j) in biv if vi == i], default=0))
-        for (vi, j), c in biv.items():
-            if vi == i:
-                row[j] = c
-        rows.append(tuple(row))
-
-    if dv_p != C.zero:
-        # u = u_val + s, solve for v by Newton from v_val
-        U = [C.zero] * prec
-        U[0] = u_val
-        if prec > 1:
-            U[1] = C.one
-        V = [C.zero] * prec
-        V[0] = v_val
-        row_series = [_s_eval_poly(C, r, U, prec) for r in rows]
-        for _ in range(prec.bit_length() + 2):
-            mval = _horner_series(C, row_series, V, prec)
-            if all(c == C.zero for c in mval):
-                break
-            mder = _horner_series(C, [
-                _s_mul(C, [C.from_int(i)] + [C.zero] * (prec - 1),
-                       row_series[i], prec)
-                for i in range(1, n + 1)], V, prec)
-            V = [C.sub(a, b) for a, b in
-                 zip(V, _s_mul(C, mval, _s_inv(C, mder, prec), prec))]
-        return U, V
-    # v = v_val + s, solve for u by Newton
-    V = [C.zero] * prec
-    V[0] = v_val
-    if prec > 1:
-        V[1] = C.one
+    swap = dv_p == C.zero
+    if swap:
+        biv = {(j, i): c for (i, j), c in biv.items()}
+        u_val, v_val = v_val, u_val
+    rows = _rows(C, biv)
+    # u = u_val + s, solve for v by Newton from v_val
     U = [C.zero] * prec
     U[0] = u_val
+    if prec > 1:
+        U[1] = C.one
+    V = [C.zero] * prec
+    V[0] = v_val
+    row_series = [_s_eval_poly(C, r, U, prec) for r in rows]
     for _ in range(prec.bit_length() + 2):
-        mval = _biv_series_eval(C, biv, V, U, prec)
+        mval = _horner_series(C, row_series, V, prec)
         if all(c == C.zero for c in mval):
             break
-        mder = _biv_series_eval(C, biv_deriv(C, biv, 1), V, U, prec)
-        U = [C.sub(a, b) for a, b in
-             zip(U, _s_mul(C, mval, _s_inv(C, mder, prec), prec))]
-    return U, V
-
-
-def _as_int_dict(field):
-    # the stored bivariate is over the prime constants; coefficients are ints
-    return field.bivariate
+        mder = _horner_series(C, [
+            _s_mul(C, [C.from_int(i)] + [C.zero] * (prec - 1),
+                   row_series[i], prec)
+            for i in range(1, len(rows))], V, prec)
+        V = [C.sub(a, b) for a, b in
+             zip(V, _s_mul(C, mval, _s_inv(C, mder, prec), prec))]
+    return (V, U) if swap else (U, V)
 
 
 def _horner_series(C, coeff_series, X, prec):
@@ -374,40 +352,27 @@ def _horner_series(C, coeff_series, X, prec):
     return acc
 
 
-def _biv_series_eval(C, biv, V, U, prec):
-    n = max(i for i, _ in biv) if biv else 0
-    coeff_series = []
-    for i in range(n + 1):
-        row = [C.zero] * (1 + max([j for (vi, j) in biv if vi == i], default=0))
-        for (vi, j), c in biv.items():
-            if vi == i:
-                row[j] = c
-        coeff_series.append(_s_eval_poly(C, tuple(row), U, prec))
-    return _horner_series(C, coeff_series, V, prec)
-
-
-def valuation_at(f: FFElem, u_val, v_val, point_field=None, prec=64):
-    """Order of f at the place over the nonsingular point (u, v).
-
-    ``point_field`` is the constant field containing the coordinates
-    (defaults to the function field's own constants).  Precision doubles
-    automatically up to 512 when leading-term cancellation eats the series.
+def valuation_at(f: FFElem, u_val, v_val):
+    """Order of f at the place over the nonsingular affine point (u, v),
+    whose coordinates lie in the function field's constants.  The series
+    precision starts at 64 and doubles up to 512 when leading-term
+    cancellation eats the series.
     """
     if f.is_zero():
         raise FuncFieldError("valuation of the zero function")
     field = f.field
-    C = point_field if point_field is not None else field.constants
-    coerce = (lambda c: c) if C == field.constants else C.from_base
+    C = field.constants
+    prec = 64
     while prec <= 512:
-        U, V = _expand_point(field, C, u_val, v_val, prec)
+        U, V = _expand_point(field, u_val, v_val, prec)
         num = [C.zero] * prec
         den = [C.one] + [C.zero] * (prec - 1)
         vpow = [C.one] + [C.zero] * (prec - 1)
         ok = True
         for c in f.coeffs:
             if not c.is_zero():
-                cn = _s_eval_poly(C, [coerce(t) for t in c.num], U, prec)
-                cd = _s_eval_poly(C, [coerce(t) for t in c.den], U, prec)
+                cn = _s_eval_poly(C, c.num, U, prec)
+                cd = _s_eval_poly(C, c.den, U, prec)
                 if _s_ord(C, cd) is None:
                     ok = False
                     break

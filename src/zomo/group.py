@@ -132,8 +132,8 @@ def coset_enumerate(pres: Presentation, max_cosets=100000) -> FiniteGroup:
     return G
 
 
-def analyze_presentation(text, max_cosets=100000):
-    return coset_enumerate(parse_presentation(text), max_cosets)
+def analyze_presentation(text):
+    return coset_enumerate(parse_presentation(text))
 
 
 def _compose(a, b):

@@ -101,16 +101,17 @@ BASE_POINT = (-1, 0, 1)  # an inflection point, the group identity
 
 
 class EllipticGroup:
-    """(E(F_q), +) on the Hesse cubic with a chosen inflection as identity.
+    """(E(F_q), +) on the Hesse cubic with the inflection BASE_POINT as
+    identity.
 
     ``table[i][j]`` is the index of points[i] + points[j].  Only the rows of
     a generating set come from ``hesse_add``; every other row is a
     composition of rows, row(P + g) = row(g) after row(P), which the
     associativity of the group law makes exact."""
 
-    def __init__(self, C, base=BASE_POINT):
+    def __init__(self, C):
         self.C = C
-        self.O = make_point(C, *base)
+        self.O = make_point(C, *BASE_POINT)
         self.points = enumerate_hesse_points(C)
         self.index = {p: i for i, p in enumerate(self.points)}
         if self.O not in self.index:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import ZomoError, polys
 from .analysis import _log3, frattini
 from .field import PrimeField
-from .funcfield import FFElem, apply_endo, ffelem_str, valuation_at
+from .funcfield import FFElem, _rows, apply_endo, ffelem_str, valuation_at
 from .group import FiniteGroup, group_from_permutations
 from .genus import RamificationProfile, rh_genus
 from .hesse import (EllipticGroup, HessePoint, cube_roots_of_unity,
@@ -155,13 +155,6 @@ def line_slope(E, Q: HessePoint):
     return F.mul(q1, F.inv(d))
 
 
-def build_t(field, m):
-    """(m x - y + m)/(x + 1) on x^3 + y^3 + 1 = 0."""
-    x, y = field.v(), field.u()
-    mm = field.scalar(field.K.const(m))
-    return (mm * x - y + mm) / (x + field.one)
-
-
 # -- fast product of the Frattini pullbacks ---------------------------------
 #
 # Each pullback of t is m - u_T with u_T = (y/(x+1)) composed with the
@@ -171,11 +164,11 @@ def build_t(field, m):
 # denominator once at the end.  This avoids a gcd per partial product.
 
 def phi_pullbacks(field, E, translations):
+    """The pullbacks u_T of y/(x+1) under the translations, each lifted to
+    (numerator polynomials, common denominator) for ``build_w``."""
     s = field.u() / (field.v() + field.one)
-    out = []
-    for T in translations:
-        out.append(apply_endo(translation_endo(field, E, T), s))
-    return out
+    return [_lift(field, apply_endo(translation_endo(field, E, T), s))
+            for T in translations]
 
 
 def _lift(field, f):
@@ -195,11 +188,7 @@ def _cubic_reduction(field):
     if field.degree != 3 or any(i not in (0, 3) for i, _ in biv):
         raise KummerError("fast product needs a pure cubic modulus")
     F = field.constants
-    c = [F.zero] * (1 + max(j for (i, j) in biv if i == 0))
-    for (i, j), v in biv.items():
-        if i == 0:
-            c[j] = v
-    return polys.pneg(F, polys.ptrim(F, c))
+    return polys.pneg(F, polys.ptrim(F, _rows(F, biv)[0]))
 
 
 def _triple_mul(F, R, a, b):
@@ -224,12 +213,11 @@ def _product(mul, items, one):
     return items[0] if items else one
 
 
-def build_w(field, m, pullbacks, lifted=None):
-    """prod (m - u_T) over the Frattini pullbacks u_T, as an FFElem."""
+def build_w(field, m, lifted):
+    """prod (m - u_T) over the Frattini pullbacks u_T, given lifted as
+    ``phi_pullbacks`` returns them, as an FFElem."""
     F = field.constants
     R = _cubic_reduction(field)
-    if lifted is None:
-        lifted = [_lift(field, u) for u in pullbacks]
     facs = [(polys.psub(F, polys.pscale(F, d, m), nums[0]),
              polys.pneg(F, nums[1]), polys.pneg(F, nums[2]))
             for nums, d in lifted]
@@ -321,7 +309,7 @@ _GBAR_CACHE = {}
 _LIFT_CACHE = {}
 
 
-def _cached_gbar(q, epsilon=None):
+def _cached_gbar(q, epsilon):
     key = (q, epsilon)
     if key not in _GBAR_CACHE:
         _GBAR_CACHE[key] = build_gbar(q, epsilon)
@@ -333,12 +321,12 @@ def _cached_lifted(field, data: GbarData):
     # Frattini translations: key by that set, not by epsilon
     key = (data.q, frozenset(data.phi_translations))
     if key not in _LIFT_CACHE:
-        us = phi_pullbacks(field, data.E, data.phi_translations)
-        _LIFT_CACHE[key] = [_lift(field, u) for u in us]
+        _LIFT_CACHE[key] = phi_pullbacks(field, data.E,
+                                         data.phi_translations)
     return _LIFT_CACHE[key]
 
 
-def build_kummer(q, golden_text=None, enumerate_all=True):
+def build_kummer(q, golden_text=None):
     """Run the construction over F_q, trying every line slope and both
     primitive cube roots, and report the best match against golden_text."""
     F = PrimeField(q)
@@ -358,7 +346,7 @@ def build_kummer(q, golden_text=None, enumerate_all=True):
                 continue
             tried.add(m)
             if (S, m) not in products:
-                w = build_w(field, m, None, lifted=lifted)
+                w = build_w(field, m, lifted)
                 products[S, m] = (w, equation_text(w))
             w, eq = products[S, m]
             if eq not in seen_equations:
@@ -376,8 +364,6 @@ def build_kummer(q, golden_text=None, enumerate_all=True):
             if best is None or (up_to_cube and not best[1]):
                 best = cand
         if best is not None and best[0]:
-            break
-        if not enumerate_all and best is not None:
             break
     exact, up_to_cube, data, Q, m, w, eq = best
     genus = _genus_from_orbits(data.h, data.theta)
@@ -398,13 +384,13 @@ class SmallConstruction:
     delta_ratio: FFElem
 
 
-def small_gbar27(q=19, epsilon=None):
-    """The order-27 group generated by the scaling alpha and the coordinate
-    rotation (X, Y, Z) -> (Y, Z, X), with its theta orbits."""
+def small_gbar27(q=19):
+    """The order-27 group generated by the scaling alpha, for the smaller
+    primitive cube root epsilon, and the coordinate rotation
+    (X, Y, Z) -> (Y, Z, X), with its theta orbits."""
     E = EllipticGroup(PrimeField(q))
     F = E.C
-    if epsilon is None:
-        epsilon = min(cube_roots_of_unity(F))
+    epsilon = min(cube_roots_of_unity(F))
     alpha = E.map_perm(scaling_point_map(F, F.from_int(epsilon)))
 
     def rot(p):
@@ -440,22 +426,21 @@ def _theta_cosets_small(E, pts9, S):
     return (tuple(S), th2, th3)
 
 
-def small_construction(q=19, epsilon=None):
+def small_construction(q=19):
     """Genus-10 case: theta_1 = {P, P1, P2}, Q the infinite point (1, -1, 0);
     returns the honestly computed slope, product, and generator ratios.
 
     The line through P = (-1, 0, 1) and Q is X + Y + Z = 0, so m = -1.
     Rescaling t by a constant multiplies w by its cube, so w is fixed only
     up to a cube constant by the normalisation of t."""
-    E, G, S, theta, epsilon = small_gbar27(q, epsilon)
+    E, G, S, theta, epsilon = small_gbar27(q)
     F = E.C
     field = hesse_function_field(F)
     Q = make_point(F, 1, -1, 0)
     if Q not in theta[1]:
         raise KummerError("expected (1, -1, 0) in theta_2")
     m = line_slope(E, Q)
-    us = phi_pullbacks(field, E, S)
-    w = build_w(field, m, us)
+    w = build_w(field, m, phi_pullbacks(field, E, S))
     alpha_endo = scaling_endo(field, F.from_int(epsilon))
     delta_endo = _rotation_endo(field)
     return SmallConstruction(

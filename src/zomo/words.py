@@ -76,15 +76,6 @@ class Presentation:
                 if not 0 <= g < n:
                     raise ParseError("relator references unknown generator index %d" % g)
 
-    def word_str(self, w):
-        if not w:
-            return "1"
-        parts = []
-        for g, e in w:
-            name = self.generators[g]
-            parts.append(name if e == 1 else "%s^%d" % (name, e))
-        return "*".join(parts)
-
 
 _TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|-?\d+|[<>|,*^\[\]=()])")
 

@@ -47,6 +47,33 @@ def test_analyze_missing_file(capsys):
     assert code == 2
 
 
+def test_unreadable_input_is_usage_error(tmp_path, capsys):
+    binary = tmp_path / "binary.pres"
+    binary.write_bytes(bytes(range(128, 256)))
+    for argv in (("groups", "analyze", str(binary)),
+                 ("kummer", "build", "--q", "19", "--h", "3",
+                  "--golden", str(binary))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and str(binary) in err
+
+
+def test_unwritable_out_is_usage_error(monkeypatch, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    code, _, err = run(capsys, "kummer", "build", "--q", "19", "--h", "3",
+                       "--out", str(missing / "k.json"))
+    assert code == 2
+    assert err.startswith("error: ")
+    monkeypatch.setattr(checks, "claims",
+                        lambda seed: [("a-holds", "builtin:a", "1",
+                                       lambda: (1, True))])
+    code, out, err = run(capsys, "report", "--format", "json",
+                         "--out", str(missing / "r.json"))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+    assert not missing.exists()
+
+
 def test_analyze_file(tmp_path, capsys):
     p = tmp_path / "heis.pres"
     p.write_text("<a, b | a^3, b^3, [a,b]^3, [[a,b],a], [[a,b],b]>\n")

@@ -54,13 +54,17 @@ def test_pole_orders_on_the_cubic():
     assert valuation_at(y, 0, 18) == 1
     assert valuation_at(x + f.one, 0, 18) == 3
     assert valuation_at(f.one / y, 0, 18) == -1
+    # at (x, y) = (0, -1) dm/dx vanishes: x is the local parameter
+    assert valuation_at(x, 18, 0) == 1
+    assert valuation_at(y + f.one, 18, 0) == 3
+    assert valuation_at(f.one / x, 18, 0) == -1
 
 
 def test_valuation_additivity():
     f = hesse_field()
     x, y = f.v(), f.u()
-    fns = [y, x + f.one, y * y, (x + f.one) / y, y + x]
-    pts = [(0, 18), (4, 5)]  # (u, v) = (y, x) values on the curve
+    fns = [y, x + f.one, y * y, (x + f.one) / y, y + x, x, y + f.one]
+    pts = [(0, 18), (4, 5), (18, 0)]  # (u, v) = (y, x) values on the curve
     for u0, v0 in pts:
         for a in fns:
             for b in fns:

@@ -1,0 +1,35 @@
+"""Layout checks on the package source: no function without a caller."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PKG = ROOT / "src" / "zomo"
+
+
+def _defined_functions(path, text):
+    """(name, def line) of every function and method, dunders left out."""
+    for node in ast.walk(ast.parse(text, str(path))):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (node.name.startswith("__")
+                         and node.name.endswith("__"))):
+            yield node.name, node.lineno
+
+
+def test_every_function_is_referenced():
+    """Each function or method name occurs as a word in the package, the
+    tests or the benchmark somewhere other than its own ``def`` line."""
+    lines = {path: path.read_text().splitlines()
+             for d in (PKG, ROOT / "tests", ROOT / "bench")
+             for path in sorted(d.glob("*.py"))}
+    unreferenced = []
+    for path in sorted(PKG.glob("*.py")):
+        for name, lineno in _defined_functions(path, "\n".join(lines[path])):
+            word = re.compile(r"\b%s\b" % re.escape(name))
+            if not any(word.search(line)
+                       for other, text in lines.items()
+                       for i, line in enumerate(text, 1)
+                       if (other, i) != (path, lineno)):
+                unreferenced.append("%s:%d %s" % (path.name, lineno, name))
+    assert unreferenced == []

@@ -1,9 +1,11 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zomo import words
-from zomo.coset import BudgetExceeded
+from zomo import catalog, words
+from zomo.coset import BudgetExceeded, enumerate_cosets
 from zomo.group import (GroupError, analyze_presentation, coset_enumerate,
                         group_from_permutations)
 from zomo.words import parse_presentation, parse_word
@@ -64,6 +66,19 @@ def test_coset_enumeration_metacyclic27():
 def test_coset_enumeration_heisenberg():
     G = analyze_presentation("<a, b | a^3, b^3, [a,b]^3, [[a,b],a], [[a,b],b]>")
     assert G.order == 27
+
+
+def test_coset_numbering_is_pinned():
+    # the coset indices, hence every element index, of recorded enumerations
+    heis = parse_presentation(
+        "<a, b | a^3, b^3, [a,b]^3, [[a,b],a], [[a,b],b]>")
+    cases = [(heis, "9559e2db2a707265")]
+    for eid, digest in (("C9_rtimes_C3", "d7b570fe262c33e7"),
+                        ("caseI1_e2_k0", "eb4601a11c7b105c")):
+        cases.append((catalog.entry_by_id(eid).presentation, digest))
+    for pres, digest in cases:
+        got = repr(enumerate_cosets(pres)).encode()
+        assert hashlib.sha256(got).hexdigest()[:16] == digest
 
 
 def test_coset_budget():
