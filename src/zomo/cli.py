@@ -19,6 +19,7 @@ deterministic apart from the elapsed fields.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -160,20 +161,20 @@ def _cmd_kummer_build(args):
         golden = _read_text(args.golden)
     else:
         golden = kummer.load_golden(args.q)
-    out = kummer.build_kummer(args.q, golden)
-    if out.h != args.h:
-        raise UsageError("q = %d gives h = %d, not %d"
-                         % (args.q, out.h, args.h))
-    payload = {
-        "q": out.q,
-        "h": out.h,
-        "equation": out.equation,
-        "genus": out.genus,
-        "matched_golden": out.matched_golden,
-        "choice": {"Q": list(out.Q.coords), "epsilon": out.epsilon},
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _emit(text, args.out)
+    with _open_out(args.out) as fh:
+        out = kummer.build_kummer(args.q, golden)
+        if out.h != args.h:
+            raise UsageError("q = %d gives h = %d, not %d"
+                             % (args.q, out.h, args.h))
+        payload = {
+            "q": out.q,
+            "h": out.h,
+            "equation": out.equation,
+            "genus": out.genus,
+            "matched_golden": out.matched_golden,
+            "choice": {"Q": list(out.Q.coords), "epsilon": out.epsilon},
+        }
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0 if out.matched_golden else 1
 
 
@@ -242,25 +243,26 @@ def _cmd_curve_check(args):
 def _cmd_report(args):
     # a bad ZOMO_BUDGET stops the run instead of failing every curve check
     curves.point_budget()
-    records = [_record(*row) for row in checks.claims(args.seed)]
-    records.sort(key=lambda r: r.id)
-    if args.format == "json":
-        text = _report_json(records)
-    else:
-        text = _report_markdown(records)
-    _emit(text, args.out)
+    with _open_out(args.out) as fh:
+        records = [_record(*row) for row in checks.claims(args.seed)]
+        records.sort(key=lambda r: r.id)
+        if args.format == "json":
+            fh.write(_report_json(records))
+        else:
+            fh.write(_report_markdown(records))
     return 0 if all(r.status == "pass" for r in records) else 1
 
 
-def _emit(text, out):
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError("cannot write %s: %s" % (out, exc)) from None
-    else:
-        sys.stdout.write(text)
+def _open_out(out):
+    """The ``--out`` file opened for writing, or stdout when there is none.
+    Commands open it before their work, so a path that cannot be written
+    fails at once, not after every check has run."""
+    if not out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w")
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (out, exc)) from None
 
 
 # ---------------------------------------------------------------------------

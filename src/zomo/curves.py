@@ -403,11 +403,8 @@ def x0_function_field(q=19):
 
 def x0_invariant_t(field):
     """(x^9 - 3x^3 - 1) / (x^3 (x^3 + 1))."""
-    F = field.constants
-    K = field.K
-    num = K.make((F.from_int(-1), 0, 0, F.from_int(-3), 0, 0, 0, 0, 0, 1))
-    den = K.make((0, 0, 0, 1, 0, 0, 1))
-    return field.scalar(num) / field.scalar(den)
+    return field.scalar((-1, 0, 0, -3, 0, 0, 0, 0, 0, 1),
+                        (0, 0, 0, 1, 0, 0, 1))
 
 
 def x0_three_term_t(field):

@@ -1,10 +1,11 @@
-"""Finite prime fields, their extensions, and rational function fields.
+"""Finite prime fields and their extensions.
 
-All three classes expose the same field-object protocol consumed by polys:
-attributes ``zero`` and ``one`` plus methods add, sub, mul, neg, inv,
-from_int.  Elements are plain immutable values (ints for PrimeField, int
-tuples for ExtField, RatFunc for RatFuncField), so structural equality is
-element equality.
+Both classes expose one field-object protocol, read by the point scans,
+the Hesse group law and the series arithmetic of ``funcfield``: attributes
+``zero`` and ``one`` plus methods add, sub, mul, neg, inv, from_int.
+Elements are plain immutable values (ints for PrimeField, int tuples for
+ExtField), so structural equality is element equality.  ``polys`` works
+over a PrimeField only.
 
 An ``ExtField`` is F_q[t]/(modulus) for the least irreducible modulus of its
 degree.  Its elements are coefficient tuples (c_0, ..., c_{k-1}); add, sub
@@ -15,7 +16,6 @@ its Zech table for addition).  Polynomial arithmetic only builds the
 modulus and that table.
 """
 
-from dataclasses import dataclass
 from itertools import product
 
 from . import ZomoError, polys
@@ -139,9 +139,6 @@ class ExtField:
     def from_int(self, n):
         return tuple([n % self.q] + [0] * (self.k - 1))
 
-    def from_base(self, a):
-        return tuple([a % self.q] + [0] * (self.k - 1))
-
     def add(self, a, b):
         return tuple((x + y) % self.q for x, y in zip(a, b))
 
@@ -218,87 +215,6 @@ class ExtField:
 
     def __hash__(self):
         return hash(("ExtField", self.q, self.k))
-
-
-@dataclass(frozen=True)
-class RatFunc:
-    num: tuple
-    den: tuple
-
-    def is_zero(self):
-        return not self.num
-
-
-class RatFuncField:
-    """Field of rational functions over a coefficient field, in one variable.
-
-    Elements are RatFunc values normalized to a monic denominator coprime
-    with the numerator; the zero element is RatFunc((), (one,)).
-    """
-
-    def __init__(self, coeff_field, var="x"):
-        self.coeff = coeff_field
-        self.var = var
-        self.zero = RatFunc((), (coeff_field.one,))
-        self.one = RatFunc((coeff_field.one,), (coeff_field.one,))
-
-    def make(self, num, den=None):
-        F = self.coeff
-        num = polys.ptrim(F, num)
-        den = polys.ptrim(F, den) if den is not None else (F.one,)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            return self.zero
-        g = polys.pgcd(F, num, den)
-        if polys.pdeg(g) > 0:
-            num = polys.pdivmod(F, num, g)[0]
-            den = polys.pdivmod(F, den, g)[0]
-        lead = F.inv(den[-1])
-        num = polys.pscale(F, num, lead)
-        den = polys.pscale(F, den, lead)
-        return RatFunc(num, den)
-
-    def x(self):
-        return self.make((self.coeff.zero, self.coeff.one))
-
-    def const(self, c):
-        return self.make((c,))
-
-    def from_int(self, n):
-        return self.const(self.coeff.from_int(n))
-
-    def add(self, a, b):
-        F = self.coeff
-        num = polys.padd(F, polys.pmul(F, a.num, b.den),
-                         polys.pmul(F, b.num, a.den))
-        return self.make(num, polys.pmul(F, a.den, b.den))
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def neg(self, a):
-        return RatFunc(polys.pneg(self.coeff, a.num), a.den)
-
-    def mul(self, a, b):
-        F = self.coeff
-        return self.make(polys.pmul(F, a.num, b.num),
-                         polys.pmul(F, a.den, b.den))
-
-    def inv(self, a):
-        if a.is_zero():
-            raise ZeroDivisionError("inverse of the zero rational function")
-        return self.make(a.den, a.num)
-
-    def __repr__(self):
-        return "%r(%s)" % (self.coeff, self.var)
-
-    def __eq__(self, other):
-        return (isinstance(other, RatFuncField) and other.coeff == self.coeff
-                and other.var == self.var)
-
-    def __hash__(self):
-        return hash(("RatFuncField", self.coeff, self.var))
 
 
 def _normalize(C, xyz):

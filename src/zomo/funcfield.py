@@ -1,7 +1,8 @@
 """Function fields K(u)[v]/(m) with m monic in v, over finite constant fields.
 
-Elements are vectors of rational functions in the transcendental variable u,
-representing sum_i c_i(u) v^i with i < deg_v(m).  The module also provides
+An element sum_i c_i(u) v^i, i < n = deg_v(m), is stored as n numerator
+polynomials in F_p[u] over one common monic denominator, in lowest terms, so
+every operation runs on the int kernel of ``polys``.  The module also provides
 endomorphisms given by coordinate images, valuations at nonsingular affine
 points via power-series expansion, canonical serialization matching the
 project's printed-equation style, and a small bivariate-polynomial helper.
@@ -10,7 +11,6 @@ project's printed-equation style, and a small bivariate-polynomial helper.
 from dataclasses import dataclass
 
 from . import ZomoError, polys
-from .field import RatFunc, RatFuncField
 
 
 class FuncFieldError(ZomoError, ArithmeticError):
@@ -90,47 +90,50 @@ class FunctionField:
 
     ``bivariate`` is {(i, j): int} for m = sum c v^i u^j; the constant field
     is a prime field object.  ``u_name``/``v_name`` only affect printing.
+    ``modulus`` holds the rows m_0, ..., m_{n-1} of m below v^n, as F_p[u]
+    polynomials: m is monic in v with polynomial coefficients, so
+    v^n = -(m_0 + m_1 v + ... + m_{n-1} v^(n-1)) reduces without division.
     """
 
     def __init__(self, constants, bivariate, u_name="x", v_name="y"):
         self.constants = constants
         self.u_name = u_name
         self.v_name = v_name
-        self.K = RatFuncField(constants, u_name)
         self.bivariate = biv_from_int_dict(constants, bivariate)
-        coeffs = [self.K.make(row) for row in _rows(constants, self.bivariate)]
-        n = len(coeffs) - 1
+        rows = [polys.ptrim(constants, r)
+                for r in _rows(constants, self.bivariate)]
+        n = len(rows) - 1
         self.degree = n
-        if coeffs[n] != self.K.one:
+        if rows[n] != (constants.one,):
             raise FuncFieldError("modulus must be monic in %s" % v_name)
-        self.modulus = tuple(coeffs)
-        self.zero = FFElem(self, ((self.K.zero,) * n))
-        self.one = FFElem(self, (self.K.one,) + (self.K.zero,) * (n - 1))
+        self.modulus = tuple(rows[:n])
+        self.zero = FFElem(self, ((),) * n, (1,))
+        self.one = self.scalar((1,))
 
     # -- element constructors
 
-    def elem(self, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) > self.degree:
-            F = self.K
-            red = polys.pmod(F, polys.ptrim(F, coeffs), polys.ptrim(F, self.modulus))
-            coeffs = red
-        coeffs = tuple(coeffs) + (self.K.zero,) * (self.degree - len(coeffs))
-        return FFElem(self, coeffs)
+    def elem(self, nums, den=(1,)):
+        """sum nums[i] v^i / den for F_p[u] polynomials nums and den, in any
+        number of terms; reduced mod m and put in canonical form."""
+        F = self.constants
+        nums = [polys.ptrim(F, [c % F.q for c in num]) for num in nums]
+        den = polys.ptrim(F, [c % F.q for c in den])
+        return _canonical(self, _reduce(self, nums), den)
 
     def v(self):
         """The algebraic generator."""
-        return self.elem((self.K.zero, self.K.one))
+        return self.elem(((), (1,)))
 
     def u(self):
         """The transcendental generator as a field element."""
-        return self.elem((self.K.x(),))
+        return self.scalar((0, 1))
 
-    def scalar(self, ratfunc):
-        return self.elem((ratfunc,))
+    def scalar(self, num, den=(1,)):
+        """The element num(u)/den(u) of K(u)."""
+        return self.elem((num,), den)
 
     def from_int(self, n):
-        return self.scalar(self.K.from_int(n))
+        return self.scalar((n,))
 
     def __eq__(self, other):
         return (isinstance(other, FunctionField)
@@ -148,49 +151,138 @@ class FunctionField:
                                               self.v_name)
 
 
+def _reduce(field, nums):
+    """nums (a list of any length) reduced mod m to exactly n entries, by
+    v^n = -(m_0 + ... + m_{n-1} v^(n-1)) from the top term down."""
+    F = field.constants
+    n = field.degree
+    nums = nums + [()] * (n - len(nums))
+    for k in range(len(nums) - 1, n - 1, -1):
+        c = nums.pop()
+        if c:
+            for i, m_i in enumerate(field.modulus, k - n):
+                if m_i:
+                    nums[i] = polys.psub(F, nums[i], polys.pmul(F, c, m_i))
+    return nums
+
+
+def _canonical(field, nums, den):
+    """The element sum nums[i] v^i / den with the common factor of den and
+    every numerator cancelled and den made monic."""
+    F = field.constants
+    if not den:
+        raise ZeroDivisionError("zero denominator in %r" % (field,))
+    if not any(nums):
+        return field.zero
+    g = den
+    for num in nums:
+        if len(g) == 1:
+            break
+        if num:
+            g = polys.pgcd(F, g, num)
+    if len(g) > 1:
+        nums = [polys.pdivmod(F, num, g)[0] for num in nums]
+        den = polys.pdivmod(F, den, g)[0]
+    if den[-1] != 1:
+        c = F.inv(den[-1])
+        nums = [polys.pscale(F, num, c) for num in nums]
+        den = polys.pscale(F, den, c)
+    return FFElem(field, tuple(nums), den)
+
+
+@dataclass(frozen=True)
+class RatFunc:
+    """One coefficient of an FFElem in lowest terms, den monic."""
+    num: tuple
+    den: tuple
+
+    def is_zero(self):
+        return not self.num
+
+
 @dataclass(frozen=True)
 class FFElem:
+    """sum nums[i] v^i / den: n numerators in F_p[u] over one monic
+    denominator that has no common factor with all of them, so two FFElems
+    are equal exactly when they are the same function."""
     field: FunctionField
-    coeffs: tuple  # of RatFunc, length = field.degree
+    nums: tuple
+    den: tuple
 
     def __add__(self, other):
-        K = self._k(other)
-        return FFElem(self.field, tuple(K.add(a, b) for a, b in
-                                        zip(self.coeffs, other.coeffs)))
+        F = self._constants(other)
+        a, b = self.den, other.den
+        if a == b:
+            nums = [polys.padd(F, x, y) for x, y in zip(self.nums, other.nums)]
+        else:
+            nums = [polys.padd(F, polys.pmul(F, x, b), polys.pmul(F, y, a))
+                    for x, y in zip(self.nums, other.nums)]
+            a = polys.pmul(F, a, b)
+        return _canonical(self.field, nums, a)
 
     def __sub__(self, other):
-        K = self._k(other)
-        return FFElem(self.field, tuple(K.sub(a, b) for a, b in
-                                        zip(self.coeffs, other.coeffs)))
+        return self + (-other)
 
     def __neg__(self):
-        K = self.field.K
-        return FFElem(self.field, tuple(K.neg(a) for a in self.coeffs))
+        F = self.field.constants
+        return FFElem(self.field, tuple(polys.pneg(F, x) for x in self.nums),
+                      self.den)
 
     def __mul__(self, other):
-        K = self._k(other)
-        prod = polys.pmul(K, polys.ptrim(K, self.coeffs),
-                          polys.ptrim(K, other.coeffs))
-        red = polys.pmod(K, prod, polys.ptrim(K, self.field.modulus))
-        return self.field.elem(red)
+        F = self._constants(other)
+        prod = [()] * (2 * self.field.degree - 1)
+        for i, x in enumerate(self.nums):
+            if x:
+                for j, y in enumerate(other.nums, i):
+                    if y:
+                        prod[j] = polys.padd(F, prod[j], polys.pmul(F, x, y))
+        return _canonical(self.field, _reduce(self.field, prod),
+                          polys.pmul(F, self.den, other.den))
 
-    def _k(self, other):
+    def _constants(self, other):
         if not isinstance(other, FFElem) or other.field != self.field:
             raise FuncFieldError("operands from different function fields")
-        return self.field.K
+        return self.field.constants
 
     def inverse(self):
-        K = self.field.K
-        a = polys.ptrim(K, self.coeffs)
-        if not a:
+        """With N = sum nums[i] v^i and M the matrix of multiplication by
+        N, the inverse is den * X / D: fraction-free (Bareiss) elimination
+        of M X = D e_0 over F_p[u] gives D = +-det M as its last pivot and
+        the polynomial solution X, so no step leaves F_p[u]."""
+        if self.is_zero():
             raise ZeroDivisionError("inverse of zero function-field element")
-        mod = polys.ptrim(K, self.field.modulus)
-        g, u, _ = polys.pxgcd(K, a, mod)
-        if polys.pdeg(g) != 0:
-            raise FuncFieldError("modulus reducible: gcd has degree %d"
-                                 % polys.pdeg(g))
-        u = polys.pscale(K, u, K.inv(g[0]))
-        return self.field.elem(u)
+        field = self.field
+        F, n = field.constants, field.degree
+        # column j holds the numerators of (sum nums[i] v^i) * v^j
+        cols = [list(self.nums)]
+        for _ in range(n - 1):
+            cols.append(_reduce(field, [()] + cols[-1]))
+        rows = [[cols[j][i] for j in range(n)] + [(1,) if i == 0 else ()]
+                for i in range(n)]
+        prev = (1,)
+        for k in range(n):
+            r = next((r for r in range(k, n) if rows[r][k]), None)
+            if r is None:
+                raise FuncFieldError("modulus reducible: %r is a zero "
+                                     "divisor" % (self,))
+            rows[k], rows[r] = rows[r], rows[k]
+            pivot = rows[k]
+            for row in rows[k + 1:]:
+                c = row[k]
+                row[k] = ()
+                for j in range(k + 1, n + 1):
+                    t = polys.psub(F, polys.pmul(F, pivot[k], row[j]),
+                                   polys.pmul(F, c, pivot[j]))
+                    row[j] = polys.pdivmod(F, t, prev)[0]
+            prev = pivot[k]
+        X = [()] * n
+        for i in range(n - 1, -1, -1):
+            t = polys.pmul(F, prev, rows[i][n])
+            for j in range(i + 1, n):
+                t = polys.psub(F, t, polys.pmul(F, rows[i][j], X[j]))
+            X[i] = polys.pdivmod(F, t, rows[i][i])[0]
+        return _canonical(field, [polys.pmul(F, self.den, x) for x in X],
+                          prev)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -208,7 +300,18 @@ class FFElem:
         return acc
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.nums)
+
+    @property
+    def coeffs(self):
+        """The coefficient of each v^i as a RatFunc in lowest terms."""
+        F = self.field.constants
+        out = []
+        for num in self.nums:
+            g = polys.pgcd(F, num, self.den)
+            out.append(RatFunc(polys.pdivmod(F, num, g)[0],
+                               polys.pdivmod(F, self.den, g)[0]))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -233,22 +336,18 @@ class Endo:
 
 
 def apply_endo(e: Endo, f: FFElem) -> FFElem:
-    C = e.field.constants
-    acc = e.field.zero
-    vpow = e.field.one
-    for i, c in enumerate(f.coeffs):
-        if not c.is_zero():
-            num = _eval_poly_at(e.field, c.num, e.u_image)
-            den = _eval_poly_at(e.field, c.den, e.u_image)
-            acc = acc + (num / den) * vpow
-        vpow = vpow * e.v_image
-    return acc
+    """f(u_image, v_image): the numerators by Horner in v_image, over the
+    denominator evaluated at u_image."""
+    num = e.field.zero
+    for poly in reversed(f.nums):
+        num = num * e.v_image + _eval_poly_at(e.field, poly, e.u_image)
+    return num / _eval_poly_at(e.field, f.den, e.u_image)
 
 
 def _eval_poly_at(field, poly, x):
     acc = field.zero
     for c in reversed(poly):
-        acc = acc * x + field.scalar(field.K.const(c))
+        acc = acc * x + field.from_int(c)
     return acc
 
 
@@ -365,27 +464,12 @@ def valuation_at(f: FFElem, u_val, v_val):
     prec = 64
     while prec <= 512:
         U, V = _expand_point(field, u_val, v_val, prec)
-        num = [C.zero] * prec
-        den = [C.one] + [C.zero] * (prec - 1)
-        vpow = [C.one] + [C.zero] * (prec - 1)
-        ok = True
-        for c in f.coeffs:
-            if not c.is_zero():
-                cn = _s_eval_poly(C, c.num, U, prec)
-                cd = _s_eval_poly(C, c.den, U, prec)
-                if _s_ord(C, cd) is None:
-                    ok = False
-                    break
-                term_num = _s_mul(C, cn, vpow, prec)
-                num = _s_add(C, _s_mul(C, num, cd, prec),
-                             _s_mul(C, term_num, den, prec))
-                den = _s_mul(C, den, cd, prec)
-            vpow = _s_mul(C, vpow, V, prec)
-        if ok:
-            onum = _s_ord(C, num)
-            oden = _s_ord(C, den)
-            if onum is not None and oden is not None:
-                return onum - oden
+        num = _horner_series(C, [_s_eval_poly(C, c, U, prec)
+                                 for c in f.nums], V, prec)
+        onum = _s_ord(C, num)
+        oden = _s_ord(C, _s_eval_poly(C, f.den, U, prec))
+        if onum is not None and oden is not None:
+            return onum - oden
         prec *= 2
     raise FuncFieldError("precision exhausted computing valuation")
 
@@ -418,18 +502,18 @@ def ratfunc_str(r: RatFunc, var):
 
 def ffelem_str(f: FFElem):
     """Canonical display: terms in descending powers of the algebraic
-    generator, each rational-function coefficient parenthesized."""
+    generator, each rational-function coefficient in lowest terms and
+    parenthesized."""
     field = f.field
     parts = []
-    for i in range(field.degree - 1, -1, -1):
-        c = f.coeffs[i]
+    for i, c in reversed(list(enumerate(f.coeffs))):
         if c.is_zero():
             continue
         if i == 0:
             parts.append(ratfunc_str(c, field.u_name))
             continue
         vterm = field.v_name if i == 1 else "%s^%d" % (field.v_name, i)
-        if c == field.K.one:
+        if c == RatFunc((1,), (1,)):
             parts.append(vterm)
         elif c.den == (1,) and len([t for t in c.num if t != 0]) == 1:
             parts.append("%s%s" % (poly_str(c.num, field.u_name), vterm))

@@ -220,10 +220,6 @@ def hesse_function_field(q_field):
                          u_name="y", v_name="x")
 
 
-def _embed(field: FunctionField, c):
-    return field.scalar(field.K.const(c))
-
-
 def generic_point(field: FunctionField):
     """The generic affine point (x, y, 1) with symbolic coordinates."""
     return (field.v(), field.u(), field.one)
@@ -250,8 +246,8 @@ def translation_endo(field: FunctionField, group: EllipticGroup,
     if t == group.O:
         return Endo(field, field.u(), field.v())
     gp = generic_point(field)
-    T = tuple(_embed(field, c) for c in t.coords)
-    O = tuple(_embed(field, c) for c in group.O.coords)
+    T = tuple(field.from_int(c) for c in t.coords)
+    O = tuple(field.from_int(c) for c in group.O.coords)
     u = _sym_third(field, T, gp)
     w = _sym_third(field, O, u)
     if w[2].is_zero():
@@ -263,5 +259,5 @@ def translation_endo(field: FunctionField, group: EllipticGroup,
 
 def scaling_endo(field: FunctionField, eps) -> Endo:
     """(x, y) -> (x, eps y)."""
-    return Endo(field, u_image=_embed(field, eps) * field.u(),
+    return Endo(field, u_image=field.from_int(eps) * field.u(),
                 v_image=field.v())

@@ -18,10 +18,10 @@ then up to a multiplicative constant that is a cube in F_q.
 
 from dataclasses import dataclass
 
-from . import ZomoError, polys
+from . import ZomoError
 from .analysis import _log3, frattini
 from .field import PrimeField
-from .funcfield import FFElem, _rows, apply_endo, ffelem_str, valuation_at
+from .funcfield import FFElem, apply_endo, ffelem_str, valuation_at
 from .group import FiniteGroup, group_from_permutations
 from .genus import RamificationProfile, rh_genus
 from .hesse import (EllipticGroup, HessePoint, cube_roots_of_unity,
@@ -155,78 +155,30 @@ def line_slope(E, Q: HessePoint):
     return F.mul(q1, F.inv(d))
 
 
-# -- fast product of the Frattini pullbacks ---------------------------------
-#
-# Each pullback of t is m - u_T with u_T = (y/(x+1)) composed with the
-# translation by T.  Writing u_T over a common polynomial denominator, the
-# product is formed on (c0 + c1 x + c2 x^2) triples with polynomial entries,
-# reducing x^3 = -(y^3 + 1) on the fly, and divided by the accumulated
-# denominator once at the end.  This avoids a gcd per partial product.
-
 def phi_pullbacks(field, E, translations):
-    """The pullbacks u_T of y/(x+1) under the translations, each lifted to
-    (numerator polynomials, common denominator) for ``build_w``."""
+    """The pullbacks u_T of y/(x+1) under the translations."""
     s = field.u() / (field.v() + field.one)
-    return [_lift(field, apply_endo(translation_endo(field, E, T), s))
+    return [apply_endo(translation_endo(field, E, T), s)
             for T in translations]
 
 
-def _lift(field, f):
-    F = field.constants
-    den = (F.one,)
-    for c in f.coeffs:
-        g = polys.pgcd(F, den, c.den)
-        den = polys.pmul(F, den, polys.pdivmod(F, c.den, g)[0])
-    nums = [polys.pmul(F, c.num, polys.pdivmod(F, den, c.den)[0])
-            for c in f.coeffs]
-    return nums, den
-
-
-def _cubic_reduction(field):
-    # for v^3 + c(u) = 0 the reduction is v^3 = -c(u)
-    biv = field.bivariate
-    if field.degree != 3 or any(i not in (0, 3) for i, _ in biv):
-        raise KummerError("fast product needs a pure cubic modulus")
-    F = field.constants
-    return polys.pneg(F, polys.ptrim(F, _rows(F, biv)[0]))
-
-
-def _triple_mul(F, R, a, b):
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    pm, pa = polys.pmul, polys.padd
-    c0 = pa(F, pm(F, a0, b0),
-            pm(F, R, pa(F, pm(F, a1, b2), pm(F, a2, b1))))
-    c1 = pa(F, pa(F, pm(F, a0, b1), pm(F, a1, b0)), pm(F, R, pm(F, a2, b2)))
-    c2 = pa(F, pa(F, pm(F, a0, b2), pm(F, a1, b1)), pm(F, a2, b0))
-    return (c0, c1, c2)
-
-
-def _product(mul, items, one):
-    """The product of items by a balanced tree: the operands of each level
-    have similar sizes, so the big products go through Kronecker
+def _product(items):
+    """The product of a nonempty list by a balanced tree: the operands of
+    each level have similar sizes, so the big products go through Kronecker
     substitution.  The ring is commutative, so the result is the one a
     left-to-right product gives."""
     while len(items) > 1:
-        items = [mul(*items[i:i + 2]) if i + 1 < len(items) else items[i]
+        items = [items[i] * items[i + 1] if i + 1 < len(items) else items[i]
                  for i in range(0, len(items), 2)]
-    return items[0] if items else one
+    return items[0]
 
 
-def build_w(field, m, lifted):
-    """prod (m - u_T) over the Frattini pullbacks u_T, given lifted as
-    ``phi_pullbacks`` returns them, as an FFElem."""
-    F = field.constants
-    R = _cubic_reduction(field)
-    facs = [(polys.psub(F, polys.pscale(F, d, m), nums[0]),
-             polys.pneg(F, nums[1]), polys.pneg(F, nums[2]))
-            for nums, d in lifted]
-    num = _product(lambda a, b: _triple_mul(F, R, a, b), facs,
-                   ((F.one,), (), ()))
-    den = _product(lambda a, b: polys.pmul(F, a, b),
-                   [d for _, d in lifted], (F.one,))
-    K = field.K
-    return field.elem(tuple(K.make(c, den) for c in num))
+def build_w(field, m, pullbacks):
+    """prod (m - u_T) over the Frattini pullbacks u_T that
+    ``phi_pullbacks`` returns (the translations include O, so there is at
+    least one)."""
+    c = field.from_int(m)
+    return _product([c - u for u in pullbacks])
 
 
 def verify_w_divisor(field, w: FFElem, theta):
@@ -287,14 +239,10 @@ def _monic_normalization(field, w):
     """w divided by the leading numerator coefficient when that constant is
     a cube; the substitution z -> z/c leaves the extension unchanged."""
     F = field.constants
-    lead = None
-    for c in reversed(w.coeffs):
-        if not c.is_zero():
-            lead = c.num[-1]
-            break
+    lead = next((num[-1] for num in reversed(w.nums) if num), None)
     if lead is None or lead == F.one or not _is_cube_constant(F, lead):
         return None
-    return w * field.scalar(field.K.const(F.inv(lead)))
+    return w * field.from_int(F.inv(lead))
 
 
 def load_golden(q):
@@ -316,7 +264,7 @@ def _cached_gbar(q, epsilon):
     return _GBAR_CACHE[key]
 
 
-def _cached_lifted(field, data: GbarData):
+def _cached_pullbacks(field, data: GbarData):
     # both primitive cube roots give the same <alpha>, hence the same
     # Frattini translations: key by that set, not by epsilon
     key = (data.q, frozenset(data.phi_translations))
@@ -336,7 +284,7 @@ def build_kummer(q, golden_text=None):
     for epsilon in sorted(cube_roots_of_unity(F)):
         data = _cached_gbar(q, epsilon)
         field = hesse_function_field(F)
-        lifted = _cached_lifted(field, data)
+        pullbacks = _cached_pullbacks(field, data)
         S = frozenset(data.phi_translations)
         th2 = data.theta[1]
         tried = set()
@@ -346,7 +294,7 @@ def build_kummer(q, golden_text=None):
                 continue
             tried.add(m)
             if (S, m) not in products:
-                w = build_w(field, m, lifted)
+                w = build_w(field, m, pullbacks)
                 products[S, m] = (w, equation_text(w))
             w, eq = products[S, m]
             if eq not in seen_equations:

@@ -1,32 +1,20 @@
-"""Dense univariate polynomial arithmetic over a field object.
+"""Dense univariate polynomial arithmetic over a prime field F_p.
 
-A field object F provides: F.zero, F.one, add, sub, mul, neg, inv,
-from_int(n), and structural equality of elements.  Polynomials are tuples of
-coefficients in ascending degree with no trailing zeros; () is the zero
-polynomial.
+``F`` is a ``PrimeField``; only its characteristic ``F.q`` and ``F.inv`` are
+read.  Polynomials are tuples of int coefficients in ascending degree with
+no trailing zeros; () is the zero polynomial.  Every coefficient a primitive
+computes is reduced into [0, p).
 
-Two kinds of coefficient field reach this module.  Over a ``PrimeField`` the
-coefficients are ints, and the primitives run on int lists: products
-accumulate exact integer sums and reduce once, and products with both
-factors of at least KRONECKER_MIN coefficients go through Kronecker
+Products accumulate exact integer sums and reduce once, and products with
+both factors of at least KRONECKER_MIN coefficients go through Kronecker
 substitution, one big-integer product of the packed coefficient vectors
 (von zur Gathen and Gerhard, Modern Computer Algebra, section 8.4; Harvey,
-arXiv:0712.4046).  Every other field (in practice ``RatFuncField``) runs the
-generic loops through the field's methods.  Both paths return the same
-tuples: every coefficient a primitive computes is reduced, exactly as the
-field methods reduce it.
+arXiv:0712.4046).
 """
-
-from . import field  # imports polys in turn; PrimeField is read at call time
 
 # Below this length on either factor the int schoolbook product is faster
 # than packing, multiplying and unpacking big integers.
 KRONECKER_MIN = 12
-
-
-def _prime(F):
-    """The characteristic when F is a prime field, else 0."""
-    return F.q if type(F) is field.PrimeField else 0
 
 
 def _itrim(coeffs):
@@ -36,10 +24,7 @@ def _itrim(coeffs):
 
 
 def ptrim(F, coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == F.zero:
-        coeffs.pop()
-    return tuple(coeffs)
+    return _itrim(list(coeffs))
 
 
 def pdeg(p):
@@ -47,27 +32,17 @@ def pdeg(p):
 
 
 def padd(F, a, b):
-    p = _prime(F)
-    if p:
-        if len(a) < len(b):
-            a, b = b, a
-        out = [(x + y) % p for x, y in zip(a, b)]
-        out.extend(x % p for x in a[len(b):])
-        return _itrim(out)
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else F.zero
-        y = b[i] if i < len(b) else F.zero
-        out.append(F.add(x, y))
-    return ptrim(F, out)
+    p = F.q
+    if len(a) < len(b):
+        a, b = b, a
+    out = [(x + y) % p for x, y in zip(a, b)]
+    out.extend(x % p for x in a[len(b):])
+    return _itrim(out)
 
 
 def pneg(F, a):
-    p = _prime(F)
-    if p:
-        return tuple(-c % p for c in a)
-    return tuple(F.neg(c) for c in a)
+    p = F.q
+    return tuple(-c % p for c in a)
 
 
 def psub(F, a, b):
@@ -77,18 +52,9 @@ def psub(F, a, b):
 def pmul(F, a, b):
     if not a or not b:
         return ()
-    p = _prime(F)
-    if p:
-        if min(len(a), len(b)) < KRONECKER_MIN:
-            return _itrim(_school_mul(p, a, b))
-        return _itrim(_kronecker_mul(p, a, b))
-    out = [F.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == F.zero:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return ptrim(F, out)
+    if min(len(a), len(b)) < KRONECKER_MIN:
+        return _itrim(_school_mul(F.q, a, b))
+    return _itrim(_kronecker_mul(F.q, a, b))
 
 
 def _school_mul(p, a, b):
@@ -119,40 +85,17 @@ def _pack(coeffs, w):
 
 
 def pscale(F, a, c):
-    if c == F.zero:
-        return ()
-    p = _prime(F)
-    if p:
-        return _itrim([x * c % p for x in a])
-    return ptrim(F, [F.mul(x, c) for x in a])
+    p = F.q
+    return _itrim([x * c % p for x in a])
 
 
 def pdivmod(F, a, b):
+    """(quotient, remainder) by long division; each step reduces the len(b)
+    coefficients it touches, the others keep their input values."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    p = F.q
     binv = F.inv(b[-1])
-    p = _prime(F)
-    if p:
-        return _idivmod(p, a, b, binv)
-    q = [F.zero] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b) and any(c != F.zero for c in r):
-        while r and r[-1] == F.zero:
-            r.pop()
-        if len(r) < len(b):
-            break
-        k = len(r) - len(b)
-        c = F.mul(r[-1], binv)
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[k + i] = F.sub(r[k + i], F.mul(c, bc))
-    return ptrim(F, q), ptrim(F, r)
-
-
-def _idivmod(p, a, b, binv):
-    """The generic long division step for step on ints: each step reduces
-    the len(b) coefficients it touches, the others keep their input
-    values."""
     lb = len(b)
     q = [0] * max(len(a) - lb + 1, 0)
     r = list(a)
@@ -187,8 +130,8 @@ def pgcd(F, a, b):
 def pxgcd(F, a, b):
     """(g, u, v) with u*a + v*b = g, g monic (or zero)."""
     r0, r1 = a, b
-    u0, u1 = (F.one,), ()
-    v0, v1 = (), (F.one,)
+    u0, u1 = (1,), ()
+    v0, v1 = (), (1,)
     while r1:
         q, r = pdivmod(F, r0, r1)
         r0, r1 = r1, r
@@ -201,7 +144,7 @@ def pxgcd(F, a, b):
 
 
 def ppow_mod(F, a, e, mod):
-    result = (F.one,)
+    result = (1,)
     base = pmod(F, a, mod)
     while e:
         if e & 1:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import zomo
-from zomo import checks, cli
+from zomo import checks, cli, kummer
 
 SRC = str(Path(zomo.__file__).resolve().parents[1])
 
@@ -59,18 +59,22 @@ def test_unreadable_input_is_usage_error(tmp_path, capsys):
 
 
 def test_unwritable_out_is_usage_error(monkeypatch, tmp_path, capsys):
+    # the output file is opened before any work: the work must not run
+    def no_work(*args):
+        pytest.fail("work ran before the unwritable --out was refused")
+
+    monkeypatch.setattr(kummer, "build_kummer", no_work)
+    monkeypatch.setattr(checks, "claims",
+                        lambda seed: [("a-holds", "builtin:a", "1", no_work)])
     missing = tmp_path / "missing"
     code, _, err = run(capsys, "kummer", "build", "--q", "19", "--h", "3",
                        "--out", str(missing / "k.json"))
     assert code == 2
-    assert err.startswith("error: ")
-    monkeypatch.setattr(checks, "claims",
-                        lambda seed: [("a-holds", "builtin:a", "1",
-                                       lambda: (1, True))])
+    assert err.startswith("error: cannot write ")
     code, out, err = run(capsys, "report", "--format", "json",
                          "--out", str(missing / "r.json"))
     assert code == 2
-    assert out == "" and err.startswith("error: ")
+    assert out == "" and err.startswith("error: cannot write ")
     assert not missing.exists()
 
 

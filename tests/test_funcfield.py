@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zomo import polys
 from zomo.field import PrimeField
 from zomo.funcfield import (Endo, FuncFieldError, FunctionField, apply_endo,
                             ffelem_str, lemma_factorization_check, poly_str,
@@ -38,13 +39,96 @@ small = st.integers(0, 18)
 @settings(max_examples=50, deadline=None)
 def test_ffelem_ring_axioms(ac, bc):
     f = hesse_field()
-    a = f.elem(tuple(f.K.const(c) for c in ac))
-    b = f.elem(tuple(f.K.const(c) for c in bc))
+    a = f.elem(tuple((c,) for c in ac))
+    b = f.elem(tuple((c,) for c in bc))
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b) - b == a
     y = f.u()
     assert (a + b) * y == a * y + b * y
+
+
+# -- numerators over one denominator ---------------------------------------
+
+X0_F19 = FunctionField(F19, {(9, 0): 1, (0, 6): 1, (0, 3): 1},
+                       u_name="x", v_name="y")
+ELEMENT_FIELDS = [pytest.param(X0_F19, id="x0-F19"),
+                  pytest.param(hesse_field(271), id="hesse-F271")]
+
+
+def _polys(field, min_size=0):
+    return st.lists(st.integers(0, field.constants.q - 1),
+                    min_size=min_size, max_size=4)
+
+
+def _raw(draw, field):
+    """(nums, den) with n numerators and a nonzero denominator."""
+    nums = draw(st.lists(_polys(field), min_size=field.degree,
+                         max_size=field.degree))
+    den = draw(_polys(field, 1).filter(any))
+    return nums, den
+
+
+@pytest.mark.parametrize("field", ELEMENT_FIELDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_inverse_and_division(field, data):
+    a = field.elem(*_raw(data.draw, field))
+    b = field.elem(*_raw(data.draw, field))
+    if not a.is_zero():
+        assert a * a.inverse() == field.one
+    if not b.is_zero():
+        assert (a * b) / b == a
+
+
+@pytest.mark.parametrize("field", ELEMENT_FIELDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_canonical_form(field, data):
+    F = field.constants
+    nums, den = _raw(data.draw, field)
+    g = data.draw(_polys(field, 1).filter(any))
+    c = data.draw(st.integers(1, F.q - 1))
+    a = field.elem(nums, den)
+    # the same function with the factor c * g on top and below
+    scaled = field.elem([polys.pscale(F, polys.pmul(F, g, n), c)
+                         for n in nums],
+                        polys.pscale(F, polys.pmul(F, g, den), c))
+    assert scaled == a
+    assert a.den[-1] == 1
+    common = a.den
+    for n in a.nums:
+        common = polys.pgcd(F, common, n)
+    assert common == (1,)
+    assert a.is_zero() == (a.den == (1,) and not any(a.nums)) == (
+        not any(polys.ptrim(F, [x % F.q for x in n]) for n in nums))
+
+
+coeffs = st.lists(st.integers(0, 18), min_size=0, max_size=5)
+
+
+@given(coeffs, coeffs, coeffs, coeffs)
+@settings(max_examples=60, deadline=None)
+def test_ratfunc_field_ops(an, ad, bn, bd):
+    f = hesse_field()
+    if not any(ad) or not any(bd):
+        return
+    a = f.scalar(tuple(an), tuple(ad))
+    b = f.scalar(tuple(bn), tuple(bd))
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) - b == a
+    if not b.is_zero():
+        assert (a * b) * b.inverse() == a
+
+
+def test_ratfunc_normalization():
+    f = hesse_field()
+    # same function, different representations
+    a = f.scalar((2, 4), (6,))
+    b = f.scalar((1, 2), (3,))
+    assert a == b
+    assert a.den[-1] == 1  # monic denominator
 
 
 def test_pole_orders_on_the_cubic():

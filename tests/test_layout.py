@@ -1,8 +1,14 @@
-"""Layout checks on the package source: no function without a caller."""
+"""Layout checks on the package source: no function without a caller, and
+one base class for every error the package raises."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
+
+import zomo
 
 ROOT = Path(__file__).resolve().parents[1]
 PKG = ROOT / "src" / "zomo"
@@ -33,3 +39,19 @@ def test_every_function_is_referenced():
                        if (other, i) != (path, lineno)):
                 unreferenced.append("%s:%d %s" % (path.name, lineno, name))
     assert unreferenced == []
+
+
+def test_every_exception_derives_from_zomo_error():
+    """The command line turns a ``ZomoError`` into exit code 2 with a
+    message; an error class outside that base would escape as a traceback."""
+    stray = []
+    for info in pkgutil.iter_modules(zomo.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module("zomo." + info.name)
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__
+                    and not issubclass(obj, zomo.ZomoError)):
+                stray.append("%s.%s" % (module.__name__, name))
+    assert stray == []
