@@ -21,6 +21,7 @@ deterministic apart from the elapsed fields.
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -253,16 +254,30 @@ def _cmd_report(args):
     return 0 if all(r.status == "pass" for r in records) else 1
 
 
+@contextlib.contextmanager
 def _open_out(out):
-    """The ``--out`` file opened for writing, or stdout when there is none.
-    Commands open it before their work, so a path that cannot be written
-    fails at once, not after every check has run."""
+    """A file for ``--out``, or stdout when there is none.  Commands open it
+    before their work, so a path that cannot be written fails at once.  The
+    file is a temporary one beside ``out`` that replaces it only when the
+    work succeeds: a failing command leaves the old file as it was."""
     if not out:
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout
+        return
+    tmp = "%s.%d.tmp" % (out, os.getpid())
     try:
-        return open(out, "w")
+        fh = open(tmp, "w")
     except OSError as exc:
         raise UsageError("cannot write %s: %s" % (out, exc)) from None
+    try:
+        with fh:
+            yield fh
+        try:
+            os.replace(tmp, out)
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s" % (out, exc)) from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 
 from . import ZomoError
-from .field import ExtField, PrimeField, _normalize
+from .field import ExtField, PrimeField, _normalize, _power_table
 from .funcfield import Endo, FunctionField, _eval_monomials, apply_endo
 from .group import FiniteGroup, group_from_permutations
 
@@ -96,16 +96,6 @@ class PointSet:
 def field_for(q, k):
     base = PrimeField(q)
     return base if k == 1 else ExtField(base, k)
-
-
-def _power_table(C, m):
-    tab = {}
-    for e in C.elements():
-        acc = C.one
-        for _ in range(m):
-            acc = C.mul(acc, e)
-        tab.setdefault(acc, []).append(e)
-    return tab
 
 
 def _chart_split(curve):

@@ -67,6 +67,17 @@ class PrimeField:
         return hash(("PrimeField", self.q))
 
 
+def _power_table(C, m):
+    """{e^m: [e, ...]} over the elements of C, each list in element order."""
+    tab = {}
+    for e in C.elements():
+        acc = C.one
+        for _ in range(m):
+            acc = C.mul(acc, e)
+        tab.setdefault(acc, []).append(e)
+    return tab
+
+
 def _least_irreducible(base: PrimeField, k):
     """The monic degree-k irreducible over F_q whose low-coefficient vector
     (c0, c1, ..., c_{k-1}) is smallest in the integer encoding sum ci q^i."""

@@ -239,6 +239,13 @@ class FFElem:
         return _canonical(self.field, _reduce(self.field, prod),
                           polys.pmul(F, self.den, other.den))
 
+    def scale(self, c):
+        """c * self for a nonzero constant c of F_p: the numerators scale
+        and the denominator stays, so the form stays in lowest terms."""
+        F = self.field.constants
+        return FFElem(self.field, tuple(polys.pscale(F, x, c)
+                                        for x in self.nums), self.den)
+
     def _constants(self, other):
         if not isinstance(other, FFElem) or other.field != self.field:
             raise FuncFieldError("operands from different function fields")

@@ -1,10 +1,10 @@
 """Materialized finite groups.
 
-Elements are integers 0..n-1 with 0 the identity.  Multiplication is a full
-Cayley table built from the right-multiplication maps of the generators: each
-row is filled by a breadth-first walk over a fixed spanning tree, so products
-cost one array lookup.  Groups come either from coset enumeration (regular
-action on cosets of the trivial subgroup) or from explicit permutations.
+Elements are integers 0..n-1 with 0 the identity.  Multiplication is a
+Cayley table built from the right-multiplication maps of the generators: a
+row is filled on first use, by a breadth-first walk over a fixed spanning
+tree.  Groups come either from coset enumeration (regular action on cosets
+of the trivial subgroup) or from explicit permutations.
 """
 
 from array import array
@@ -28,7 +28,7 @@ class FiniteGroup:
         self._bfs = self._spanning_tree()
         self.gens = tuple(self._gen_maps[g][0] for g in range(len(gen_maps)))
         self._rows = [None] * order
-        self._inv = None
+        self._inv = {0: 0}
         self._row(0)
         if self._rows[0][0] != 0:
             raise GroupError("index 0 is not a left identity")
@@ -68,16 +68,13 @@ class FiniteGroup:
         return self._row(a)[b]
 
     def inv(self, a):
-        if self._inv is None:
-            inv = array("i", bytes(4 * self.order))
-            for x in range(self.order):
-                row = self._row(x)
-                for y in range(self.order):
-                    if row[y] == 0:
-                        inv[x] = y
-                        break
-            self._inv = inv
-        return self._inv[a]
+        """a^-1 from the one row of a, stored for both a and a^-1."""
+        b = self._inv.get(a)
+        if b is None:
+            b = self._row(a).index(0)
+            self._inv[a] = b
+            self._inv[b] = a
+        return b
 
     def conj(self, a, g):
         """g^-1 * a * g."""

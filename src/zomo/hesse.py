@@ -13,7 +13,7 @@ coordinates, which is how translation maps become endomorphisms.
 from dataclasses import dataclass
 
 from . import ZomoError
-from .field import _normalize
+from .field import _normalize, _power_table
 from .funcfield import Endo, FuncFieldError, FunctionField
 
 
@@ -39,14 +39,10 @@ def make_point(C, x, y, z):
 
 
 def on_curve(C, p: HessePoint):
-    return _cube_sum(C, p.coords) == C.zero
-
-
-def _cube_sum(C, xyz):
     acc = C.zero
-    for c in xyz:
+    for c in p.coords:
         acc = C.add(acc, C.mul(c, C.mul(c, c)))
-    return acc
+    return acc == C.zero
 
 
 def third_point(C, a: HessePoint, b: HessePoint) -> HessePoint:
@@ -80,20 +76,18 @@ def hesse_add(C, a: HessePoint, b: HessePoint, O: HessePoint) -> HessePoint:
 
 
 def enumerate_hesse_points(C):
-    """All projective points of the cubic over the finite field C."""
-    pts = []
+    """All projective points of the cubic over the finite field C: the
+    affine chart z = 1 by x, then the y's of each x in element order, read
+    from a cube table; then the chart z = 0, y = 1 (z = y = 0 forces x = 0)."""
+    cubes = _power_table(C, 3)
     one = C.one
-    els = list(C.elements())
-    # affine chart z = 1
-    for x in els:
-        for y in els:
-            if _cube_sum(C, (x, y, one)) == C.zero:
-                pts.append(HessePoint((x, y, one)))
-    # chart z = 0, y = 1
-    for x in els:
-        if _cube_sum(C, (x, one, C.zero)) == C.zero:
-            pts.append(HessePoint((x, one, C.zero)))
-    # chart z = y = 0 impossible (x^3 = 0 forces x = 0)
+    pts = []
+    for x in C.elements():
+        x3 = C.mul(x, C.mul(x, x))
+        for y in cubes.get(C.neg(C.add(x3, one)), ()):
+            pts.append(HessePoint((x, y, one)))
+    for x in cubes.get(C.neg(one), ()):
+        pts.append(HessePoint((x, one, C.zero)))
     return pts
 
 
@@ -162,28 +156,12 @@ class EllipticGroup:
 
     def sylow3(self):
         """Points of 3-power order, with invariant factors (d1 >= d2)."""
-        pts = [p for p in self.points if self._is_3power(self.order_of(p))]
-        n = len(pts)
-        m, h = n, 0
-        while m % 3 == 0:
-            m //= 3
-            h += 1
-        if m != 1:
-            raise HesseError("3-part size is not a power of 3 (internal)")
-        max_ord = max(self.order_of(p) for p in pts)
-        a = 0
-        mo = max_ord
-        while mo % 3 == 0:
-            mo //= 3
-            a += 1
-        d1, d2 = 3 ** a, 3 ** (h - a)
-        return pts, (d1, d2) if d2 > 1 else (d1,)
-
-    @staticmethod
-    def _is_3power(n):
-        while n % 3 == 0:
-            n //= 3
-        return n == 1
+        n3 = 1      # the 3-part of #E, which every 3-power order divides
+        while len(self.points) % (3 * n3) == 0:
+            n3 *= 3
+        pts = [p for p in self.points if n3 % self.order_of(p) == 0]
+        d1 = max(self.order_of(p) for p in pts)
+        return pts, (d1, n3 // d1) if n3 > d1 else (d1,)
 
     def translation_perm(self, t):
         """Translation by t as a permutation (list of point indices)."""
@@ -220,11 +198,6 @@ def hesse_function_field(q_field):
                          u_name="y", v_name="x")
 
 
-def generic_point(field: FunctionField):
-    """The generic affine point (x, y, 1) with symbolic coordinates."""
-    return (field.v(), field.u(), field.one)
-
-
 def _sym_third(field, A, B):
     """Chord formula on symbolic projective triples (A constant, B generic)."""
     c1 = field.zero
@@ -239,16 +212,15 @@ def translation_endo(field: FunctionField, group: EllipticGroup,
                      t: HessePoint) -> Endo:
     """Translation by t, p -> t + p, as a function-field endomorphism.
 
-    Computed by running the chord construction on the generic point: the sum
-    is O * (t * p) where * is the third-intersection operator.  For t = O
-    this is the identity.
+    Computed by running the chord construction on the generic point
+    p = (x, y, 1): the sum is O * (t * p) where * is the third-intersection
+    operator.  For t = O this is the identity.
     """
     if t == group.O:
         return Endo(field, field.u(), field.v())
-    gp = generic_point(field)
     T = tuple(field.from_int(c) for c in t.coords)
     O = tuple(field.from_int(c) for c in group.O.coords)
-    u = _sym_third(field, T, gp)
+    u = _sym_third(field, T, (field.v(), field.u(), field.one))
     w = _sym_third(field, O, u)
     if w[2].is_zero():
         raise FuncFieldError("translation image not in the affine chart")

@@ -11,17 +11,20 @@ theta_2 form
                                        the pullback of t,
 
 so that z^3 = w defines a cover of genus 3^h + 1.  The line slope m is the
-only free choice; the builder enumerates all of them (and both eps) and
-compares the emitted equation against a stored reference, exactly first and
-then up to a multiplicative constant that is a cube in F_q.
+only free choice, and it changes w only by a constant, since div w =
+theta_2 + theta_3 - 2 theta_1 for every Q in theta_2: the product is formed
+for the first slope m0 only, and each other w is c_m w_{m0}, with c_m read
+off the products at one y0 in F_q.  The builder tries every slope (and both
+eps) and compares the emitted equation against a stored reference, exactly
+first and then up to a multiplicative constant that is a cube in F_q.
 """
 
 from dataclasses import dataclass
 
-from . import ZomoError
+from . import ZomoError, polys
 from .analysis import _log3, frattini
 from .field import PrimeField
-from .funcfield import FFElem, apply_endo, ffelem_str, valuation_at
+from .funcfield import Endo, FFElem, apply_endo, ffelem_str, valuation_at
 from .group import FiniteGroup, group_from_permutations
 from .genus import RamificationProfile, rh_genus
 from .hesse import (EllipticGroup, HessePoint, cube_roots_of_unity,
@@ -103,7 +106,7 @@ def build_gbar(q, epsilon=None):
     S = _frattini_translations(E, G)
     if len(S) != 3 ** (h - 1):
         raise KummerError("Frattini translation part has size %d" % len(S))
-    theta = _theta_cosets(E, pts, S)
+    theta = _theta_cosets(E, next(p for p in pts if p not in S), S)
     return GbarData(q, h, epsilon, E, G, tuple(pts), tuple(S), theta)
 
 
@@ -114,28 +117,29 @@ def translation_point(G, E, element):
     return T if perm == E.translation_perm(T) else None
 
 
+def _translations_in(G, E, elements):
+    """The points T whose translation is one of the group elements."""
+    return [T for T in (translation_point(G, E, e) for e in elements)
+            if T is not None]
+
+
 def _frattini_translations(E, G):
     phi = frattini(G)
-    out = []
-    for e in sorted(phi.members):
-        T = translation_point(G, E, e)
-        if T is not None:
-            out.append(T)
+    out = _translations_in(G, E, sorted(phi.members))
     if len(out) != len(phi.members):
         raise KummerError("Frattini subgroup is not all translations")
     return out
 
 
-def _theta_cosets(E, pts, S):
-    """theta_1 = S (contains O = P), theta_2 and theta_3 its cosets in the
-    3-Sylow point group."""
+def _theta_cosets(E, U, S):
+    """theta_1 = S (contains O = P), theta_2 = U + S and theta_3 = 2U + S,
+    for a point U of the translation group outside S."""
     Sset = set(S)
-    U = next(p for p in pts if p not in Sset)
-    th2 = [E.add(U, T) for T in S]
-    th3 = [E.add(U, E.add(U, T)) for T in S]
+    th2 = tuple(E.add(U, T) for T in S)
+    th3 = tuple(E.add(U, E.add(U, T)) for T in S)
     if set(th2) & Sset or set(th3) & Sset or set(th2) & set(th3):
         raise KummerError("Frattini cosets do not partition the orbit")
-    return (tuple(S), tuple(th2), tuple(th3))
+    return (tuple(S), th2, th3)
 
 
 def stabilizer_of_base(data: GbarData):
@@ -181,6 +185,46 @@ def build_w(field, m, pullbacks):
     return _product([c - u for u in pullbacks])
 
 
+def slope_ratios(F, pullbacks, slopes):
+    """{m: c_m} with build_w(field, m, pullbacks) = c_m w_{m0} for every m
+    in slopes, m0 = slopes[0].  div w_m is theta_2 + theta_3 - 2 theta_1
+    for every slope through theta_2, so each ratio is a constant.  It is
+    read off the products at the first y0 in F_q where every pullback
+    denominator and the m0 product are nonzero: there they live in
+    F_q[x]/(x^3 + y0^3 + 1), and the denominators cancel in the ratio.
+    One component gives c_m; the others must agree."""
+    for y0 in F.elements():
+        spec = [(polys.peval(F, u.den, y0),
+                 polys.ptrim(F, [polys.peval(F, n, y0) for n in u.nums]))
+                for u in pullbacks]
+        if all(d for d, _ in spec):
+            mod = ((y0 ** 3 + 1) % F.q, 0, 0, 1)
+            prods = [_product_at(F, spec, mod, m) for m in slopes]
+            if prods[0]:
+                break
+    else:
+        raise KummerError("no y0 in F_%d specialises the product" % F.q)
+    base = prods[0]
+    ratios = {}
+    for m, prod in zip(slopes, prods):
+        c = F.mul(prod[-1], F.inv(base[-1])) if prod else 0
+        if not c or polys.pscale(F, base, c) != prod:
+            raise KummerError("w for m = %d is not a constant multiple of "
+                              "w for m = %d" % (m, slopes[0]))
+        ratios[m] = c
+    return ratios
+
+
+def _product_at(F, spec, mod, m):
+    """prod (m den_T - num_T) mod ``mod``, the T-th pullback at y0 being
+    num_T/den_T: the product for m times prod den_T, which is free of m."""
+    acc = (1,)
+    for d, num in spec:
+        acc = polys.pmod(F, polys.pmul(F, acc, polys.psub(F, (m * d,), num)),
+                         mod)
+    return acc
+
+
 def verify_w_divisor(field, w: FFElem, theta):
     """Poles of order 2 on theta_1, zeros of order 1 on theta_2 u theta_3,
     checked at every affine orbit point (infinite points are skipped: the
@@ -197,10 +241,6 @@ def verify_w_divisor(field, w: FFElem, theta):
                 return False, checked
             checked += 1
     return True, checked
-
-
-def _is_cube_constant(F, c):
-    return any(F.mul(a, F.mul(a, a)) == c for a in F.elements())
 
 
 # -- emission ----------------------------------------------------------------
@@ -220,10 +260,6 @@ class KummerOutput:
     all_equations: tuple
 
 
-def equation_text(w: FFElem):
-    return ffelem_str(w)
-
-
 def _genus_from_orbits(h, theta):
     if any(len(t) != 3 ** (h - 1) for t in theta):
         raise KummerError("orbit sizes inconsistent with h = %d" % h)
@@ -235,14 +271,14 @@ def _genus_from_orbits(h, theta):
     return g
 
 
-def _monic_normalization(field, w):
-    """w divided by the leading numerator coefficient when that constant is
-    a cube; the substitution z -> z/c leaves the extension unchanged."""
-    F = field.constants
+def _monic_normalization(w):
+    """w divided by its leading numerator coefficient c when c is a cube,
+    c^((q-1)/3) = 1 as q = 1 mod 3; z -> z/c leaves the extension as it is."""
+    F = w.field.constants
     lead = next((num[-1] for num in reversed(w.nums) if num), None)
-    if lead is None or lead == F.one or not _is_cube_constant(F, lead):
+    if lead is None or lead == F.one or pow(lead, (F.q - 1) // 3, F.q) != 1:
         return None
-    return w * field.from_int(F.inv(lead))
+    return w.scale(F.inv(lead))
 
 
 def load_golden(q):
@@ -276,42 +312,40 @@ def _cached_pullbacks(field, data: GbarData):
 
 def build_kummer(q, golden_text=None):
     """Run the construction over F_q, trying every line slope and both
-    primitive cube roots, and report the best match against golden_text."""
+    primitive cube roots, and report the best match against golden_text.
+    Each slope's w is c_m w_{m0} (see ``slope_ratios``).  Both cube roots
+    give the same <alpha>, hence the same Frattini translations S, theta_2
+    and covers, so a pass whose S was already tried is skipped."""
     F = PrimeField(q)
+    field = hesse_function_field(F)
     best = None
     seen_equations = []
-    products = {}   # (Frattini translations, m) -> (w, equation)
+    tried = set()
     for epsilon in sorted(cube_roots_of_unity(F)):
         data = _cached_gbar(q, epsilon)
-        field = hesse_function_field(F)
-        pullbacks = _cached_pullbacks(field, data)
         S = frozenset(data.phi_translations)
-        th2 = data.theta[1]
-        tried = set()
-        for Q in th2:
-            m = line_slope(data.E, Q)
-            if m in tried:
-                continue
-            tried.add(m)
-            if (S, m) not in products:
-                w = build_w(field, m, pullbacks)
-                products[S, m] = (w, equation_text(w))
-            w, eq = products[S, m]
+        if S in tried:
+            continue
+        tried.add(S)
+        points = {}     # slope -> the first point of theta_2 on its line
+        for Q in data.theta[1]:
+            points.setdefault(line_slope(data.E, Q), Q)
+        pullbacks = _cached_pullbacks(field, data)
+        w0 = build_w(field, next(iter(points)), pullbacks)
+        for m, c in slope_ratios(F, pullbacks, list(points)).items():
+            Q, w = points[m], w0.scale(c)
+            eq = ffelem_str(w)
             if eq not in seen_equations:
                 seen_equations.append(eq)
             exact = golden_text is not None and eq == golden_text
-            up_to_cube = False
-            if golden_text is not None and not exact:
-                wn = _monic_normalization(field, w)
-                if wn is not None and equation_text(wn) == golden_text:
-                    up_to_cube = True
-            cand = (exact, up_to_cube, data, Q, m, w, eq)
+            wn = (None if golden_text is None or exact
+                  else _monic_normalization(w))
+            up_to_cube = wn is not None and ffelem_str(wn) == golden_text
+            if best is None or exact or (up_to_cube and not best[1]):
+                best = (exact, up_to_cube, data, Q, m, w, eq)
             if exact:
-                best = cand
                 break
-            if best is None or (up_to_cube and not best[1]):
-                best = cand
-        if best is not None and best[0]:
+        if best[0]:
             break
     exact, up_to_cube, data, Q, m, w, eq = best
     genus = _genus_from_orbits(data.h, data.theta)
@@ -352,26 +386,11 @@ def small_gbar27(q=19):
     S = _frattini_translations(E, G)
     if len(S) != 3:
         raise KummerError("Frattini part of the order-27 group is not C3")
-    # translations inside the group, as a point subgroup of order 9
-    pts9 = []
-    for e in range(G.order):
-        T = translation_point(G, E, e)
-        if T is not None:
-            pts9.append(T)
-    theta = _theta_cosets_small(E, pts9, S)
-    return E, G, S, theta, epsilon
-
-
-def _theta_cosets_small(E, pts9, S):
-    """Cosets of S in the order-9 translation group, with theta_2 chosen as
-    the coset of points at infinity when one exists."""
-    Sset = set(S)
-    F = E.C
-    rest = [p for p in pts9 if p not in Sset]
+    # the cosets of S in the order-9 translation group of G, with theta_2
+    # the coset of points at infinity when one exists
+    rest = [p for p in _translations_in(G, E, range(G.order)) if p not in S]
     U = next((p for p in rest if p.coords[2] == F.zero), rest[0])
-    th2 = tuple(E.add(U, T) for T in S)
-    th3 = tuple(E.add(U, E.add(U, T)) for T in S)
-    return (tuple(S), th2, th3)
+    return E, G, S, _theta_cosets(E, U, S), epsilon
 
 
 def small_construction(q=19):
@@ -392,12 +411,11 @@ def small_construction(q=19):
     alpha_endo = scaling_endo(field, F.from_int(epsilon))
     delta_endo = _rotation_endo(field)
     return SmallConstruction(
-        epsilon, m, w, equation_text(w), theta,
+        epsilon, m, w, ffelem_str(w), theta,
         apply_endo(alpha_endo, w) / w, apply_endo(delta_endo, w) / w)
 
 
 def _rotation_endo(field):
     """(x, y) -> (y/x, 1/x), the affine trace of (X,Y,Z) -> (Y,Z,X)."""
-    from .funcfield import Endo
     x, y = field.v(), field.u()
     return Endo(field, u_image=field.one / x, v_image=y / x)

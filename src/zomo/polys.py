@@ -84,6 +84,15 @@ def _pack(coeffs, w):
                           "little")
 
 
+def peval(F, a, x):
+    """a(x) in F_p, by Horner."""
+    p = F.q
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def pscale(F, a, c):
     p = F.q
     return _itrim([x * c % p for x in a])
@@ -115,32 +124,11 @@ def pmod(F, a, b):
     return pdivmod(F, a, b)[1]
 
 
-def pmonic(F, a):
-    if not a:
-        return a
-    return pscale(F, a, F.inv(a[-1]))
-
-
 def pgcd(F, a, b):
+    """The monic gcd, or () when both are zero."""
     while b:
         a, b = b, pmod(F, a, b)
-    return pmonic(F, a)
-
-
-def pxgcd(F, a, b):
-    """(g, u, v) with u*a + v*b = g, g monic (or zero)."""
-    r0, r1 = a, b
-    u0, u1 = (1,), ()
-    v0, v1 = (), (1,)
-    while r1:
-        q, r = pdivmod(F, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, psub(F, u0, pmul(F, q, u1))
-        v0, v1 = v1, psub(F, v0, pmul(F, q, v1))
-    if r0:
-        c = F.inv(r0[-1])
-        r0, u0, v0 = pscale(F, r0, c), pscale(F, u0, c), pscale(F, v0, c)
-    return r0, u0, v0
+    return pscale(F, a, F.inv(a[-1])) if a else a
 
 
 def ppow_mod(F, a, e, mod):

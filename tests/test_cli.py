@@ -148,6 +148,16 @@ def test_kummer_build_wrong_h(capsys):
     assert code == 2
 
 
+def test_failing_command_keeps_the_old_out_file(tmp_path, capsys):
+    out_file = tmp_path / "k.json"
+    out_file.write_text("old content\n")
+    code, _, err = run(capsys, "kummer", "build", "--q", "19", "--h", "2",
+                       "--out", str(out_file))
+    assert code == 2 and err.startswith("error: q = 19 gives h = 3")
+    assert out_file.read_text() == "old content\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
+
+
 def run_fresh(*argv, timeout):
     """``python -m zomo`` in a new interpreter: no cache of this process."""
     env = dict(os.environ, PYTHONPATH=SRC)

@@ -45,6 +45,16 @@ def test_group_law_f73_exhaustive():
     _check_group_law(E)
 
 
+@pytest.mark.parametrize("q", [19, 73, 271])
+def test_points_in_double_scan_order(q):
+    F = PrimeField(q)
+    scan = [hesse.HessePoint((x, y, 1)) for x in range(q) for y in range(q)
+            if (x ** 3 + y ** 3 + 1) % q == 0]
+    scan += [hesse.HessePoint((x, 1, 0)) for x in range(q)
+             if (x ** 3 + 1) % q == 0]
+    assert hesse.enumerate_hesse_points(F) == scan
+
+
 @pytest.mark.parametrize("F", [F19, F73], ids=["F19", "F73"])
 def test_table_matches_chord_tangent_law(F):
     E = hesse.EllipticGroup(F)

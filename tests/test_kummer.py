@@ -3,7 +3,8 @@ import pytest
 from zomo import kummer
 from zomo.field import PrimeField
 from zomo.funcfield import ffelem_str
-from zomo.hesse import EllipticGroup, hesse_function_field, make_point
+from zomo.hesse import (EllipticGroup, cube_roots_of_unity,
+                        hesse_function_field, make_point)
 
 
 def test_build_gbar_structure_q19():
@@ -56,6 +57,36 @@ def test_line_slope_degenerate():
     Q = make_point(PrimeField(19), -1, 0, 1)
     with pytest.raises(kummer.KummerError):
         kummer.line_slope(E, Q)
+
+
+@pytest.mark.parametrize("q", [19, 73])
+def test_every_slope_is_a_constant_multiple_of_the_first(q):
+    # w from the full product for every slope through theta_2, both epsilon
+    F = PrimeField(q)
+    field = hesse_function_field(F)
+    for epsilon in sorted(cube_roots_of_unity(F)):
+        data = kummer.build_gbar(q, epsilon)
+        pullbacks = kummer.phi_pullbacks(field, data.E,
+                                         data.phi_translations)
+        slopes = list(dict.fromkeys(kummer.line_slope(data.E, Q)
+                                    for Q in data.theta[1]))
+        assert len(slopes) == 3 ** (data.h - 1)
+        ratios = kummer.slope_ratios(F, pullbacks, slopes)
+        w0 = kummer.build_w(field, slopes[0], pullbacks)
+        assert ratios[slopes[0]] == 1
+        for m in slopes:
+            assert kummer.build_w(field, m, pullbacks) == w0.scale(ratios[m])
+
+
+def test_slope_ratios_refuse_a_slope_off_theta_2():
+    F = PrimeField(19)
+    field = hesse_function_field(F)
+    data = kummer.build_gbar(19)
+    pullbacks = kummer.phi_pullbacks(field, data.E, data.phi_translations)
+    on = {kummer.line_slope(data.E, Q) for Q in data.theta[1]}
+    off = next(m for m in range(1, 19) if m not in on)
+    with pytest.raises(kummer.KummerError):
+        kummer.slope_ratios(F, pullbacks, [min(on), off])
 
 
 def test_w_divisor(kummer19):

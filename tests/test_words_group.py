@@ -1,10 +1,11 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zomo import catalog, words
+from zomo import catalog, kummer, words
 from zomo.coset import BudgetExceeded, enumerate_cosets
 from zomo.group import (GroupError, analyze_presentation, coset_enumerate,
                         group_from_permutations)
@@ -95,6 +96,19 @@ def test_group_ops_consistency():
     b = G.eval_word(parse_word("b", ("a", "b")))
     # the defining relation b^-1 a b = a^4
     assert G.conj(a, b) == G.power(a, 4)
+
+
+@pytest.mark.parametrize("source", ["gbar73", "catalog"])
+def test_lazy_inverses_in_any_order(source):
+    if source == "gbar73":
+        G = kummer.build_gbar(73).group
+    else:
+        G = catalog.materialize(catalog.entry_by_id("C9_rtimes_C3"))
+    order = list(range(G.order))
+    random.Random(source).shuffle(order)
+    for a in order:
+        b = G.inv(a)
+        assert G.mult(a, b) == G.mult(b, a) == 0
 
 
 def test_group_from_permutations_closure():
