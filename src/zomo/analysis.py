@@ -1,15 +1,18 @@
 """Structural invariants of finite groups.
 
-Everything here works on FiniteGroup Cayley tables: centers, derived and
-Frattini subgroups, ascending central series, maximal subgroups, quotients,
-element-order censuses, minimal non-abelian subgroup search, and an
-isomorphism-invariant fingerprint used in place of database identification.
+Centers, derived and Frattini subgroups, ascending central series, maximal
+subgroups, quotients, element-order censuses, minimal non-abelian subgroup
+search, and an isomorphism-invariant fingerprint used in place of database
+identification.  They multiply through generators (``FiniteGroup.gen_maps``
+and the Cayley rows of a few elements), never through the whole table.
 Most routines assume (and some require) a group of 3-power order, which is
 the only case exercised here.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import lcm
 
 from .group import FiniteGroup, GroupError
 
@@ -29,7 +32,7 @@ class Subgroup:
     def __contains__(self, x):
         return x in self.member_set
 
-    @property
+    @cached_property
     def member_set(self):
         return frozenset(self.members)
 
@@ -44,58 +47,70 @@ class Subgroup:
 
 def subgroup_closure(G: FiniteGroup, gens):
     """Smallest subgroup containing the given elements."""
-    seen = {0}
-    frontier = [0]
-    gens = [g for g in gens if g != 0]
+    return Subgroup(G, tuple(sorted(_span(G, gens)[0])))
+
+
+def generators_of(G: FiniteGroup, members):
+    """A small deterministic generating set for a subgroup member list:
+    each member outside the span of the earlier ones."""
+    return _span(G, members)[1]
+
+
+def _span(G: FiniteGroup, gens):
+    """(<gens> as a set, the gens outside the span of the earlier ones):
+    {1} closed under left multiplication by the latter, whose rows are the
+    only ones built (at most log3 |<gens>| of them)."""
+    seen, used, rows = {0}, [], []
+    for g in gens:
+        if g not in seen:
+            used.append(g)
+            rows.append(G.row(g))
+            _close(rows, seen, list(seen))
+    return seen, used
+
+
+def _close(rows, seen, frontier):
+    """Add to the set seen everything the rows reach from frontier."""
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
-                y = G.mult(x, g)
+            for row in rows:
+                y = row[x]
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return Subgroup(G, tuple(sorted(seen)))
+    return seen
 
 
-def generators_of(G: FiniteGroup, members):
-    """A small deterministic generating set for a subgroup member list."""
-    gens = []
-    have = {0}
-    for x in members:
-        if x not in have:
-            gens.append(x)
-            have = subgroup_closure(G, gens).member_set
-            if len(have) == len(members):
-                break
-    return gens
+def _conjugates(G: FiniteGroup, h):
+    """h^g = (g^-1 h) g for each generator g, from the row of g^-1."""
+    return [m[G.row(G.inv(g))[h]] for m, g in zip(G.gen_maps, G.gens)]
 
 
 def is_normal(G: FiniteGroup, H: Subgroup):
     mem = H.member_set
-    return all(G.conj(h, g) in mem for h in H.members for g in G.gens)
+    return all(c in mem for h in H.members for c in _conjugates(G, h))
 
 
 def normal_closure(G: FiniteGroup, seeds):
     """Smallest normal subgroup containing the seed elements."""
-    current = subgroup_closure(G, seeds)
+    gens = list(seeds)
+    current = subgroup_closure(G, gens)
     while True:
-        extra = []
         mem = current.member_set
-        for h in current.members:
-            for g in G.gens:
-                c = G.conj(h, g)
-                if c not in mem:
-                    extra.append(c)
+        extra = [c for h in current.members for c in _conjugates(G, h)
+                 if c not in mem]
         if not extra:
             return current
-        current = subgroup_closure(G, list(current.members) + extra)
+        gens += extra
+        current = subgroup_closure(G, gens)
 
 
 def center(G: FiniteGroup) -> Subgroup:
+    pairs = [(m, G.row(g)) for m, g in zip(G.gen_maps, G.gens)]
     members = [x for x in range(G.order)
-               if all(G.mult(x, g) == G.mult(g, x) for g in G.gens)]
+               if all(m[x] == row[x] for m, row in pairs)]
     return Subgroup(G, tuple(members))
 
 
@@ -133,17 +148,15 @@ def quotient(G: FiniteGroup, N: Subgroup):
     """
     if not is_normal(G, N):
         raise GroupError("subgroup is not normal")
-    mem = list(N.members)
+    rows = [G.row(n) for n in generators_of(G, N.members)]
     coset_of = [-1] * G.order
     reps = []
     for x in range(G.order):
-        if coset_of[x] == -1:
-            for n in mem:
-                coset_of[G.mult(n, x)] = len(reps)
+        if coset_of[x] == -1:  # x is the least member of its coset Nx
+            for y in _close(rows, {x}, [x]):
+                coset_of[y] = len(reps)
             reps.append(x)
-    maps = []
-    for g in G.gens:
-        maps.append([coset_of[G.mult(reps[c], g)] for c in range(len(reps))])
+    maps = [[coset_of[m[r]] for r in reps] for m in G.gen_maps]
     Q = FiniteGroup(len(reps), maps, gen_names=G.gen_names)
     return Q, coset_of
 
@@ -159,12 +172,11 @@ def central_series(G: FiniteGroup):
     Q = G
     while chain[-1].members != tuple(range(G.order)):
         ZQ = center(Q)
-        lifted = tuple(sorted(x for x in range(G.order) if proj[x] in ZQ.member_set))
+        lifted = tuple(x for x in range(G.order) if proj[x] in ZQ)
         if lifted == chain[-1].members:
             raise GroupError("central series stabilized below G (not nilpotent)")
         chain.append(Subgroup(G, lifted))
-        Q, proj2 = quotient(G, chain[-1])
-        proj = proj2
+        Q, proj = quotient(G, chain[-1])
     return chain, len(chain) - 1
 
 
@@ -243,13 +255,7 @@ def order_census(G: FiniteGroup, restrict_outside: Subgroup | None = None):
 
 def exponent_of_complement(G: FiniteGroup, H: Subgroup):
     """Exponent of the set G minus H (lcm of element orders)."""
-    from math import lcm
-    e = 1
-    mem = H.member_set
-    for x in range(G.order):
-        if x not in mem:
-            e = lcm(e, G.element_order(x))
-    return e
+    return lcm(1, *order_census(G, restrict_outside=H))
 
 
 def minimal_nonabelian_subgroups(G: FiniteGroup):
@@ -259,27 +265,49 @@ def minimal_nonabelian_subgroups(G: FiniteGroup):
     generates a subgroup with derived subgroup <c> of order 3, which is the
     minimal non-abelian criterion for 2-generated 3-groups.  Each candidate
     is verified directly: all its maximal subgroups must be abelian.
+
+    Neither the filter nor <a, b> changes when a or b is replaced by a power
+    prime to 3, so a and b run over one generator per cyclic subgroup.  Once
+    a minimal non-abelian H contains a, every b in H is skipped: <a, b> is
+    then abelian or H itself.
     """
     _require_3group(G)
-    seen = {}
-    for a in range(1, G.order):
-        for b in range(a + 1, G.order):
+    reps = _cyclic_generators(G)
+    seen, out = set(), []
+    for i, a in enumerate(reps):
+        ra = G.row(a)
+        skip = set().union(*(H.member_set for H in out if a in H))
+        for b in reps[i + 1:]:
+            rb = G.row(b)
+            if b in skip or ra[b] == rb[a]:
+                continue
             c = G.comm(a, b)
-            if c == 0:
-                continue
-            if G.power(c, 3) != 0:
-                continue
-            if G.comm(a, c) != 0 or G.comm(b, c) != 0:
-                continue
+            rc = G.row(c)
+            if rc[rc[c]] or ra[c] != rc[a] or rb[c] != rc[b]:
+                continue  # c is not of order 3 and central in <a, b>
             H = subgroup_closure(G, [a, b])
             if H.members not in seen:
-                seen[H.members] = H
-    out = []
-    for H in seen.values():
-        if _is_minimal_nonabelian(G, H):
-            out.append(H)
+                seen.add(H.members)
+                if _is_minimal_nonabelian(G, H):
+                    out.append(H)
+                    skip |= H.member_set
     out.sort(key=lambda s: (len(s.members), s.members))
     return out
+
+
+def _cyclic_generators(G: FiniteGroup):
+    """The least generator x of each nontrivial cyclic subgroup: x covers
+    every x^k with 3 not dividing k."""
+    covered, reps = bytearray(G.order), []
+    for x in range(1, G.order):
+        if not covered[x]:
+            reps.append(x)
+            row, y, k = G.row(x), x, 1
+            while y:
+                if k % 3:
+                    covered[y] = 1
+                y, k = row[y], k + 1
+    return reps
 
 
 def _is_minimal_nonabelian(G: FiniteGroup, H: Subgroup):

@@ -263,6 +263,8 @@ def _open_out(out):
     if not out:
         yield sys.stdout
         return
+    if os.path.isdir(out):  # the final rename would fail after the work
+        raise UsageError("cannot write %s: it is a directory" % out)
     tmp = "%s.%d.tmp" % (out, os.getpid())
     try:
         fh = open(tmp, "w")

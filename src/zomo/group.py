@@ -1,10 +1,11 @@
 """Materialized finite groups.
 
-Elements are integers 0..n-1 with 0 the identity.  Multiplication is a
-Cayley table built from the right-multiplication maps of the generators: a
-row is filled on first use, by a breadth-first walk over a fixed spanning
-tree.  Groups come either from coset enumeration (regular action on cosets
-of the trivial subgroup) or from explicit permutations.
+Elements are integers 0..n-1 with 0 the identity.  Right multiplication by
+generator i is the map ``gen_maps[i]``; left multiplication by a is the
+Cayley row ``row(a)``, filled on first use by a walk over a fixed spanning
+tree.  Products, powers and inverses build only the rows of their operands.
+Groups come either from coset enumeration (regular action on cosets of the
+trivial subgroup) or from explicit permutations.
 """
 
 from array import array
@@ -23,13 +24,13 @@ class FiniteGroup:
         self.order = order
         self.gen_names = tuple(gen_names) if gen_names else tuple(
             "g%d" % i for i in range(len(gen_maps)))
-        self._gen_maps = [array("i", m) for m in gen_maps]
+        self.gen_maps = tuple(array("i", m) for m in gen_maps)  # read only
         self.perms = perms  # optional faithful action aligned with element indices
         self._bfs = self._spanning_tree()
-        self.gens = tuple(self._gen_maps[g][0] for g in range(len(gen_maps)))
+        self.gens = tuple(self.gen_maps[g][0] for g in range(len(gen_maps)))
         self._rows = [None] * order
         self._inv = {0: 0}
-        self._row(0)
+        self.row(0)
         if self._rows[0][0] != 0:
             raise GroupError("index 0 is not a left identity")
 
@@ -42,7 +43,7 @@ class FiniteGroup:
         while frontier:
             nxt = []
             for c in frontier:
-                for g, m in enumerate(self._gen_maps):
+                for g, m in enumerate(self.gen_maps):
                     d = m[c]
                     if not seen[d]:
                         seen[d] = True
@@ -53,52 +54,53 @@ class FiniteGroup:
             raise GroupError("generator maps do not generate a transitive action")
         return steps
 
-    def _row(self, a):
+    def row(self, a):
+        """row(a)[x] = a * x, filled on first use."""
         row = self._rows[a]
         if row is None:
             row = array("i", bytes(4 * self.order))
             row[0] = a
-            maps = self._gen_maps
+            maps = self.gen_maps
             for child, parent, g in self._bfs:
                 row[child] = maps[g][row[parent]]
             self._rows[a] = row
         return row
 
     def mult(self, a, b):
-        return self._row(a)[b]
+        return self.row(a)[b]
 
     def inv(self, a):
         """a^-1 from the one row of a, stored for both a and a^-1."""
         b = self._inv.get(a)
         if b is None:
-            b = self._row(a).index(0)
+            b = self.row(a).index(0)
             self._inv[a] = b
             self._inv[b] = a
         return b
 
     def conj(self, a, g):
-        """g^-1 * a * g."""
-        return self.mult(self.mult(self.inv(g), a), g)
+        """g^-1 * a * g, from the rows of a, g and g^-1."""
+        return self.row(self.inv(g))[self.row(a)[g]]
 
     def comm(self, a, b):
-        """[a, b] = a^-1 b^-1 a b."""
-        return self.mult(self.mult(self.inv(a), self.inv(b)), self.mult(a, b))
+        """[a, b] = a^-1 b^-1 a b, from the rows of a, b and their inverses."""
+        return self.row(self.inv(a))[self.row(self.inv(b))[self.row(a)[b]]]
 
     def power(self, a, k):
+        """a^k by walking the row of a: a^(j+1) = a * a^j."""
         if k < 0:
-            return self.power(self.inv(a), -k)
-        acc = 0
-        while k:
-            acc = self.mult(acc, a)
-            k -= 1
+            a, k = self.inv(a), -k
+        row, acc = self.row(a), 0
+        for _ in range(k):
+            acc = row[acc]
         return acc
 
     def element_order(self, a):
         if not 0 <= a < self.order:
             raise GroupError("element index out of range")
-        k, x = 1, a
+        row, k, x = self.row(a), 1, a
         while x != 0:
-            x = self.mult(x, a)
+            x = row[x]
             k += 1
         return k
 
@@ -120,7 +122,7 @@ class FiniteGroup:
 
     def regular_perms(self):
         """The left-regular permutation of each element (always faithful)."""
-        return [list(self._row(a)) for a in range(self.order)]
+        return [list(self.row(a)) for a in range(self.order)]
 
 
 def coset_enumerate(pres: Presentation, max_cosets=100000) -> FiniteGroup:

@@ -289,65 +289,53 @@ def load_golden(q):
     return ref.read_text().strip()
 
 
-_GBAR_CACHE = {}
-_LIFT_CACHE = {}
+_GBAR_CACHE = {}  # q -> Gbar for the least primitive cube root
+_LIFT_CACHE = {}  # q -> the pullbacks of its Frattini translations
 
 
-def _cached_gbar(q, epsilon):
-    key = (q, epsilon)
-    if key not in _GBAR_CACHE:
-        _GBAR_CACHE[key] = build_gbar(q, epsilon)
-    return _GBAR_CACHE[key]
+def _cached_gbar(q):
+    if q not in _GBAR_CACHE:
+        _GBAR_CACHE[q] = build_gbar(q)
+    return _GBAR_CACHE[q]
 
 
 def _cached_pullbacks(field, data: GbarData):
-    # both primitive cube roots give the same <alpha>, hence the same
-    # Frattini translations: key by that set, not by epsilon
-    key = (data.q, frozenset(data.phi_translations))
-    if key not in _LIFT_CACHE:
-        _LIFT_CACHE[key] = phi_pullbacks(field, data.E,
-                                         data.phi_translations)
-    return _LIFT_CACHE[key]
+    if data.q not in _LIFT_CACHE:
+        _LIFT_CACHE[data.q] = phi_pullbacks(field, data.E,
+                                            data.phi_translations)
+    return _LIFT_CACHE[data.q]
 
 
 def build_kummer(q, golden_text=None):
-    """Run the construction over F_q, trying every line slope and both
-    primitive cube roots, and report the best match against golden_text.
-    Each slope's w is c_m w_{m0} (see ``slope_ratios``).  Both cube roots
-    give the same <alpha>, hence the same Frattini translations S, theta_2
-    and covers, so a pass whose S was already tried is skipped."""
+    """Run the construction over F_q, trying every line slope, and report
+    the best match against golden_text.  Each slope's w is c_m w_{m0} (see
+    ``slope_ratios``).  Only the least primitive cube root is tried: the
+    other gives alpha^2, the same <alpha>, hence the same Frattini
+    translations S, theta_2 and covers."""
     F = PrimeField(q)
     field = hesse_function_field(F)
     best = None
     seen_equations = []
-    tried = set()
-    for epsilon in sorted(cube_roots_of_unity(F)):
-        data = _cached_gbar(q, epsilon)
-        S = frozenset(data.phi_translations)
-        if S in tried:
-            continue
-        tried.add(S)
-        points = {}     # slope -> the first point of theta_2 on its line
-        for Q in data.theta[1]:
-            points.setdefault(line_slope(data.E, Q), Q)
-        pullbacks = _cached_pullbacks(field, data)
-        w0 = build_w(field, next(iter(points)), pullbacks)
-        for m, c in slope_ratios(F, pullbacks, list(points)).items():
-            Q, w = points[m], w0.scale(c)
-            eq = ffelem_str(w)
-            if eq not in seen_equations:
-                seen_equations.append(eq)
-            exact = golden_text is not None and eq == golden_text
-            wn = (None if golden_text is None or exact
-                  else _monic_normalization(w))
-            up_to_cube = wn is not None and ffelem_str(wn) == golden_text
-            if best is None or exact or (up_to_cube and not best[1]):
-                best = (exact, up_to_cube, data, Q, m, w, eq)
-            if exact:
-                break
-        if best[0]:
+    data = _cached_gbar(q)
+    points = {}     # slope -> the first point of theta_2 on its line
+    for Q in data.theta[1]:
+        points.setdefault(line_slope(data.E, Q), Q)
+    pullbacks = _cached_pullbacks(field, data)
+    w0 = build_w(field, next(iter(points)), pullbacks)
+    for m, c in slope_ratios(F, pullbacks, list(points)).items():
+        Q, w = points[m], w0.scale(c)
+        eq = ffelem_str(w)
+        if eq not in seen_equations:
+            seen_equations.append(eq)
+        exact = golden_text is not None and eq == golden_text
+        wn = (None if golden_text is None or exact
+              else _monic_normalization(w))
+        up_to_cube = wn is not None and ffelem_str(wn) == golden_text
+        if best is None or exact or (up_to_cube and not best[1]):
+            best = (exact, up_to_cube, Q, m, w, eq)
+        if exact:
             break
-    exact, up_to_cube, data, Q, m, w, eq = best
+    exact, up_to_cube, Q, m, w, eq = best
     genus = _genus_from_orbits(data.h, data.theta)
     return KummerOutput(q, data.h, data.epsilon, Q, m, w, eq, genus,
                         exact, up_to_cube, tuple(seen_equations))

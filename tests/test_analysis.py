@@ -1,5 +1,8 @@
-from zomo import analysis
-from zomo.group import analyze_presentation, group_from_permutations
+import pytest
+
+from zomo import analysis, catalog
+from zomo.group import (analyze_presentation, coset_enumerate,
+                        group_from_permutations)
 
 HEIS = "<a, b | a^3, b^3, [a,b]^3, [[a,b],a], [[a,b],b]>"
 META27 = "<a, b | a^9, b^3, b^-1*a*b*a^-4>"
@@ -113,3 +116,119 @@ def test_regular_representation_faithful():
     perms = G.regular_perms()
     H = group_from_permutations([perms[g] for g in G.gens])
     assert H.order == G.order
+
+
+# -- the generator-row routines against their Cayley-table definitions -------
+
+def _catalog_group(eid):
+    return catalog.materialize(catalog.entry_by_id(eid))
+
+
+def _expected_order(entry):
+    return next(e.value for e in entry.expected if e.prop == "order")
+
+
+def _closure_by_mult(G, gens):
+    seen, frontier = {0}, [0]
+    while frontier:
+        new = {G.mult(x, g) for x in frontier for g in gens} - seen
+        seen |= new
+        frontier = list(new)
+    return tuple(sorted(seen))
+
+
+def _pair_search_by_mult(G):
+    """The n^2/2 pair search: every pair a < b that passes the filter."""
+    def comm(a, b):
+        return G.mult(G.mult(G.inv(a), G.inv(b)), G.mult(a, b))
+
+    seen = {}
+    for a in range(1, G.order):
+        for b in range(a + 1, G.order):
+            c = comm(a, b)
+            if c == 0 or G.mult(c, G.mult(c, c)) != 0:
+                continue
+            if comm(a, c) != 0 or comm(b, c) != 0:
+                continue
+            members = _closure_by_mult(G, [a, b])
+            if members not in seen:
+                seen[members] = analysis.Subgroup(G, members)
+    out = [H for H in seen.values() if analysis._is_minimal_nonabelian(G, H)]
+    out.sort(key=lambda s: (len(s.members), s.members))
+    return [H.members for H in out]
+
+
+SMALL_ENTRIES = [e.id for e in catalog.load_catalog()
+                 if _expected_order(e) <= 243]
+
+
+@pytest.mark.parametrize("eid", SMALL_ENTRIES)
+def test_pruned_minimal_nonabelian_search_matches_pair_search(eid):
+    G = _catalog_group(eid)
+    got = [H.members for H in analysis.minimal_nonabelian_subgroups(G)]
+    assert got == _pair_search_by_mult(G)
+
+
+def test_pruned_minimal_nonabelian_search_matches_on_genus28(genus28):
+    G, _, _ = genus28
+    got = [H.members for H in analysis.minimal_nonabelian_subgroups(G)]
+    assert got == _pair_search_by_mult(G)
+
+
+@pytest.mark.parametrize("eid", ["C9_rtimes_C3", "qu24agosto_odd_n2",
+                                 "caseI1_e2_k1", "qu24agosto_odd_n2/Z"])
+def test_generator_routines_match_their_mult_definitions(eid):
+    G = _catalog_group(eid.split("/")[0])
+    if eid.endswith("/Z"):
+        G, _ = analysis.quotient(G, analysis.center(G))
+    n = G.order
+    Z = [x for x in range(n)
+         if all(G.mult(x, g) == G.mult(g, x) for g in G.gens)]
+    assert analysis.center(G).members == tuple(Z)
+    Zsub = analysis.Subgroup(G, tuple(Z))
+    Q, proj = analysis.quotient(G, Zsub)
+    coset_of, reps = [-1] * n, []
+    for x in range(n):
+        if coset_of[x] == -1:
+            for z in Z:
+                coset_of[G.mult(z, x)] = len(reps)
+            reps.append(x)
+    assert proj == coset_of
+    assert [list(m) for m in Q.gen_maps] == [
+        [coset_of[G.mult(r, g)] for r in reps] for g in G.gens]
+    for gens in ([G.gens[0]], [n - 1, n // 2], [n - 1] + list(Z)):
+        H = analysis.subgroup_closure(G, gens)
+        assert H.members == _closure_by_mult(G, gens)
+        normal = all(G.mult(G.mult(G.inv(g), h), g) in H.member_set
+                     for h in H.members for g in G.gens)
+        assert analysis.is_normal(G, H) == normal
+    for a in range(n):
+        acc, order = a, 1
+        while acc:
+            acc, order = G.mult(acc, a), order + 1
+        assert G.element_order(a) == order
+        assert G.power(a, order + 1) == a
+        assert G.power(a, -1) == G.inv(a)
+        assert G.power(a, 2) == G.mult(a, a)
+
+
+def test_center_quotient_and_closure_build_few_rows():
+    # order 2187: none of these may fill the 2187 x 2187 Cayley table
+    G = coset_enumerate(catalog.entry_by_id("caseII1_e3_k2").presentation)
+
+    def rows_built():
+        return sum(G._rows[a] is not None for a in range(G.order))
+
+    budget = len(G.gens) + 2
+    before = rows_built()
+    Z = analysis.center(G)
+    assert len(Z) == 9
+    assert rows_built() - before <= budget
+    before = rows_built()
+    Q, _ = analysis.quotient(G, Z)
+    assert Q.order == 243
+    assert rows_built() - before <= budget + len(Z)
+    before = rows_built()
+    H = analysis.subgroup_closure(G, [G.order - 1, G.order // 2])
+    assert len(H) > 1
+    assert rows_built() - before <= budget

@@ -78,6 +78,20 @@ def test_unwritable_out_is_usage_error(monkeypatch, tmp_path, capsys):
     assert not missing.exists()
 
 
+def test_directory_out_is_usage_error(monkeypatch, tmp_path, capsys):
+    # a directory is refused before the work, not when the rename fails
+    def no_work(*args):
+        pytest.fail("work ran before the directory --out was refused")
+
+    monkeypatch.setattr(kummer, "build_kummer", no_work)
+    code, out, err = run(capsys, "kummer", "build", "--q", "19", "--h", "3",
+                         "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write %s: " % tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_file(tmp_path, capsys):
     p = tmp_path / "heis.pres"
     p.write_text("<a, b | a^3, b^3, [a,b]^3, [[a,b],a], [[a,b],b]>\n")

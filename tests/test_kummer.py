@@ -78,6 +78,16 @@ def test_every_slope_is_a_constant_multiple_of_the_first(q):
             assert kummer.build_w(field, m, pullbacks) == w0.scale(ratios[m])
 
 
+@pytest.mark.parametrize("q", [19, 73])
+def test_both_cube_roots_give_the_same_translations(q):
+    # alpha for epsilon^2 is alpha^2: build_kummer tries only one root
+    first, second = (kummer.build_gbar(q, e)
+                     for e in sorted(cube_roots_of_unity(PrimeField(q))))
+    assert set(first.phi_translations) == set(second.phi_translations)
+    for a, b in zip(first.theta, second.theta):
+        assert set(a) == set(b)
+
+
 def test_slope_ratios_refuse_a_slope_off_theta_2():
     F = PrimeField(19)
     field = hesse_function_field(F)
