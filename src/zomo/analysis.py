@@ -161,27 +161,10 @@ def quotient(G: FiniteGroup, N: Subgroup):
     return Q, coset_of
 
 
-def central_series(G: FiniteGroup):
-    """Ascending central series; returns (list of Subgroups, nilpotency class).
-
-    The chain starts at the trivial subgroup and must terminate at G,
-    otherwise the input is not nilpotent and an error is raised.
-    """
-    chain = [Subgroup(G, (0,))]
-    proj = list(range(G.order))
-    Q = G
-    while chain[-1].members != tuple(range(G.order)):
-        ZQ = center(Q)
-        lifted = tuple(x for x in range(G.order) if proj[x] in ZQ)
-        if lifted == chain[-1].members:
-            raise GroupError("central series stabilized below G (not nilpotent)")
-        chain.append(Subgroup(G, lifted))
-        Q, proj = quotient(G, chain[-1])
-    return chain, len(chain) - 1
-
-
 def nilpotency_class(G: FiniteGroup):
-    return central_series(G)[1]
+    """The length of the lower central series, which equals that of the
+    upper one for a nilpotent group; a non-nilpotent G raises."""
+    return len(lower_central_series(G)) - 1
 
 
 def is_maximal_class(G: FiniteGroup):
@@ -342,22 +325,13 @@ def central_quotient_center_pattern(G: FiniteGroup):
     return sorted(pattern, reverse=True)
 
 
-def abelian_invariants(G: FiniteGroup, members=None):
+def abelian_invariants(G: FiniteGroup):
     """Invariant factors of an abelian 3-group (via the order census)."""
-    if members is None:
-        members = range(G.order)
-    members = list(members)
-    n = len(members)
-    _require_3group(G, n)
+    _require_3group(G)
+    census = order_census(G)
     # counts[k] = number of elements killed by 3^k
-    counts = []
-    k = 0
-    while True:
-        c = sum(1 for x in members if G.power(x, 3 ** k) == 0)
-        counts.append(c)
-        if c == n:
-            break
-        k += 1
+    counts = [sum(n for o, n in census.items() if 3 ** k % o == 0)
+              for k in range(_log3(max(census)) + 1)]
     # partition lambda with counts[k] = 3^(sum min(lam_i, k))
     exps = [_log3(counts[k] // counts[k - 1]) for k in range(1, len(counts))]
     # exps[k-1] = #{i : lam_i >= k}; convert to invariant factors
@@ -462,5 +436,5 @@ def _log3(n):
     return k
 
 
-def _require_3group(G, n=None):
-    _log3(n if n is not None else G.order)
+def _require_3group(G):
+    _log3(G.order)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from . import ZomoError
 from .field import ExtField, PrimeField, _normalize, _power_table
-from .funcfield import Endo, FunctionField, _eval_monomials, apply_endo
+from .funcfield import (Endo, FunctionField, _eval_monomials, _partial,
+                        apply_endo)
 from .group import FiniteGroup, group_from_permutations
 
 
@@ -65,18 +66,7 @@ class PlaneCurve:
         return _eval_monomials(C, self.coeffs, p)
 
     def partials(self):
-        out = []
-        for axis in range(3):
-            d = {}
-            for mono, n in self.coeffs:
-                e = mono[axis]
-                if e == 0:
-                    continue
-                key = tuple(m - (1 if i == axis else 0)
-                            for i, m in enumerate(mono))
-                d[key] = d.get(key, 0) + e * n
-            out.append(tuple(sorted((k, v) for k, v in d.items() if v)))
-        return out
+        return [_partial(self.coeffs, axis) for axis in range(3)]
 
     def is_singular_at(self, C, p):
         return all(_eval_monomials(C, pd, p) == C.zero

@@ -1,7 +1,7 @@
 """Finite prime fields and their extensions.
 
 Both classes expose one field-object protocol, read by the point scans,
-the Hesse group law and the series arithmetic of ``funcfield``: attributes
+the Hesse group law and the monomial evaluator of ``funcfield``: attributes
 ``zero`` and ``one`` plus methods add, sub, mul, neg, inv, from_int.
 Elements are plain immutable values (ints for PrimeField, int tuples for
 ExtField), so structural equality is element equality.  ``polys`` works

@@ -4,8 +4,10 @@ An element sum_i c_i(u) v^i, i < n = deg_v(m), is stored as n numerator
 polynomials in F_p[u] over one common monic denominator, in lowest terms, so
 every operation runs on the int kernel of ``polys``.  The module also provides
 endomorphisms given by coordinate images, valuations at nonsingular affine
-points via power-series expansion, canonical serialization matching the
-project's printed-equation style, and a small bivariate-polynomial helper.
+points via power-series expansion, and canonical serialization matching the
+project's printed-equation style.  Curve equations are sorted ((i, j), c)
+monomial tuples, the form ``curves.PlaneCurve`` uses, and the power series
+of a valuation are F_p[s] polynomials of ``polys`` truncated below s^prec.
 """
 
 from dataclasses import dataclass
@@ -15,49 +17,6 @@ from . import ZomoError, polys
 
 class FuncFieldError(ZomoError, ArithmeticError):
     pass
-
-
-# --- bivariate polynomials over a constant field: dict {(i, j): c} meaning
-# sum c * v^i * u^j, used for curve equations and identity checks.
-
-def biv_trim(C, d):
-    return {k: v for k, v in d.items() if v != C.zero}
-
-
-def biv_add(C, a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = C.add(out.get(k, C.zero), v)
-    return biv_trim(C, out)
-
-
-def biv_mul(C, a, b):
-    out = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            k = (i1 + i2, j1 + j2)
-            out[k] = C.add(out.get(k, C.zero), C.mul(c1, c2))
-    return biv_trim(C, out)
-
-
-def biv_neg(C, a):
-    return {k: C.neg(v) for k, v in a.items()}
-
-
-def biv_from_int_dict(C, d):
-    return biv_trim(C, {k: C.from_int(v) for k, v in d.items()})
-
-
-def biv_deriv(C, a, axis):
-    """Partial derivative: axis 0 differentiates v, axis 1 differentiates u."""
-    out = {}
-    for (i, j), c in a.items():
-        e = (i, j)[axis]
-        if e == 0:
-            continue
-        k = (i - 1, j) if axis == 0 else (i, j - 1)
-        out[k] = C.add(out.get(k, C.zero), C.mul(C.from_int(e), c))
-    return biv_trim(C, out)
 
 
 def _eval_monomials(C, monos, p):
@@ -73,38 +32,52 @@ def _eval_monomials(C, monos, p):
     return acc
 
 
-def _rows(C, biv):
-    """The rows of a bivariate by v-degree, as u-coefficient tuples."""
-    rows = []
-    for i in range(1 + max(vi for vi, _ in biv)):
-        row = [C.zero] * (1 + max([j for (vi, j) in biv if vi == i], default=0))
-        for (vi, j), c in biv.items():
-            if vi == i:
-                row[j] = c
-        rows.append(tuple(row))
-    return rows
+def _partial(monos, axis):
+    """The derivative in variable ``axis`` of the sorted (exponents, n)
+    pairs, as sorted pairs with int coefficients."""
+    out = {}
+    for exps, n in monos:
+        e = exps[axis]
+        if e:
+            key = exps[:axis] + (e - 1,) + exps[axis + 1:]
+            out[key] = out.get(key, 0) + e * n
+    return tuple(sorted((k, n) for k, n in out.items() if n))
+
+
+def _rows(monos):
+    """The rows of m by v-degree: row i holds the F_p[u] coefficient of v^i
+    (trimmed, since every coefficient of ``monos`` is nonzero)."""
+    rows = [[] for _ in range(1 + max(i for (i, _), _ in monos))]
+    for (i, j), c in monos:
+        row = rows[i]
+        row.extend([0] * (j + 1 - len(row)))
+        row[j] = c
+    return [tuple(row) for row in rows]
 
 
 class FunctionField:
     """K(u)[v]/(m(v, u)) with m monic in v.
 
-    ``bivariate`` is {(i, j): int} for m = sum c v^i u^j; the constant field
+    ``equation`` is {(i, j): int} for m = sum c v^i u^j; the constant field
     is a prime field object.  ``u_name``/``v_name`` only affect printing.
-    ``modulus`` holds the rows m_0, ..., m_{n-1} of m below v^n, as F_p[u]
-    polynomials: m is monic in v with polynomial coefficients, so
-    v^n = -(m_0 + m_1 v + ... + m_{n-1} v^(n-1)) reduces without division.
+    ``monomials`` holds m as sorted ((i, j), c) pairs with c in [1, p), the
+    form of ``PlaneCurve.coeffs``.  ``modulus`` holds the rows m_0, ...,
+    m_{n-1} of m below v^n, as F_p[u] polynomials: m is monic in v with
+    polynomial coefficients, so v^n = -(m_0 + m_1 v + ... + m_{n-1}
+    v^(n-1)) reduces without division.
     """
 
-    def __init__(self, constants, bivariate, u_name="x", v_name="y"):
+    def __init__(self, constants, equation, u_name="x", v_name="y"):
         self.constants = constants
         self.u_name = u_name
         self.v_name = v_name
-        self.bivariate = biv_from_int_dict(constants, bivariate)
-        rows = [polys.ptrim(constants, r)
-                for r in _rows(constants, self.bivariate)]
+        self.monomials = tuple(sorted((k, c % constants.q)
+                                      for k, c in equation.items()
+                                      if c % constants.q))
+        rows = _rows(self.monomials)
         n = len(rows) - 1
         self.degree = n
-        if rows[n] != (constants.one,):
+        if rows[n] != (1,):
             raise FuncFieldError("modulus must be monic in %s" % v_name)
         self.modulus = tuple(rows[:n])
         self.zero = FFElem(self, ((),) * n, (1,))
@@ -138,13 +111,13 @@ class FunctionField:
     def __eq__(self, other):
         return (isinstance(other, FunctionField)
                 and other.constants == self.constants
-                and other.bivariate == self.bivariate
+                and other.monomials == self.monomials
                 and other.u_name == self.u_name
                 and other.v_name == self.v_name)
 
     def __hash__(self):
-        return hash((self.constants, tuple(sorted(self.bivariate.items())),
-                     self.u_name, self.v_name))
+        return hash((self.constants, self.monomials, self.u_name,
+                     self.v_name))
 
     def __repr__(self):
         return "FunctionField(%r, %s, %s)" % (self.constants, self.u_name,
@@ -330,9 +303,8 @@ class Endo:
 
     def __post_init__(self):
         acc = self.field.zero
-        for (i, j), c in self.field.bivariate.items():
-            term = self.field.from_int(c) * (self.v_image ** i) * (self.u_image ** j)
-            acc = acc + term
+        for (i, j), c in self.field.monomials:
+            acc = acc + (self.v_image ** i * self.u_image ** j).scale(c)
         if not acc.is_zero():
             raise FuncFieldError("images do not satisfy the field relation")
 
@@ -359,103 +331,77 @@ def _eval_poly_at(field, poly, x):
 
 
 # --- power-series valuation at a nonsingular affine point ------------------
+#
+# A series is an F_p[s] polynomial of ``polys`` (an int tuple) truncated
+# below s^prec.
 
-def _s_add(C, a, b):
-    return [C.add(x, y) for x, y in zip(a, b)]
-
-
-def _s_mul(C, a, b, prec):
-    out = [C.zero] * prec
-    for i, x in enumerate(a):
-        if x == C.zero or i >= prec:
-            continue
-        for j, y in enumerate(b):
-            if i + j >= prec:
-                break
-            out[i + j] = C.add(out[i + j], C.mul(x, y))
-    return out
+def _series_mul(F, a, b, prec):
+    return polys.ptrim(F, polys.pmul(F, a, b)[:prec])
 
 
-def _s_inv(C, a, prec):
-    if a[0] == C.zero:
+def _series_inv(F, a, prec):
+    """1/a mod s^prec by Newton's iteration b <- b(2 - ab), which doubles
+    the number of correct coefficients at each step."""
+    if not a or a[0] == 0:
         raise FuncFieldError("series inversion needs a unit")
-    inv0 = C.inv(a[0])
-    out = [C.zero] * prec
-    out[0] = inv0
-    for n in range(1, prec):
-        acc = C.zero
-        for i in range(1, n + 1):
-            if i < len(a):
-                acc = C.add(acc, C.mul(a[i], out[n - i]))
-        out[n] = C.neg(C.mul(inv0, acc))
-    return out
+    b, n = (F.inv(a[0]),), 1
+    while n < prec:
+        n = min(2 * n, prec)
+        ab = _series_mul(F, a[:n], b, n)
+        b = _series_mul(F, b, polys.psub(F, (2,), ab), n)
+    return b
 
 
-def _s_eval_poly(C, poly, series, prec):
-    acc = [C.zero] * prec
-    for c in reversed(poly):
-        acc = _s_mul(C, acc, series, prec)
-        acc[0] = C.add(acc[0], c)
+def _horner(F, coeffs, x, prec):
+    """sum coeffs[i] x^i mod s^prec for series coeffs[i] and x; an F_p[u]
+    polynomial c goes in as the constant series [(c_0,), (c_1,), ...]."""
+    acc = ()
+    for c in reversed(coeffs):
+        acc = polys.padd(F, _series_mul(F, acc, x, prec), c)
     return acc
 
 
-def _s_ord(C, a):
-    for i, c in enumerate(a):
-        if c != C.zero:
-            return i
-    return None
+def _order(a):
+    """The s-adic order of a series, None for the zero series."""
+    return next((i for i, c in enumerate(a) if c), None)
 
 
 def _expand_point(field, u_val, v_val, prec):
-    """Series (U(s), V(s)) for the branch at a nonsingular affine point,
-    with coefficients in the field's constants.
+    """Series (U(s), V(s)) mod s^prec for the branch at a nonsingular
+    affine point.
 
     The local parameter s is u - u_val when dm/dv is nonzero at the point,
     and v is solved for by Newton's method on the rows of m by v-degree.
     Otherwise s is v - v_val: the same solve runs on m with u and v
     exchanged, and the pair comes back swapped.
     """
-    C = field.constants
-    biv = field.bivariate
+    F = field.constants
+    monos = field.monomials
     at = (v_val, u_val)
-    if _eval_monomials(C, biv.items(), at) != C.zero:
+    if _eval_monomials(F, monos, at) != 0:
         raise FuncFieldError("point is not on the curve")
-    dv_p = _eval_monomials(C, biv_deriv(C, biv, 0).items(), at)
-    du_p = _eval_monomials(C, biv_deriv(C, biv, 1).items(), at)
-    if dv_p == C.zero and du_p == C.zero:
+    dv_p = _eval_monomials(F, _partial(monos, 0), at)
+    du_p = _eval_monomials(F, _partial(monos, 1), at)
+    if dv_p == 0 and du_p == 0:
         raise FuncFieldError("singular point")
-    swap = dv_p == C.zero
+    swap = dv_p == 0
     if swap:
-        biv = {(j, i): c for (i, j), c in biv.items()}
+        monos = tuple(((j, i), c) for (i, j), c in monos)
         u_val, v_val = v_val, u_val
-    rows = _rows(C, biv)
     # u = u_val + s, solve for v by Newton from v_val
-    U = [C.zero] * prec
-    U[0] = u_val
-    if prec > 1:
-        U[1] = C.one
-    V = [C.zero] * prec
-    V[0] = v_val
-    row_series = [_s_eval_poly(C, r, U, prec) for r in rows]
+    U = polys.ptrim(F, (u_val % F.q, 1)[:prec])
+    V = polys.ptrim(F, (v_val % F.q,))
+    row_series = [_horner(F, [(c,) for c in r], U, prec)
+                  for r in _rows(monos)]
+    dm_dv = [polys.pscale(F, r, i) for i, r in enumerate(row_series)][1:]
     for _ in range(prec.bit_length() + 2):
-        mval = _horner_series(C, row_series, V, prec)
-        if all(c == C.zero for c in mval):
+        mval = _horner(F, row_series, V, prec)
+        if not mval:
             break
-        mder = _horner_series(C, [
-            _s_mul(C, [C.from_int(i)] + [C.zero] * (prec - 1),
-                   row_series[i], prec)
-            for i in range(1, len(rows))], V, prec)
-        V = [C.sub(a, b) for a, b in
-             zip(V, _s_mul(C, mval, _s_inv(C, mder, prec), prec))]
+        mder = _horner(F, dm_dv, V, prec)
+        V = polys.psub(F, V, _series_mul(F, mval,
+                                         _series_inv(F, mder, prec), prec))
     return (V, U) if swap else (U, V)
-
-
-def _horner_series(C, coeff_series, X, prec):
-    acc = [C.zero] * prec
-    for cs in reversed(coeff_series):
-        acc = _s_mul(C, acc, X, prec)
-        acc = _s_add(C, acc, cs)
-    return acc
 
 
 def valuation_at(f: FFElem, u_val, v_val):
@@ -466,15 +412,14 @@ def valuation_at(f: FFElem, u_val, v_val):
     """
     if f.is_zero():
         raise FuncFieldError("valuation of the zero function")
-    field = f.field
-    C = field.constants
+    F = f.field.constants
     prec = 64
     while prec <= 512:
-        U, V = _expand_point(field, u_val, v_val, prec)
-        num = _horner_series(C, [_s_eval_poly(C, c, U, prec)
-                                 for c in f.nums], V, prec)
-        onum = _s_ord(C, num)
-        oden = _s_ord(C, _s_eval_poly(C, f.den, U, prec))
+        U, V = _expand_point(f.field, u_val, v_val, prec)
+        num = _horner(F, [_horner(F, [(c,) for c in poly], U, prec)
+                          for poly in f.nums], V, prec)
+        onum = _order(num)
+        oden = _order(_horner(F, [(c,) for c in f.den], U, prec))
         if onum is not None and oden is not None:
             return onum - oden
         prec *= 2
@@ -534,17 +479,28 @@ def ffelem_str(f: FFElem):
     return " + ".join(parts) if parts else "0"
 
 
-def lemma_factorization_check(C):
-    """The cubic identity behind the rational-point argument, over C:
+def lemma_factorization_check(F):
+    """The cubic identity behind the rational-point argument, in F_p[a, b]:
     (a^3 - 3a - 1)(b^2 + b) - (a^2 + a)(b^3 - 3b - 1)
-      = (a - b)(ab + b + 1)(ab + a + 1)."""
-    d = biv_from_int_dict
-    lhs = biv_add(C,
-                  biv_mul(C, d(C, {(3, 0): 1, (1, 0): -3, (0, 0): -1}),
-                          d(C, {(0, 2): 1, (0, 1): 1})),
-                  biv_neg(C, biv_mul(C, d(C, {(2, 0): 1, (1, 0): 1}),
-                                     d(C, {(0, 3): 1, (0, 1): -3, (0, 0): -1}))))
-    rhs = biv_mul(C, biv_mul(C, d(C, {(1, 0): 1, (0, 1): -1}),
-                             d(C, {(1, 1): 1, (0, 1): 1, (0, 0): 1})),
-                  d(C, {(1, 1): 1, (1, 0): 1, (0, 0): 1}))
+      = (a - b)(ab + b + 1)(ab + a + 1).
+    Both sides are compared in F_p[a] under b = a^8, a ring map that is
+    one-to-one on polynomials of a-degree below 8; both sides have
+    a-degree 3, so the check is the exact identity."""
+    def sub(monos):
+        """sum n a^i b^j over {(i, j): n}, under b = a^8."""
+        out = [0] * (1 + max(i + 8 * j for i, j in monos))
+        for (i, j), n in monos.items():
+            out[i + 8 * j] += n
+        return polys.ptrim(F, [c % F.q for c in out])
+
+    def mul(a, b):
+        return polys.pmul(F, sub(a), sub(b))
+
+    lhs = polys.psub(F, mul({(3, 0): 1, (1, 0): -3, (0, 0): -1},
+                            {(0, 2): 1, (0, 1): 1}),
+                     mul({(2, 0): 1, (1, 0): 1},
+                         {(0, 3): 1, (0, 1): -3, (0, 0): -1}))
+    rhs = polys.pmul(F, mul({(1, 0): 1, (0, 1): -1},
+                            {(1, 1): 1, (0, 1): 1, (0, 0): 1}),
+                     sub({(1, 1): 1, (1, 0): 1, (0, 0): 1}))
     return lhs == rhs

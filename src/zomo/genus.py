@@ -76,7 +76,6 @@ def rh_genus(profile: RamificationProfile):
 class BoundQuery:
     d: int
     genus: int
-    characteristic: int = 0
     elliptic_quotient: bool = False
 
     def __post_init__(self):
@@ -84,11 +83,6 @@ class BoundQuery:
             raise ProfileError("d must be an odd prime")
         if self.genus < 2:
             raise ProfileError("genus must be at least 2")
-        if self.characteristic:
-            if not _is_prime(self.characteristic):
-                raise ProfileError("characteristic must be 0 or prime")
-            if self.characteristic == self.d:
-                raise ProfileError("characteristic must differ from d")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import pytest
 
 from zomo import analysis, catalog
-from zomo.group import (analyze_presentation, coset_enumerate,
+from zomo.group import (GroupError, analyze_presentation, coset_enumerate,
                         group_from_permutations)
 
 HEIS = "<a, b | a^3, b^3, [a,b]^3, [[a,b],a], [[a,b],b]>"
@@ -29,6 +29,12 @@ def test_nilpotency_class():
     assert analysis.nilpotency_class(analyze_presentation("<a | a^9>")) == 1
 
 
+def test_nilpotency_class_needs_a_nilpotent_group():
+    S3 = group_from_permutations([(1, 0, 2), (1, 2, 0)])
+    with pytest.raises(GroupError):
+        analysis.nilpotency_class(S3)
+
+
 def test_maximal_class_27():
     # for order 27 = 3^3, class 2 is maximal
     assert analysis.is_maximal_class(analyze_presentation(HEIS))
@@ -46,6 +52,12 @@ def test_quotient_by_center():
 def test_abelian_invariants():
     G = analyze_presentation("<a, b | a^9, b^3, [a,b]>")
     assert tuple(analysis.abelian_invariants(G)) == (9, 3)
+    for pres, want in [("<a | a>", ()), ("<a | a^27>", (27,)),
+                       ("<a, b, c | a^3, b^3, c^3, [a,b], [a,c], [b,c]>",
+                        (3, 3, 3)),
+                       ("<a, b | a^27, b^9, [a,b]>", (27, 9))]:
+        assert tuple(analysis.abelian_invariants(
+            analyze_presentation(pres))) == want
 
 
 def test_order_census():

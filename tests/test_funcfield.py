@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from zomo import polys
 from zomo.field import PrimeField
-from zomo.funcfield import (Endo, FuncFieldError, FunctionField, apply_endo,
+from zomo.funcfield import (Endo, FuncFieldError, FunctionField,
+                            _expand_point, _series_inv, apply_endo,
                             ffelem_str, lemma_factorization_check, poly_str,
                             valuation_at)
 
@@ -155,6 +156,65 @@ def test_valuation_additivity():
                 va = valuation_at(a, u0, v0)
                 vb = valuation_at(b, u0, v0)
                 assert valuation_at(a * b, u0, v0) == va + vb
+
+
+# -- series mod s^prec, checked by plain list convolution ------------------
+
+def _convolve(a, b, prec, p):
+    """a * b mod (p, s^prec) for coefficient lists of any length."""
+    out = [0] * prec
+    for i, x in enumerate(a[:prec]):
+        for j, y in enumerate(b[:prec - i], i):
+            out[j] = (out[j] + x * y) % p
+    return out
+
+
+def _m_at(equation, U, V, prec, p):
+    """sum c V^i U^j mod s^prec over the {(i, j): c} equation."""
+    total = [0] * prec
+    for (i, j), c in equation.items():
+        term = [c % p]
+        for factor in [V] * i + [U] * j:
+            term = _convolve(term, factor, prec, p)
+        total = [(t + x) % p for t, x in zip(total, term + [0] * prec)]
+    return total
+
+
+HESSE_EQ = {(3, 0): 1, (0, 3): 1, (0, 0): 1}
+X0_EQ = {(9, 0): 1, (0, 6): 1, (0, 3): 1}
+BRANCH_POINTS = (
+    [pytest.param(HESSE_EQ, u, v, id="hesse-%d,%d" % (u, v))
+     for u in range(19) for v in range(19) if (u ** 3 + v ** 3 + 1) % 19 == 0]
+    + [pytest.param(X0_EQ, x, 0, id="x0-%d,0" % x)
+       for x in range(19) if (x ** 3 + 1) % 19 == 0])
+
+
+@pytest.mark.parametrize("prec", [64, 128])
+@pytest.mark.parametrize("equation,u0,v0", BRANCH_POINTS)
+def test_expanded_branch_lies_on_the_curve(equation, u0, v0, prec):
+    field = FunctionField(F19, equation)
+    U, V = (list(c) for c in _expand_point(field, u0, v0, prec))
+    assert all(0 <= c < 19 for c in U + V)
+    assert len(U) <= prec and len(V) <= prec
+    assert (U + [0])[0] == u0 and (V + [0])[0] == v0
+    # one coordinate is the point's coordinate plus the local parameter s
+    assert U == [u0, 1] or V == [v0, 1]
+    assert _m_at(equation, U, V, prec, 19) == [0] * prec
+
+
+@given(st.sampled_from([5, 19, 271]), st.integers(1, 200), st.data())
+@settings(max_examples=60, deadline=None)
+def test_series_inverse_roundtrip(p, prec, data):
+    a = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=prec))
+    a[0] = a[0] or 1
+    b = _series_inv(PrimeField(p), polys.ptrim(PrimeField(p), a), prec)
+    assert len(b) <= prec
+    assert _convolve(a, list(b), prec, p) == [1] + [0] * (prec - 1)
+
+
+def test_series_inverse_needs_a_unit():
+    with pytest.raises(FuncFieldError):
+        _series_inv(F19, (0, 1), 8)
 
 
 def test_endo_validates_relation():
