@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from . import ZomoError
 from .field import ExtField, PrimeField, _normalize, _power_table
-from .funcfield import (Endo, FunctionField, _eval_monomials, _partial,
-                        apply_endo)
+from .funcfield import Endo, FunctionField, _partial, _substitute
 from .group import FiniteGroup, group_from_permutations
 
 
@@ -63,13 +62,13 @@ class PlaneCurve:
         return sum(self.coeffs[0][0])
 
     def eval_at(self, C, p):
-        return _eval_monomials(C, self.coeffs, p)
+        return C.eval_monomials(self.coeffs, p)
 
     def partials(self):
         return [_partial(self.coeffs, axis) for axis in range(3)]
 
     def is_singular_at(self, C, p):
-        return all(_eval_monomials(C, pd, p) == C.zero
+        return all(C.eval_monomials(pd, p) == C.zero
                    for pd in self.partials())
 
 
@@ -126,15 +125,11 @@ def enumerate_points(curve: PlaneCurve, q, k=1):
     if sep is not None:
         m, cm, A = sep
         tab = _power_table(C, m)
-        cm_inv = C.inv(C.from_int(cm))
+        # y^m = -A(x)/c, with -1/c folded into the int coefficients of A
+        r = PrimeField(q).inv(-cm)
+        A = tuple(((i,), n * r) for i, n in A.items())
         for x in C.elements():
-            acc = C.zero
-            xp = C.one
-            for i in range(max(A) + 1):
-                if A.get(i):
-                    acc = C.add(acc, C.mul(C.from_int(A[i]), xp))
-                xp = C.mul(xp, x)
-            for y in tab.get(C.mul(C.neg(acc), cm_inv), ()):
+            for y in tab.get(C.eval_monomials(A, (x,)), ()):
                 pts.append(_normalize(C, (x, y, C.one)))
     else:
         if C.order ** 2 > budget:
@@ -142,12 +137,12 @@ def enumerate_points(curve: PlaneCurve, q, k=1):
                               % C.order ** 2)
         for x in C.elements():
             for y in C.elements():
-                if _eval_monomials(C, aff.items(), (x, y)) == C.zero:
+                if C.eval_monomials(aff.items(), (x, y)) == C.zero:
                     pts.append(_normalize(C, (x, y, C.one)))
     # z = 0 chart: points (x : 1 : 0), then (1 : 0 : 0)
     if inf:
         for x in C.elements():
-            if _eval_monomials(C, inf.items(), (x, C.one)) == C.zero:
+            if C.eval_monomials(inf.items(), (x, C.one)) == C.zero:
                 pts.append(_normalize(C, (x, C.one, C.zero)))
     origin = (C.one, C.zero, C.zero)
     if curve.eval_at(C, origin) == C.zero:
@@ -179,7 +174,7 @@ class RationalMap:
         return RationalMap(name, tuple(forms))
 
     def eval_at(self, C, p):
-        out = tuple(_eval_monomials(C, form, p) for form in self.forms)
+        out = tuple(C.eval_monomials(form, p) for form in self.forms)
         if all(v == C.zero for v in out):
             raise CurveError("map %s has a base point at %r" % (self.name, p))
         return _normalize(C, out)
@@ -309,7 +304,9 @@ def fixed_points(perm):
 
 
 def verify_invariant_function(f, endos):
-    return all(apply_endo(e, f) == f for e in endos)
+    """Whether f(e) = f for every endo e, checked as N = D f for the
+    (N, D) of the substitution, so no inverse is taken."""
+    return all(N == D * f for N, D in (_substitute(e, f) for e in endos))
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +397,12 @@ def x0_endos(field):
     C = field.constants
     x, y = field.u(), field.v()
     a2 = Endo(field, u_image=x / (y ** 3), v_image=x / (y ** 2))
-    out = []
-    for lam in roots_of_unity(C, 3):
-        for mu in roots_of_unity(C, 9):
-            e = Endo(field, u_image=field.from_int(lam) * x,
-                     v_image=field.from_int(mu) * y)
-            for _ in range(3):
-                out.append(e)
-                e = e.compose(a2)
+    # (lam x, mu y) after a2^j has the images of a2^j scaled by lam and mu
+    powers = (Endo(field, u_image=x, v_image=y), a2, a2.compose(a2))
+    out = [Endo(field, u_image=a.u_image.scale(lam),
+                v_image=a.v_image.scale(mu))
+           for lam in roots_of_unity(C, 3)
+           for mu in roots_of_unity(C, 9) for a in powers]
     if len(out) != 81:
         raise CurveError("endomorphism census is not 81")
     return out
@@ -455,11 +450,11 @@ class AffineRationalMap:
 
     def eval_at(self, C, p):
         """Image point, or None when the denominator vanishes."""
-        d = _eval_monomials(C, self.den, p)
+        d = C.eval_monomials(self.den, p)
         if d == C.zero:
             return None
         dinv = C.inv(d)
-        return tuple(C.mul(_eval_monomials(C, comp, p), dinv)
+        return tuple(C.mul(C.eval_monomials(comp, p), dinv)
                      for comp in self.comps)
 
 

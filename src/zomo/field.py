@@ -1,22 +1,26 @@
 """Finite prime fields and their extensions.
 
 Both classes expose one field-object protocol, read by the point scans,
-the Hesse group law and the monomial evaluator of ``funcfield``: attributes
-``zero`` and ``one`` plus methods add, sub, mul, neg, inv, from_int.
-Elements are plain immutable values (ints for PrimeField, int tuples for
-ExtField), so structural equality is element equality.  ``polys`` works
-over a PrimeField only.
+the Hesse group law and ``funcfield``: attributes ``zero`` and ``one`` plus
+methods add, sub, mul, neg, inv, from_int and eval_monomials (a sum of int
+multiples of monomials at a point).  Elements are plain immutable values
+(ints for PrimeField, int tuples for ExtField), so structural equality is
+element equality.  ``polys`` works over a PrimeField only.
 
 An ``ExtField`` is F_q[t]/(modulus) for the least irreducible modulus of its
 degree.  Its elements are coefficient tuples (c_0, ..., c_{k-1}); add, sub
-and neg work on them coefficientwise, while mul and inv are lookups in a
+and neg map them coefficientwise through a table of residues mod q, with no
+Python-level arithmetic per coefficient.  mul and inv are lookups in a
 log/antilog table over the least primitive element, built on the first
-product or inverse (the discrete-log coding of FLINT's ``fq_zech``, without
-its Zech table for addition).  Polynomial arithmetic only builds the
-modulus and that table.
+use (the discrete-log coding of FLINT's ``fq_zech``, without its Zech
+table for addition), and eval_monomials turns each term into one antilog
+of a sum of logs.  Polynomial arithmetic only builds the modulus and that
+table.
 """
 
+import operator
 from itertools import product
+from math import prod
 
 from . import ZomoError, polys
 
@@ -54,6 +58,12 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0 in F_%d" % self.q)
         return pow(a, self.q - 2, self.q)
 
+    def eval_monomials(self, monos, p):
+        """sum of n * p[0]^e0 * p[1]^e1 * ... over the (exponents, n) pairs."""
+        q = self.q
+        return sum(n * prod(pow(c, e, q) for c, e in zip(p, exps))
+                   for exps, n in monos) % q
+
     def elements(self):
         return range(self.q)
 
@@ -69,12 +79,9 @@ class PrimeField:
 
 def _power_table(C, m):
     """{e^m: [e, ...]} over the elements of C, each list in element order."""
-    tab = {}
+    tab, mono = {}, (((m,), 1),)
     for e in C.elements():
-        acc = C.one
-        for _ in range(m):
-            acc = C.mul(acc, e)
-        tab.setdefault(acc, []).append(e)
+        tab.setdefault(C.eval_monomials(mono, (e,)), []).append(e)
     return tab
 
 
@@ -127,11 +134,12 @@ def _prime_factors(n):
 class ExtField:
     """F_{q^k} as F_q[t]/(modulus); elements are length-k int tuples.
 
-    ``exp[i]`` is g^i for the least primitive element g of ``elements()``
-    and ``log`` maps each element back to its exponent (zero to None).  Both
-    stay None until the first mul or inv: callers that multiply scan the
-    whole field anyway, and a field that is only sized (say, to refuse a
-    point budget) never pays for the table.
+    ``exp[i]`` is g^i for the least primitive element g of ``elements()``,
+    ``log`` maps each element back to its exponent (zero to None) and
+    ``int_log[c]`` is the log of the constant c in [0, q).  All three stay
+    None until the first mul, inv or eval_monomials: callers that multiply
+    scan the whole field anyway, and a field that is only sized (say, to
+    refuse a point budget) never pays for the table.
     """
 
     def __init__(self, base: PrimeField, k):
@@ -146,18 +154,21 @@ class ExtField:
         self.one = tuple([1 % base.q] + [0] * (k - 1))
         self.exp = None
         self.log = None
+        self.int_log = None
+        # red[i] = i mod q for -3q <= i < 3q, a C-level lookup per coefficient
+        self._red = tuple(range(self.q)) * 3
 
     def from_int(self, n):
         return tuple([n % self.q] + [0] * (self.k - 1))
 
     def add(self, a, b):
-        return tuple((x + y) % self.q for x, y in zip(a, b))
+        return tuple(map(self._red.__getitem__, map(operator.add, a, b)))
 
     def sub(self, a, b):
-        return tuple((x - y) % self.q for x, y in zip(a, b))
+        return tuple(map(self._red.__getitem__, map(operator.sub, a, b)))
 
     def neg(self, a):
-        return tuple((-x) % self.q for x in a)
+        return tuple(map(self._red.__getitem__, map(operator.neg, a)))
 
     def tables(self):
         """(exp, log), built on the first call and kept on the object."""
@@ -169,13 +180,17 @@ class ExtField:
                 if g and all(polys.ppow_mod(F, g, n // r, mod) != (F.one,)
                              for r in factors):
                     break
-            exp = []
-            power = (F.one,)
-            for _ in range(n):
-                exp.append(power + (0,) * (self.k - len(power)))
-                power = polys.pmod(F, polys.pmul(F, power, g), mod)
+            # multiplication by g as a matrix over F_q: column j is g t^j
+            cols = [polys.pmod(F, polys.pmul(F, (0,) * j + (1,), g), mod)
+                    for j in range(self.k)]
+            rows = list(zip(*(c + (0,) * (self.k - len(c)) for c in cols)))
+            exp, q = [self.one], self.q
+            for _ in range(n - 1):
+                exp.append(tuple([sum(map(operator.mul, r, exp[-1])) % q
+                                  for r in rows]))
             log = {e: i for i, e in enumerate(exp)}
             log[self.zero] = None
+            self.int_log = [log[self.from_int(c)] for c in range(q)]
             self.exp, self.log = exp, log
         return self.exp, self.log
 
@@ -213,6 +228,33 @@ class ExtField:
         if i is None:
             raise ZeroDivisionError("inverse of 0 in F_%d^%d" % (self.q, self.k))
         return exp[-i]  # g^(n - i), and exp[0] = one for i = 0
+
+    def eval_monomials(self, monos, p):
+        """sum of n * p[0]^e0 * p[1]^e1 * ... over the (exponents, n) pairs,
+        each term the antilog of log n + sum e log p[i] (or none when n or a
+        coordinate with e > 0 is zero)."""
+        exp, log = self.exp, self.log
+        if log is None:
+            exp, log = self.tables()
+        try:
+            logs = [log[c] for c in p]
+        except (KeyError, TypeError):
+            raise self._not_element(*p) from None
+        n_exp, int_log, q = len(exp), self.int_log, self.q
+        acc = None
+        for exps, n in monos:
+            i = int_log[n % q]
+            if i is None:
+                continue
+            for j, e in zip(logs, exps):
+                if e:
+                    if j is None:
+                        break
+                    i += e * j
+            else:
+                term = exp[i % n_exp]
+                acc = term if acc is None else self.add(acc, term)
+        return self.zero if acc is None else acc
 
     def elements(self):
         return product(range(self.q), repeat=self.k)

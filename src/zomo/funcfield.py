@@ -19,19 +19,6 @@ class FuncFieldError(ZomoError, ArithmeticError):
     pass
 
 
-def _eval_monomials(C, monos, p):
-    """sum of n * p[0]^e0 * p[1]^e1 * ... over the (exponents, n) pairs,
-    each int n taken into C by ``from_int``."""
-    acc = C.zero
-    for exps, n in monos:
-        term = C.from_int(n)
-        for coord, e in zip(p, exps):
-            for _ in range(e):
-                term = C.mul(term, coord)
-        acc = C.add(acc, term)
-    return acc
-
-
 def _partial(monos, axis):
     """The derivative in variable ``axis`` of the sorted (exponents, n)
     pairs, as sorted pairs with int coefficients."""
@@ -315,12 +302,18 @@ class Endo:
 
 
 def apply_endo(e: Endo, f: FFElem) -> FFElem:
-    """f(u_image, v_image): the numerators by Horner in v_image, over the
-    denominator evaluated at u_image."""
+    """f(u_image, v_image)."""
+    num, den = _substitute(e, f)
+    return num / den
+
+
+def _substitute(e: Endo, f: FFElem):
+    """(N, D) with f(u_image, v_image) = N / D and no inverse taken: N is
+    the numerators by Horner in v_image, D the denominator at u_image."""
     num = e.field.zero
     for poly in reversed(f.nums):
         num = num * e.v_image + _eval_poly_at(e.field, poly, e.u_image)
-    return num / _eval_poly_at(e.field, f.den, e.u_image)
+    return num, _eval_poly_at(e.field, f.den, e.u_image)
 
 
 def _eval_poly_at(field, poly, x):
@@ -378,10 +371,10 @@ def _expand_point(field, u_val, v_val, prec):
     F = field.constants
     monos = field.monomials
     at = (v_val, u_val)
-    if _eval_monomials(F, monos, at) != 0:
+    if F.eval_monomials(monos, at) != 0:
         raise FuncFieldError("point is not on the curve")
-    dv_p = _eval_monomials(F, _partial(monos, 0), at)
-    du_p = _eval_monomials(F, _partial(monos, 1), at)
+    dv_p = F.eval_monomials(_partial(monos, 0), at)
+    du_p = F.eval_monomials(_partial(monos, 1), at)
     if dv_p == 0 and du_p == 0:
         raise FuncFieldError("singular point")
     swap = dv_p == 0

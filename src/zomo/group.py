@@ -9,6 +9,7 @@ trivial subgroup) or from explicit permutations.
 """
 
 from array import array
+from operator import itemgetter
 
 from . import ZomoError, coset
 from .words import Presentation, parse_presentation  # noqa: F401 (re-export)
@@ -135,13 +136,10 @@ def analyze_presentation(text):
     return coset_enumerate(parse_presentation(text))
 
 
-def _compose(a, b):
-    """Apply a then b."""
-    return [b[x] for x in a]
-
-
 def group_from_permutations(gens, gen_names=None) -> FiniteGroup:
-    """Close a list of permutations of {0..n-1} under composition."""
+    """Close a list of permutations of {0..n-1} under composition, in one
+    breadth-first walk over the growing element list that numbers each new
+    product p then g and records its index in the map of g."""
     if not gens:
         raise GroupError("need at least one generator permutation")
     n = len(gens[0])
@@ -151,20 +149,17 @@ def group_from_permutations(gens, gen_names=None) -> FiniteGroup:
     ident = tuple(range(n))
     index = {ident: 0}
     elements = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(_compose(p, g))
-                if q not in index:
-                    index[q] = len(elements)
-                    elements.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    order = len(elements)
-    maps = []
-    for g in gens:
-        maps.append([index[tuple(_compose(p, g))] for p in elements])
-    return FiniteGroup(order, maps, gen_names=gen_names,
+    maps = [[] for _ in gens]
+    for p in elements:  # grows while walked
+        # itemgetter(*p)(g) is (g[p[0]], g[p[1]], ...); for n < 2 every
+        # permutation is the identity and the product is g itself
+        compose = itemgetter(*p) if n > 1 else tuple
+        for g, m in zip(gens, maps):
+            q = compose(g)
+            i = index.get(q)
+            if i is None:
+                i = index[q] = len(elements)
+                elements.append(q)
+            m.append(i)
+    return FiniteGroup(len(elements), maps, gen_names=gen_names,
                        perms=[list(p) for p in elements])

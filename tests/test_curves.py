@@ -2,7 +2,7 @@ import pytest
 
 from zomo import analysis, catalog, curves
 from zomo.field import PrimeField
-from zomo.funcfield import valuation_at
+from zomo.funcfield import Endo, apply_endo, valuation_at
 
 
 def test_enumerate_points_line():
@@ -151,6 +151,46 @@ def test_invariant_t():
     endos = curves.x0_endos(field)
     assert len(endos) == 81
     assert curves.verify_invariant_function(t, endos)
+
+
+@pytest.fixture(scope="module")
+def x0_field_and_endos():
+    field = curves.x0_function_field(19)
+    return field, curves.x0_endos(field)
+
+
+def _x0_endos_by_composition(field):
+    """The 81 endos as each scaling composed with a2 twice over."""
+    C = field.constants
+    x, y = field.u(), field.v()
+    a2 = Endo(field, u_image=x / (y ** 3), v_image=x / (y ** 2))
+    out = []
+    for lam in curves.roots_of_unity(C, 3):
+        for mu in curves.roots_of_unity(C, 9):
+            e = Endo(field, u_image=field.from_int(lam) * x,
+                     v_image=field.from_int(mu) * y)
+            for _ in range(3):
+                out.append(e)
+                e = e.compose(a2)
+    return out
+
+
+def test_x0_endos_match_composition(x0_field_and_endos):
+    field, endos = x0_field_and_endos
+    assert ([(e.u_image, e.v_image) for e in endos]
+            == [(e.u_image, e.v_image)
+                for e in _x0_endos_by_composition(field)])
+
+
+def test_invariance_check_can_fail(x0_field_and_endos):
+    field, endos = x0_field_and_endos
+    x = field.u()
+    t = curves.x0_invariant_t(field)
+    for f in (x, t + x):
+        assert not curves.verify_invariant_function(f, endos)
+        # endo by endo, the inverse-free check agrees with apply_endo
+        assert ([curves.verify_invariant_function(f, [e]) for e in endos]
+                == [apply_endo(e, f) == f for e in endos])
 
 
 def test_invariant_t_pole_orders():

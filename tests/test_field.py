@@ -135,8 +135,58 @@ def test_ext_field_rejects_non_elements(bad):
         F6859.mul(bad, F6859.zero)
     with pytest.raises(FieldError, match=re.escape(repr(bad))):
         F6859.inv(bad)
+    with pytest.raises(FieldError, match=re.escape(repr(bad))):
+        F6859.eval_monomials((((1, 1), 1),), (F6859.one, bad))
     with pytest.raises(ZeroDivisionError):
         F6859.inv(F6859.zero)
+
+
+# -- the C-level addition and the log-domain monomials against references ---
+
+@pytest.mark.parametrize("K", [F361, F6859], ids=repr)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_ext_add_sub_neg_match_coefficientwise_mod(K, data):
+    a, b = (data.draw(st.tuples(*[st.integers(0, 18)] * K.k)) for _ in "ab")
+    assert K.add(a, b) == tuple((x + y) % 19 for x, y in zip(a, b))
+    assert K.sub(a, b) == tuple((x - y) % 19 for x, y in zip(a, b))
+    assert K.neg(a) == tuple((-x) % 19 for x in a)
+
+
+def _ref_eval_monomials(C, monos, p):
+    """The monomial sum by repeated field multiplication."""
+    acc = C.zero
+    for exps, n in monos:
+        term = C.from_int(n)
+        for coord, e in zip(p, exps):
+            for _ in range(e):
+                term = C.mul(term, coord)
+        acc = C.add(acc, term)
+    return acc
+
+
+@st.composite
+def _monomial_cases(draw):
+    C = draw(st.sampled_from([F19, F361, F6859]))
+    elements = (st.integers(0, 18) if C is F19
+                else st.tuples(*[st.integers(0, 18)] * C.k))
+    # zero coordinates, coefficients that vanish mod 19, negative
+    # coefficients and exponent 0 all come up often
+    coord = st.one_of(st.just(C.zero), elements)
+    coeff = st.one_of(st.sampled_from([0, 19, -19, 38, -1]),
+                      st.integers(-60, 60))
+    nvars = draw(st.integers(1, 3))
+    monos = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 4)] * nvars),
+                                    coeff), max_size=5))
+    p = draw(st.tuples(*[coord] * nvars))
+    return C, tuple(monos), p
+
+
+@given(_monomial_cases())
+@settings(max_examples=300, deadline=None)
+def test_eval_monomials_matches_repeated_mul(case):
+    C, monos, p = case
+    assert C.eval_monomials(monos, p) == _ref_eval_monomials(C, monos, p)
 
 
 coeffs = st.lists(st.integers(0, 18), min_size=0, max_size=5)

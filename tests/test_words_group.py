@@ -126,3 +126,63 @@ def test_eval_word_with_assignment():
     G = group_from_permutations([[1, 2, 0]], gen_names=("r",))
     w = parse_word("r^2", ("r",))
     assert G.eval_word(w) == G.power(G.gens[0], 2)
+
+
+# -- the one-pass closure against the two-pass closure it replaced ----------
+
+def _two_pass_closure(gens):
+    """(perms, gen_maps) of the closure as a frontier-by-frontier search
+    followed by a second pass that composes every element with every
+    generator."""
+    def compose(a, b):
+        return [b[x] for x in a]
+
+    ident = tuple(range(len(gens[0])))
+    index = {ident: 0}
+    elements = [ident]
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(compose(p, g))
+                if q not in index:
+                    index[q] = len(elements)
+                    elements.append(q)
+                    nxt.append(q)
+        frontier = nxt
+    maps = [[index[tuple(compose(p, g))] for p in elements] for g in gens]
+    return [list(p) for p in elements], maps
+
+
+def _assert_matches_two_pass(gens):
+    G = group_from_permutations(gens)
+    perms, maps = _two_pass_closure(gens)
+    assert G.order == len(perms)
+    assert G.perms == perms
+    assert [list(m) for m in G.gen_maps] == maps
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_one_pass_closure_matches_two_pass_on_random_perms(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        p = list(range(n))
+        rng.shuffle(p)
+        gens.append(p)
+    _assert_matches_two_pass(gens)
+
+
+def test_one_pass_closure_matches_two_pass_on_curve_actions(genus28,
+                                                            fermat_group):
+    for G in (genus28[0], fermat_group[0]):
+        _assert_matches_two_pass([G.perms[g] for g in G.gens])
+
+
+def test_one_pass_closure_on_a_one_point_domain():
+    G = group_from_permutations([[0]])
+    assert G.order == 1
+    assert G.perms == [[0]]
+    _assert_matches_two_pass([[0], [0]])
