@@ -132,14 +132,6 @@ def frattini(G: FiniteGroup) -> Subgroup:
     return subgroup_closure(G, seeds)
 
 
-def frattini_by_intersection(G: FiniteGroup) -> Subgroup:
-    """Cross-check oracle: intersection of all maximal subgroups."""
-    common = None
-    for M in maximal_subgroups(G):
-        common = M.member_set if common is None else common & M.member_set
-    return Subgroup(G, tuple(sorted(common)))
-
-
 def quotient(G: FiniteGroup, N: Subgroup):
     """Quotient group G/N with the natural projection.
 

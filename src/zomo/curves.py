@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import ZomoError
 from .field import ExtField, PrimeField, _normalize, _power_table
 from .funcfield import Endo, FunctionField, _partial, _substitute
-from .group import FiniteGroup, group_from_permutations
+from .group import group_from_permutations
 
 
 class CurveError(ZomoError, ValueError):
@@ -273,32 +273,6 @@ def automorphism_group(maps, curve: PlaneCurve, q, k_max=4):
     return _closure(maps, lambda k: enumerate_points(curve, q, k), k_max)
 
 
-def orbit_structure(G: FiniteGroup, npoints):
-    """Sorted (orbit size, count) pairs for the action on 0..npoints-1.
-
-    Requires a group built from permutations of that domain.
-    """
-    gen_perms = [G.perms[g] for g in G.gens]
-    seen = [False] * npoints
-    sizes = {}
-    for start in range(npoints):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        size = 0
-        while stack:
-            p = stack.pop()
-            size += 1
-            for perm in gen_perms:
-                im = perm[p]
-                if not seen[im]:
-                    seen[im] = True
-                    stack.append(im)
-        sizes[size] = sizes.get(size, 0) + 1
-    return sorted(sizes.items())
-
-
 def fixed_points(perm):
     return [i for i, j in enumerate(perm) if i == j]
 
@@ -311,10 +285,6 @@ def verify_invariant_function(f, endos):
 
 # ---------------------------------------------------------------------------
 # the named curves
-
-def hesse_curve():
-    return PlaneCurve.make("hesse", {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
-
 
 def x0_curve():
     # affine y^9 + x^6 + x^3 = 0; the singular points are (0:0:1), (1:0:0)
@@ -413,18 +383,6 @@ def x0_branch_x_values(q=19):
     C = PrimeField(q)
     return sorted(x for x in C.elements()
                   if C.add(C.mul(x, C.mul(x, x)), C.one) == C.zero)
-
-
-def elimination_check(q=19):
-    """On x^3 + y^3 + 1 = 0, a cube root z of x/y^2 satisfies
-    z^9 y^6 + y^3 + 1 = 0; returns the eliminated plane model."""
-    field = FunctionField(PrimeField(q), {(3, 0): 1, (0, 3): 1, (0, 0): 1},
-                          u_name="y", v_name="x")
-    x, y = field.v(), field.u()
-    z3 = x / (y ** 2)
-    if not (z3 ** 3 * y ** 6 + y ** 3 + field.one).is_zero():
-        raise CurveError("elimination identity failed")
-    return {(9, 6): 1, (0, 3): 1, (0, 0): 1}  # {(z-exp, y-exp): coeff}
 
 
 # ---------------------------------------------------------------------------

@@ -151,16 +151,6 @@ def _canonical(field, nums, den):
 
 
 @dataclass(frozen=True)
-class RatFunc:
-    """One coefficient of an FFElem in lowest terms, den monic."""
-    num: tuple
-    den: tuple
-
-    def is_zero(self):
-        return not self.num
-
-
-@dataclass(frozen=True)
 class FFElem:
     """sum nums[i] v^i / den: n numerators in F_p[u] over one monic
     denominator that has no common factor with all of them, so two FFElems
@@ -268,17 +258,6 @@ class FFElem:
 
     def is_zero(self):
         return not any(self.nums)
-
-    @property
-    def coeffs(self):
-        """The coefficient of each v^i as a RatFunc in lowest terms."""
-        F = self.field.constants
-        out = []
-        for num in self.nums:
-            g = polys.pgcd(F, num, self.den)
-            out.append(RatFunc(polys.pdivmod(F, num, g)[0],
-                               polys.pdivmod(F, self.den, g)[0]))
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -438,37 +417,31 @@ def poly_str(poly, var):
     return " + ".join(parts)
 
 
-def ratfunc_str(r: RatFunc, var):
-    num = poly_str(r.num, var)
-    if r.den == (1,):
-        return num
-    return "(%s)/(%s)" % (num, poly_str(r.den, var))
-
-
 def ffelem_str(f: FFElem):
     """Canonical display: terms in descending powers of the algebraic
-    generator, each rational-function coefficient in lowest terms and
-    parenthesized."""
+    generator, each rational-function coefficient num/den in lowest terms
+    and parenthesized."""
     field = f.field
+    F, u = field.constants, field.u_name
     parts = []
-    for i, c in reversed(list(enumerate(f.coeffs))):
-        if c.is_zero():
+    for i, num in reversed(list(enumerate(f.nums))):
+        if not num:
             continue
+        g = polys.pgcd(F, num, f.den)
+        num = polys.pdivmod(F, num, g)[0]
+        den = polys.pdivmod(F, f.den, g)[0]
+        coeff = poly_str(num, u)
+        if den != (1,):
+            coeff = "(%s)/(%s)" % (coeff, poly_str(den, u))
         if i == 0:
-            parts.append(ratfunc_str(c, field.u_name))
+            parts.append(coeff)
             continue
-        vterm = field.v_name if i == 1 else "%s^%d" % (field.v_name, i)
-        if c == RatFunc((1,), (1,)):
-            parts.append(vterm)
-        elif c.den == (1,) and len([t for t in c.num if t != 0]) == 1:
-            parts.append("%s%s" % (poly_str(c.num, field.u_name), vterm))
-        else:
-            num = poly_str(c.num, field.u_name)
-            if c.den == (1,):
-                parts.append("(%s)%s" % (num, vterm))
-            else:
-                parts.append("(%s)/(%s)%s"
-                             % (num, poly_str(c.den, field.u_name), vterm))
+        if den == (1,) and sum(1 for c in num if c) > 1:
+            coeff = "(%s)" % coeff
+        elif coeff == "1":
+            coeff = ""
+        parts.append(coeff + (field.v_name if i == 1
+                              else "%s^%d" % (field.v_name, i)))
     return " + ".join(parts) if parts else "0"
 
 

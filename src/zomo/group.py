@@ -79,10 +79,6 @@ class FiniteGroup:
             self._inv[b] = a
         return b
 
-    def conj(self, a, g):
-        """g^-1 * a * g, from the rows of a, g and g^-1."""
-        return self.row(self.inv(g))[self.row(a)[g]]
-
     def comm(self, a, b):
         """[a, b] = a^-1 b^-1 a b, from the rows of a, b and their inverses."""
         return self.row(self.inv(a))[self.row(self.inv(b))[self.row(a)[b]]]
@@ -120,10 +116,6 @@ class FiniteGroup:
                 raise GroupError("unassigned symbol %r" % (self.gen_names[g],))
             acc = self.mult(acc, self.power(x, e))
         return acc
-
-    def regular_perms(self):
-        """The left-regular permutation of each element (always faithful)."""
-        return [list(self.row(a)) for a in range(self.order)]
 
 
 def coset_enumerate(pres: Presentation, max_cosets=100000) -> FiniteGroup:

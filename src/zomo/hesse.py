@@ -1,20 +1,21 @@
 """The plane cubic X^3 + Y^3 + Z^3 = 0: points, chord-tangent group law,
-and translations as symbolic function-field endomorphisms.
+and translations as function-field endomorphisms.
 
 The group law uses the polarization of the Fermat cubic F: restricted to the
 line s*A + t*B through curve points A, B, F factors as s*t*(s*c1 + t*c2) with
 c1 = 3 sum A_i^2 B_i and c2 = 3 sum A_i B_i^2, so the third intersection is
 c2*A - c1*B.  The tangential point has the classical closed form
-(X(Z^3-Y^3) : Y(X^3-Z^3) : Z(Y^3-X^3)).  Both formulas are polynomial, so
-they evaluate equally well on constant coordinates and on generic symbolic
-coordinates, which is how translation maps become endomorphisms.
+(X(Z^3-Y^3) : Y(X^3-Z^3) : Z(Y^3-X^3)).  A translation's endomorphism is the
+chord formula for a constant point and the generic point (x : y : 1),
+written out in closed form, followed by the negation (X : Y : Z) ->
+(Z : Y : X) that the inflection identity (-1 : 0 : 1) gives.
 """
 
 from dataclasses import dataclass
 
 from . import ZomoError
 from .field import _normalize, _power_table
-from .funcfield import Endo, FuncFieldError, FunctionField
+from .funcfield import Endo, FunctionField
 
 
 class HesseError(ZomoError, ValueError):
@@ -198,35 +199,23 @@ def hesse_function_field(q_field):
                          u_name="y", v_name="x")
 
 
-def _sym_third(field, A, B):
-    """Chord formula on symbolic projective triples (A constant, B generic)."""
-    c1 = field.zero
-    c2 = field.zero
-    for ai, bi in zip(A, B):
-        c1 = c1 + ai * ai * bi
-        c2 = c2 + ai * bi * bi
-    return tuple(c2 * ai - c1 * bi for ai, bi in zip(A, B))
-
-
-def translation_endo(field: FunctionField, group: EllipticGroup,
-                     t: HessePoint) -> Endo:
+def translation_endo(field: FunctionField, t: HessePoint) -> Endo:
     """Translation by t, p -> t + p, as a function-field endomorphism.
 
-    Computed by running the chord construction on the generic point
-    p = (x, y, 1): the sum is O * (t * p) where * is the third-intersection
-    operator.  For t = O this is the identity.
+    For t = (a : b : c) and the generic point p = (x : y : 1), the chord
+    formula gives t * p = (r0 : r1 : r2) with
+        r0 = ab y^2 + ac - (b^2 y + c^2) x,
+        r1 = ab x^2 - a^2 y x + bc - c^2 y,
+        r2 = ac x^2 - a^2 x + bc y^2 - b^2 y,
+    and t + p = -(t * p) = (r2 : r1 : r0), since -(X : Y : Z) = (Z : Y : X)
+    for the identity O = (-1 : 0 : 1).  For t = O this is the identity.
     """
-    if t == group.O:
-        return Endo(field, field.u(), field.v())
-    T = tuple(field.from_int(c) for c in t.coords)
-    O = tuple(field.from_int(c) for c in group.O.coords)
-    u = _sym_third(field, T, (field.v(), field.u(), field.one))
-    w = _sym_third(field, O, u)
-    if w[2].is_zero():
-        raise FuncFieldError("translation image not in the affine chart")
-    x_img = w[0] / w[2]
-    y_img = w[1] / w[2]
-    return Endo(field, u_image=y_img, v_image=x_img)
+    a, b, c = t.coords
+    r0 = field.elem(((a * c, 0, a * b), (-c * c, -b * b)))
+    r1 = field.elem(((b * c, -c * c), (0, -a * a), (a * b,)))
+    r2 = field.elem(((0, -b * b, b * c), (-a * a,), (a * c,)))
+    inv = r0.inverse()
+    return Endo(field, u_image=r1 * inv, v_image=r2 * inv)
 
 
 def scaling_endo(field: FunctionField, eps) -> Endo:

@@ -46,32 +46,20 @@ def translation_sylow3(q):
 
 
 def _sylow_generators(E, pts, invariants):
-    """Two independent points generating the 3-Sylow group."""
+    """Two points generating the 3-Sylow group A: g1 the first point of
+    order d1, and g2 the first point of order d2 = |A|/d1 whose image
+    generates A/<g1>, i.e. whose multiple (d2/3) g2 lies outside <g1>
+    (g2 = O when A is cyclic)."""
     d1 = max(invariants)
+    d2 = len(pts) // d1
     g1 = next(p for p in pts if E.order_of(p) == d1)
-    best = None
+    if d2 == 1:
+        return g1, E.O
+    span1 = set(E.multiples(g1))
     for p in pts:
-        if _spans(E, g1, p, len(pts)):
-            if best is None or E.order_of(p) < E.order_of(best):
-                best = p
-    if best is None:
-        raise KummerError("3-Sylow subgroup is not 2-generated (internal)")
-    return g1, best
-
-
-def _spans(E, a, b, target):
-    """Whether the multiples of a, each translated by every multiple of b,
-    cover ``target`` points; walks point indices through E's table."""
-    row_b = E.table[E.index[b]]
-    order_b = E.order_of(b)
-    seen = set()
-    for p in E.multiples(a):
-        i = E.index[p]
-        seen.add(i)
-        for _ in range(order_b):
-            i = row_b[i]
-            seen.add(i)
-    return len(seen) == target
+        if E.order_of(p) == d2 and E.multiples(p)[d2 // 3] not in span1:
+            return g1, p
+    raise KummerError("3-Sylow subgroup is not 2-generated (internal)")
 
 
 @dataclass(frozen=True)
@@ -142,13 +130,6 @@ def _theta_cosets(E, U, S):
     return (tuple(S), th2, th3)
 
 
-def stabilizer_of_base(data: GbarData):
-    """Elements of Gbar fixing the base point; should be <alpha>, order 3."""
-    iO = data.E.index[data.E.O]
-    return [e for e in range(data.group.order)
-            if data.group.perms[e][iO] == iO]
-
-
 def line_slope(E, Q: HessePoint):
     """Slope m of the line m X - Y + m Z = 0 through P = (-1,0,1) and Q."""
     F = E.C
@@ -159,10 +140,10 @@ def line_slope(E, Q: HessePoint):
     return F.mul(q1, F.inv(d))
 
 
-def phi_pullbacks(field, E, translations):
+def phi_pullbacks(field, translations):
     """The pullbacks u_T of y/(x+1) under the translations."""
     s = field.u() / (field.v() + field.one)
-    return [apply_endo(translation_endo(field, E, T), s)
+    return [apply_endo(translation_endo(field, T), s)
             for T in translations]
 
 
@@ -301,8 +282,7 @@ def _cached_gbar(q):
 
 def _cached_pullbacks(field, data: GbarData):
     if data.q not in _LIFT_CACHE:
-        _LIFT_CACHE[data.q] = phi_pullbacks(field, data.E,
-                                            data.phi_translations)
+        _LIFT_CACHE[data.q] = phi_pullbacks(field, data.phi_translations)
     return _LIFT_CACHE[data.q]
 
 
@@ -395,7 +375,7 @@ def small_construction(q=19):
     if Q not in theta[1]:
         raise KummerError("expected (1, -1, 0) in theta_2")
     m = line_slope(E, Q)
-    w = build_w(field, m, phi_pullbacks(field, E, S))
+    w = build_w(field, m, phi_pullbacks(field, S))
     alpha_endo = scaling_endo(field, F.from_int(epsilon))
     delta_endo = _rotation_endo(field)
     return SmallConstruction(

@@ -15,13 +15,21 @@ def test_center_heisenberg():
     assert analysis.is_normal(G, Z)
 
 
+def _frattini_by_intersection(G):
+    """Cross-check oracle: intersection of all maximal subgroups."""
+    common = None
+    for M in analysis.maximal_subgroups(G):
+        common = M.member_set if common is None else common & M.member_set
+    return analysis.Subgroup(G, tuple(sorted(common)))
+
+
 def test_derived_and_frattini_heisenberg():
     G = analyze_presentation(HEIS)
     D = analysis.derived_subgroup(G)
     Phi = analysis.frattini(G)
     assert len(D.members) == 3
     assert D.members == Phi.members
-    assert analysis.frattini_by_intersection(G).members == Phi.members
+    assert _frattini_by_intersection(G).members == Phi.members
 
 
 def test_nilpotency_class():
@@ -125,8 +133,7 @@ def test_subgroup_closure_and_normal_closure():
 
 def test_regular_representation_faithful():
     G = analyze_presentation(HEIS)
-    perms = G.regular_perms()
-    H = group_from_permutations([perms[g] for g in G.gens])
+    H = group_from_permutations([list(G.row(g)) for g in G.gens])
     assert H.order == G.order
 
 

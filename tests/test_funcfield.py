@@ -246,6 +246,20 @@ def test_serialization():
     assert poly_str((1, 0, 3), "t") == "3t^2 + 1"
 
 
+def test_serialization_branches():
+    # one element per branch of ffelem_str: zero, a bare generator, a
+    # one-term coefficient, a parenthesized sum, a constant-term fraction
+    # and a fraction before the generator
+    f = hesse_field()
+    cases = [(f.zero, "0"),
+             (f.v(), "x"),
+             (f.elem(((), (0, 3))), "3yx"),
+             (f.elem(((), (1, 0, 1))), "(y^2 + 1)x"),
+             (f.elem(((1,),), (0, 1)), "(1)/(y)"),
+             (f.elem(((), (16,)), (0, 0, 1)), "(16)/(y^2)x")]
+    assert [ffelem_str(e) for e, _ in cases] == [s for _, s in cases]
+
+
 def test_factorization_identity():
     assert lemma_factorization_check(PrimeField(19))
     assert lemma_factorization_check(PrimeField(23))

@@ -68,10 +68,13 @@ def test_table_matches_chord_tangent_law(F):
     (19, (4, 5, 1), (0, 8, 1)),
     (73, (2, 4, 1), (7, 33, 1)),
     (271, (3, 23, 1), (2, 132, 1)),
+    (757, (2, 249, 1), (4, 410, 1)),
+    (2269, (6, 107, 1), (3, 186, 1)),
 ])
 def test_sylow_generators_pinned(q, g1, g2):
-    # the generators the point-by-point span test chose; the table-driven
-    # span test must choose the same ones, or Gbar's element order changes
+    # the generators the span search over every point pair chose; the
+    # one-pass choice must pick the same ones, or Gbar's element order
+    # changes
     E, pts, invariants = kummer.translation_sylow3(q)
     got = kummer._sylow_generators(E, pts, invariants)
     assert tuple(p.coords for p in got) == (g1, g2)
@@ -132,39 +135,39 @@ def test_cube_roots_and_scaling():
 
 
 def test_translation_endo_matches_point_addition():
-    E = hesse.EllipticGroup(F19)
-    field = hesse.hesse_function_field(F19)
-    T = next(p for p in E.points if p != E.O and p.coords[2] != 0)
-    endo = hesse.translation_endo(field, E, T)
-    # evaluate the symbolic translation at affine points and compare
-    for p in E.points:
-        if p.coords[2] == 0:
-            continue
-        s = E.add(T, p)
-        if s.coords[2] == 0:
-            continue
-        x, y = p.coords[0], p.coords[1]
-        # u_image is the new y, v_image the new x
-        got_y = _eval_ffelem(field, endo.u_image, x, y)
-        got_x = _eval_ffelem(field, endo.v_image, x, y)
-        if got_y is None or got_x is None:
-            continue
-        assert (got_x, got_y) == (s.coords[0], s.coords[1])
+    # the closed-form translation against the table's point addition, for
+    # every T (O and the points at infinity included) at every affine point
+    for F in (F19, F73):
+        E = hesse.EllipticGroup(F)
+        field = hesse.hesse_function_field(F)
+        for T in E.points:
+            endo = hesse.translation_endo(field, T)
+            checked = 0
+            for p in E.points:
+                s = E.add(T, p)
+                if p.coords[2] == 0 or s.coords[2] == 0:
+                    continue
+                x, y = p.coords[0], p.coords[1]
+                # u_image is the new y, v_image the new x
+                got_y = _eval_ffelem(F, endo.u_image, x, y)
+                got_x = _eval_ffelem(F, endo.v_image, x, y)
+                if got_y is None or got_x is None:
+                    continue
+                assert (got_x, got_y) == (s.coords[0], s.coords[1])
+                checked += 1
+            assert checked > 0
 
 
-def _eval_ffelem(field, f, x_val, y_val):
-    """Evaluate an element at an affine point; None when a pole interferes."""
-    C = field.constants
+def _eval_ffelem(C, f, x_val, y_val):
+    """Evaluate sum nums[i] x^i / den at an affine point; None when the
+    denominator vanishes there."""
+    den = _eval_poly(C, f.den, y_val)
+    if den == C.zero:
+        return None
     acc = C.zero
-    xp = C.one
-    for coeff in f.coeffs:
-        num = _eval_poly(C, coeff.num, y_val)
-        den = _eval_poly(C, coeff.den, y_val)
-        if den == C.zero:
-            return None
-        acc = C.add(acc, C.mul(C.mul(num, C.inv(den)), xp))
-        xp = C.mul(xp, x_val)
-    return acc
+    for num in reversed(f.nums):
+        acc = C.add(C.mul(acc, x_val), _eval_poly(C, num, y_val))
+    return C.mul(acc, C.inv(den))
 
 
 def _eval_poly(C, poly, v):

@@ -1,5 +1,6 @@
-"""Layout checks on the package source: no function without a caller, and
-one base class for every error the package raises."""
+"""Layout checks on the package source: no function without a caller, none
+that only the tests or the benchmark call, and one base class for every
+error the package raises."""
 
 import ast
 import importlib
@@ -23,12 +24,12 @@ def _defined_functions(path, text):
             yield node.name, node.lineno
 
 
-def test_every_function_is_referenced():
-    """Each function or method name occurs as a word in the package, the
-    tests or the benchmark somewhere other than its own ``def`` line."""
+def _unreferenced(dirs):
+    """(file:line, name) of each package function or method whose name
+    occurs as a word in no .py file of ``dirs`` other than on its own
+    ``def`` line."""
     lines = {path: path.read_text().splitlines()
-             for d in (PKG, ROOT / "tests", ROOT / "bench")
-             for path in sorted(d.glob("*.py"))}
+             for d in dirs for path in sorted(d.glob("*.py"))}
     unreferenced = []
     for path in sorted(PKG.glob("*.py")):
         for name, lineno in _defined_functions(path, "\n".join(lines[path])):
@@ -37,8 +38,29 @@ def test_every_function_is_referenced():
                        for other, text in lines.items()
                        for i, line in enumerate(text, 1)
                        if (other, i) != (path, lineno)):
-                unreferenced.append("%s:%d %s" % (path.name, lineno, name))
-    assert unreferenced == []
+                unreferenced.append(("%s:%d" % (path.name, lineno), name))
+    return unreferenced
+
+
+def test_every_function_is_referenced():
+    """Each function or method name occurs as a word in the package, the
+    tests or the benchmark somewhere other than its own ``def`` line."""
+    assert _unreferenced((PKG, ROOT / "tests", ROOT / "bench")) == []
+
+
+# Kept without a caller in the package until the open items that wire them
+# land: the extremal-type classification (is_extremal, abelian_bound_check)
+# and the Kummer divisor check at every place (verify_w_divisor).
+PACKAGE_UNCALLED = {"is_extremal", "abelian_bound_check", "verify_w_divisor"}
+
+
+def test_every_function_is_referenced_in_the_package():
+    """The same with the package alone as the place to look: a helper that
+    only the tests or the benchmark call belongs in them.  The names in
+    PACKAGE_UNCALLED are the exceptions, and each must still be one."""
+    found = _unreferenced((PKG,))
+    assert [f for f in found if f[1] not in PACKAGE_UNCALLED] == []
+    assert {name for _, name in found} == PACKAGE_UNCALLED
 
 
 def test_every_exception_derives_from_zomo_error():
