@@ -1,15 +1,17 @@
 """Structural invariants of finite groups.
 
-Centers, derived and Frattini subgroups, ascending central series, maximal
-subgroups, quotients, element-order censuses, minimal non-abelian subgroup
-search, and an isomorphism-invariant fingerprint used in place of database
+Centers, derived and Frattini subgroups, ascending central series,
+quotients, element-order censuses, minimal non-abelian subgroup search, and
+an isomorphism-invariant fingerprint used in place of database
 identification.  They multiply through generators (``FiniteGroup.gen_maps``
 and the Cayley rows of a few elements), never through the whole table.
-Most routines assume (and some require) a group of 3-power order, which is
-the only case exercised here.
+Element orders are counted one cyclic subgroup at a time, and maximal
+subgroups are counted from the Frattini index (Burnside's basis theorem:
+|G:Phi(G)| = 3^r gives (3^r - 1)/2 of them), not listed.  Most routines
+assume (and some require) a group of 3-power order, which is the only case
+exercised here.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
@@ -37,11 +39,14 @@ class Subgroup:
         return frozenset(self.members)
 
     def as_group(self):
-        """Materialize the subgroup as a FiniteGroup of its own."""
+        """The subgroup as a FiniteGroup of its own, from the rows of its
+        generators.  Those rows multiply on the left, so this is the
+        opposite group H^op (isomorphic to H by inversion): use it only
+        for isomorphism invariants."""
         G = self.parent
-        gens = generators_of(G, self.members)
         index = {x: i for i, x in enumerate(self.members)}
-        maps = [[index[G.mult(x, g)] for x in self.members] for g in gens]
+        maps = [[index[row[x]] for x in self.members]
+                for row in map(G.row, generators_of(G, self.members))]
         return FiniteGroup(len(self.members), maps)
 
 
@@ -165,67 +170,18 @@ def is_maximal_class(G: FiniteGroup):
     return nilpotency_class(G) == m - 1
 
 
-def maximal_subgroups(G: FiniteGroup):
-    """All maximal subgroups of a 3-group, via index-3 subgroups of G/Frattini."""
-    _require_3group(G)
-    if G.order == 1:
-        return []
-    Phi = frattini(G)
-    Q, proj = quotient(G, Phi)
-    for x in range(1, Q.order):
-        if Q.power(x, 3) != 0:
-            raise GroupError("Frattini quotient is not elementary abelian")
-    out = []
-    for keep in _index3_subgroups_elem_abelian(Q):
-        members = tuple(sorted(x for x in range(G.order) if proj[x] in keep))
-        out.append(Subgroup(G, members))
-    out.sort(key=lambda s: s.members)
-    return out
-
-
-def _index3_subgroups_elem_abelian(Q: FiniteGroup):
-    """Member sets of all index-3 subgroups of an elementary abelian 3-group.
-
-    These are the kernels of the nonzero functionals Q -> F3, taken up to
-    scalar by fixing the first nonzero coordinate to 1.
-    """
-    import itertools
-
-    r = _log3(Q.order)
-    basis = []
-    span = Subgroup(Q, (0,))
-    for x in range(1, Q.order):
-        if x not in span.member_set:
-            basis.append(x)
-            span = subgroup_closure(Q, basis)
-            if len(basis) == r:
-                break
-    coord = {}
-    for vec in itertools.product(range(3), repeat=r):
-        e = 0
-        for b, c in zip(basis, vec):
-            e = Q.mult(e, Q.power(b, c))
-        coord[e] = vec
-    kernels = []
-    for f in itertools.product(range(3), repeat=r):
-        nz = next((i for i, c in enumerate(f) if c), None)
-        if nz is None or f[nz] != 1:
-            continue
-        kernels.append(frozenset(
-            e for e, v in coord.items()
-            if sum(a * b for a, b in zip(f, v)) % 3 == 0))
-    return kernels
-
-
 def order_census(G: FiniteGroup, restrict_outside: Subgroup | None = None):
-    """Map element order -> count, optionally restricted to G minus a subgroup."""
-    excluded = restrict_outside.member_set if restrict_outside else frozenset()
-    counts = Counter()
-    for x in range(G.order):
-        if x in excluded:
-            continue
-        counts[G.element_order(x)] += 1
-    return dict(counts)
+    """Map element order -> count, optionally restricted to G minus a
+    subgroup H, for a 3-group.  A cyclic subgroup of order o > 1 has 2o/3
+    generators, all in H or all outside it, so each is counted through its
+    least generator."""
+    _require_3group(G)
+    H = restrict_outside
+    counts = {1: 1} if H is None else {}
+    for x, o in _cyclic_generators(G):
+        if H is None or x not in H:
+            counts[o] = counts.get(o, 0) + 2 * o // 3
+    return counts
 
 
 def exponent_of_complement(G: FiniteGroup, H: Subgroup):
@@ -239,7 +195,8 @@ def minimal_nonabelian_subgroups(G: FiniteGroup):
     A pair (a, b) with c = [a, b] != 1, c of order 3 and c central in <a, b>
     generates a subgroup with derived subgroup <c> of order 3, which is the
     minimal non-abelian criterion for 2-generated 3-groups.  Each candidate
-    is verified directly: all its maximal subgroups must be abelian.
+    is verified by Redei's criterion: |H'| = 3 and |H:Phi(H)| = 9, which
+    holds exactly when H is non-abelian with every maximal subgroup abelian.
 
     Neither the filter nor <a, b> changes when a or b is replaced by a power
     prime to 3, so a and b run over one generator per cyclic subgroup.  Once
@@ -247,7 +204,7 @@ def minimal_nonabelian_subgroups(G: FiniteGroup):
     then abelian or H itself.
     """
     _require_3group(G)
-    reps = _cyclic_generators(G)
+    reps = [x for x, _ in _cyclic_generators(G)]
     seen, out = set(), []
     for i, a in enumerate(reps):
         ra = G.row(a)
@@ -271,25 +228,25 @@ def minimal_nonabelian_subgroups(G: FiniteGroup):
 
 
 def _cyclic_generators(G: FiniteGroup):
-    """The least generator x of each nontrivial cyclic subgroup: x covers
-    every x^k with 3 not dividing k."""
+    """(x, order of x) for the least generator x of each nontrivial cyclic
+    subgroup of a 3-group: x covers every x^k with 3 not dividing k."""
     covered, reps = bytearray(G.order), []
     for x in range(1, G.order):
         if not covered[x]:
-            reps.append(x)
             row, y, k = G.row(x), x, 1
             while y:
                 if k % 3:
                     covered[y] = 1
                 y, k = row[y], k + 1
+            reps.append((x, k))
     return reps
 
 
 def _is_minimal_nonabelian(G: FiniteGroup, H: Subgroup):
-    if is_abelian_set(G, H.members):
-        return False
+    """Redei: a 3-group H is minimal non-abelian iff |H'| = 3 (so H is
+    non-abelian) and H is 2-generated, |H:Phi(H)| = 9."""
     Hg = H.as_group()
-    return all(is_abelian_set(Hg, M.members) for M in maximal_subgroups(Hg))
+    return len(derived_subgroup(Hg)) == 3 and Hg.order == 9 * len(frattini(Hg))
 
 
 def minimal_nonabelian_of_index3(G: FiniteGroup):
@@ -335,15 +292,16 @@ def abelian_invariants(G: FiniteGroup):
 
 
 def derived_length(G: FiniteGroup):
-    length = 0
-    cur = Subgroup(G, tuple(range(G.order)))
+    """Length of the derived series, walked inside G: each term is
+    characteristic in the one before, hence normal in G, so it is the normal
+    closure in G of the commutators of the previous term's generators."""
+    length, cur = 0, Subgroup(G, tuple(range(G.order)))
     while len(cur) > 1:
-        sub = cur.as_group()
-        der = derived_subgroup(sub)
-        cur = Subgroup(G, tuple(sorted(cur.members[i] for i in der.members)))
-        length += 1
-        if length > 20:
+        gens = generators_of(G, cur.members)
+        nxt = normal_closure(G, {G.comm(a, b) for a in gens for b in gens})
+        if nxt.members == cur.members:
             raise GroupError("derived series does not terminate")
+        cur, length = nxt, length + 1
     return length
 
 
@@ -368,7 +326,7 @@ def fingerprint(G: FiniteGroup) -> Fingerprint:
         nilpotency_class=nilpotency_class(G),
         abelianization=tuple(abelian_invariants(Q)),
         census=tuple(sorted(order_census(G).items())),
-        num_maximal=len(maximal_subgroups(G)),
+        num_maximal=(G.order // len(frattini(G)) - 1) // 2,
         num_minimal_nonabelian=len(minimal_nonabelian_subgroups(G)),
         derived_length=derived_length(G),
     )
@@ -399,23 +357,15 @@ def fundamental_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def is_metacyclic(G: FiniteGroup):
-    """Scan cyclic normal subgroups N and test G/N cyclic."""
-    seen = set()
-    for x in range(G.order):
+    """Scan the cyclic normal subgroups N of a 3-group, one per generator
+    walk, and test G/N cyclic (an element of order |G/N|)."""
+    for x, _ in [(0, 1)] + _cyclic_generators(G):
         N = subgroup_closure(G, [x])
-        if N.members in seen:
-            continue
-        seen.add(N.members)
-        if not is_normal(G, N):
-            continue
-        Q, _ = quotient(G, N)
-        if _is_cyclic(Q):
-            return True
+        if is_normal(G, N):
+            Q, _ = quotient(G, N)
+            if Q.order in order_census(Q):
+                return True
     return False
-
-
-def _is_cyclic(G: FiniteGroup):
-    return any(G.element_order(x) == G.order for x in range(G.order))
 
 
 def _log3(n):

@@ -230,10 +230,7 @@ def _prop_order3_outside(G, pres, *words):
 
 
 def _prop_exists_order_outside(G, pres, k, *words):
-    H = _subgroup(G, pres, words)
-    mem = H.member_set
-    return any(G.element_order(x) == int(k)
-               for x in range(G.order) if x not in mem)
+    return int(k) in analysis.order_census(G, _subgroup(G, pres, words))
 
 
 def _prop_identity(G, pres, lhs, rhs):

@@ -26,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import ZomoError, analysis, catalog, checks, curves, kummer
+from . import ZomoError, __version__, analysis, catalog, checks, curves, kummer
 from .genus import BoundQuery, enumerate_profiles, zomorrodian_bound
 from .group import analyze_presentation
 
@@ -34,11 +34,7 @@ TOOL_NAME = "artifact"
 
 
 def _tool_version():
-    try:
-        from importlib.metadata import version
-        return version(TOOL_NAME)
-    except Exception:
-        return "0.0"
+    return __version__
 
 
 class UsageError(ZomoError, ValueError):

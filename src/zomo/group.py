@@ -101,20 +101,11 @@ class FiniteGroup:
             k += 1
         return k
 
-    def eval_word(self, word, assignment=None):
-        """Evaluate a word; pairs refer to generator indices unless an
-        assignment dict {generator index or name: element} is given."""
+    def eval_word(self, word):
+        """Evaluate a word of (generator index, exponent) pairs."""
         acc = 0
         for g, e in word:
-            if assignment is None:
-                x = self.gens[g]
-            elif g in assignment:
-                x = assignment[g]
-            elif self.gen_names[g] in assignment:
-                x = assignment[self.gen_names[g]]
-            else:
-                raise GroupError("unassigned symbol %r" % (self.gen_names[g],))
-            acc = self.mult(acc, self.power(x, e))
+            acc = self.mult(acc, self.power(self.gens[g], e))
         return acc
 
 

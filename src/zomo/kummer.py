@@ -14,9 +14,10 @@ so that z^3 = w defines a cover of genus 3^h + 1.  The line slope m is the
 only free choice, and it changes w only by a constant, since div w =
 theta_2 + theta_3 - 2 theta_1 for every Q in theta_2: the product is formed
 for the first slope m0 only, and each other w is c_m w_{m0}, with c_m read
-off the products at one y0 in F_q.  The builder tries every slope (and both
-eps) and compares the emitted equation against a stored reference, exactly
-first and then up to a multiplicative constant that is a cube in F_q.
+off the products at one y0 in F_q.  The builder tries every slope, for the
+least primitive cube root eps only, and compares the emitted equation
+against a stored reference, exactly first and then up to a multiplicative
+constant that is a cube in F_q.
 """
 
 from dataclasses import dataclass
@@ -286,7 +287,7 @@ def _cached_pullbacks(field, data: GbarData):
     return _LIFT_CACHE[data.q]
 
 
-def build_kummer(q, golden_text=None):
+def build_kummer(q, golden_text):
     """Run the construction over F_q, trying every line slope, and report
     the best match against golden_text.  Each slope's w is c_m w_{m0} (see
     ``slope_ratios``).  Only the least primitive cube root is tried: the
@@ -307,9 +308,8 @@ def build_kummer(q, golden_text=None):
         eq = ffelem_str(w)
         if eq not in seen_equations:
             seen_equations.append(eq)
-        exact = golden_text is not None and eq == golden_text
-        wn = (None if golden_text is None or exact
-              else _monic_normalization(w))
+        exact = eq == golden_text
+        wn = None if exact else _monic_normalization(w)
         up_to_cube = wn is not None and ffelem_str(wn) == golden_text
         if best is None or exact or (up_to_cube and not best[1]):
             best = (exact, up_to_cube, Q, m, w, eq)

@@ -1,8 +1,11 @@
+import functools
+
 import pytest
 
+from oracles import maximal_subgroups
 from zomo import analysis, catalog
-from zomo.group import (GroupError, analyze_presentation, coset_enumerate,
-                        group_from_permutations)
+from zomo.group import (FiniteGroup, GroupError, analyze_presentation,
+                        coset_enumerate, group_from_permutations)
 
 HEIS = "<a, b | a^3, b^3, [a,b]^3, [[a,b],a], [[a,b],b]>"
 META27 = "<a, b | a^9, b^3, b^-1*a*b*a^-4>"
@@ -18,7 +21,7 @@ def test_center_heisenberg():
 def _frattini_by_intersection(G):
     """Cross-check oracle: intersection of all maximal subgroups."""
     common = None
-    for M in analysis.maximal_subgroups(G):
+    for M in maximal_subgroups(G):
         common = M.member_set if common is None else common & M.member_set
     return analysis.Subgroup(G, tuple(sorted(common)))
 
@@ -76,7 +79,7 @@ def test_order_census():
 
 def test_maximal_subgroups_two_generated():
     G = analyze_presentation(HEIS)
-    maxes = analysis.maximal_subgroups(G)
+    maxes = maximal_subgroups(G)
     assert len(maxes) == 4
     assert all(len(M.members) == 9 for M in maxes)
 
@@ -156,8 +159,10 @@ def _closure_by_mult(G, gens):
     return tuple(sorted(seen))
 
 
-def _pair_search_by_mult(G):
-    """The n^2/2 pair search: every pair a < b that passes the filter."""
+@functools.cache
+def _pair_search_subgroups(G):
+    """The subgroups <a, b> that the n^2/2 pair search meets: every pair
+    a < b that passes the filter."""
     def comm(a, b):
         return G.mult(G.mult(G.inv(a), G.inv(b)), G.mult(a, b))
 
@@ -172,7 +177,23 @@ def _pair_search_by_mult(G):
             members = _closure_by_mult(G, [a, b])
             if members not in seen:
                 seen[members] = analysis.Subgroup(G, members)
-    out = [H for H in seen.values() if analysis._is_minimal_nonabelian(G, H)]
+    return tuple(seen.values())
+
+
+def _minimal_nonabelian_by_definition(G, H):
+    """H is non-abelian and every maximal subgroup of H is abelian."""
+    if analysis.is_abelian_set(G, H.members):
+        return False
+    Hg = H.as_group()
+    return all(analysis.is_abelian_set(Hg, M.members)
+               for M in maximal_subgroups(Hg))
+
+
+def _pair_search_by_mult(G):
+    """The minimal non-abelian subgroups among those the pair search meets,
+    by the definition."""
+    out = [H for H in _pair_search_subgroups(G)
+           if _minimal_nonabelian_by_definition(G, H)]
     out.sort(key=lambda s: (len(s.members), s.members))
     return [H.members for H in out]
 
@@ -251,3 +272,88 @@ def test_center_quotient_and_closure_build_few_rows():
     H = analysis.subgroup_closure(G, [G.order - 1, G.order // 2])
     assert len(H) > 1
     assert rows_built() - before <= budget
+
+
+# -- the counted invariants against the listings they replaced ---------------
+
+ALL_ENTRIES = [e.id for e in catalog.load_catalog()]
+
+
+def _group(eid, request):
+    if eid == "genus28":
+        return request.getfixturevalue("genus28")[0]
+    return _catalog_group(eid)
+
+
+@pytest.mark.parametrize("eid", ALL_ENTRIES + ["genus28"])
+def test_num_maximal_counts_the_listed_maximal_subgroups(eid, request):
+    G = _group(eid, request)
+    assert analysis.fingerprint(G).num_maximal == len(maximal_subgroups(G))
+
+
+@pytest.mark.parametrize("eid", ALL_ENTRIES + ["genus28"])
+def test_order_census_matches_a_count_by_element_order(eid, request):
+    G = _group(eid, request)
+    for H in (None, analysis.center(G), analysis.derived_subgroup(G),
+              analysis.frattini(G)):
+        inside = () if H is None else H.member_set
+        want = {}
+        for x in range(G.order):
+            if x not in inside:
+                o = G.element_order(x)
+                want[o] = want.get(o, 0) + 1
+        assert analysis.order_census(G, H) == want
+
+
+S3_PERMS = [(1, 0, 2), (1, 2, 0)]
+S4_PERMS = [(1, 0, 2, 3), (1, 2, 3, 0)]
+
+
+def test_order_census_needs_a_3group():
+    S3 = group_from_permutations(S3_PERMS)
+    with pytest.raises(GroupError):
+        analysis.order_census(S3)
+
+
+@pytest.mark.parametrize("eid", SMALL_ENTRIES + ["genus28"])
+def test_redei_criterion_matches_the_definition(eid, request):
+    # the subgroups the pair search meets are all non-abelian; the center
+    # and the maximal subgroups add abelian ones, some 2-generated
+    G = _group(eid, request)
+    subgroups = (list(_pair_search_subgroups(G)) + [analysis.center(G)]
+                 + maximal_subgroups(G))
+    for H in subgroups:
+        assert (analysis._is_minimal_nonabelian(G, H)
+                == _minimal_nonabelian_by_definition(G, H))
+
+
+def _derived_length_by_as_group(G):
+    """Reference derived length: each term materialized as a group of its
+    own, one Cayley row per member, and its derived subgroup taken there."""
+    length, cur = 0, tuple(range(G.order))
+    while len(cur) > 1:
+        index = {x: i for i, x in enumerate(cur)}
+        maps = [[index[G.mult(x, g)] for x in cur]
+                for g in analysis.generators_of(G, cur)]
+        der = analysis.derived_subgroup(FiniteGroup(len(cur), maps))
+        cur = tuple(sorted(cur[i] for i in der.members))
+        length += 1
+        if length > 20:
+            raise GroupError("derived series does not terminate")
+    return length
+
+
+@pytest.mark.parametrize("eid", ALL_ENTRIES + ["genus28", "S3", "S4"])
+def test_derived_length_matches_the_as_group_chain(eid, request):
+    if eid in ("S3", "S4"):
+        G = group_from_permutations(S3_PERMS if eid == "S3" else S4_PERMS)
+    else:
+        G = _group(eid, request)
+    assert analysis.derived_length(G) == _derived_length_by_as_group(G)
+
+
+def test_derived_length_of_a_perfect_group_raises():
+    A5 = group_from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])
+    assert A5.order == 60
+    with pytest.raises(GroupError):
+        analysis.derived_length(A5)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,13 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_tool_version_is_the_project_version():
+    # a regex, not tomllib: Python 3.10 has no tomllib
+    text = (Path(SRC).parent / "pyproject.toml").read_text()
+    want = re.search(r'^version = "([^"]+)"$', text, re.M).group(1)
+    assert cli._tool_version() == want
 
 
 def test_bound_exit_zero(capsys):

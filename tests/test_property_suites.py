@@ -3,6 +3,7 @@ elliptic-translation groups, rather than on a single example."""
 
 import pytest
 
+from oracles import maximal_subgroups
 from zomo import analysis, catalog, kummer
 
 
@@ -56,7 +57,7 @@ def _normal_test_subgroups(G):
     subs = [analysis.subgroup_closure(G, []),
             analysis.center(G),
             analysis.derived_subgroup(G)]
-    subs.extend(analysis.maximal_subgroups(G))
+    subs.extend(maximal_subgroups(G))
     subs.append(analysis.normal_closure(G, [G.gens[0]]))
     return subs
 

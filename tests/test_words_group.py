@@ -122,7 +122,7 @@ def test_group_from_permutations_rejects_non_perm():
         group_from_permutations([[0, 0, 1]])
 
 
-def test_eval_word_with_assignment():
+def test_eval_word_of_a_generator_power():
     G = group_from_permutations([[1, 2, 0]], gen_names=("r",))
     w = parse_word("r^2", ("r",))
     assert G.eval_word(w) == G.power(G.gens[0], 2)
