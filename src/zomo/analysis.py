@@ -5,11 +5,13 @@ quotients, element-order censuses, minimal non-abelian subgroup search, and
 an isomorphism-invariant fingerprint used in place of database
 identification.  They multiply through generators (``FiniteGroup.gen_maps``
 and the Cayley rows of a few elements), never through the whole table.
-Element orders are counted one cyclic subgroup at a time, and maximal
-subgroups are counted from the Frattini index (Burnside's basis theorem:
-|G:Phi(G)| = 3^r gives (3^r - 1)/2 of them), not listed.  Most routines
-assume (and some require) a group of 3-power order, which is the only case
-exercised here.
+Each subgroup is derived once, as the closure of a few generators:
+Phi(G) = G'G^3 is one normal closure of the generators' commutators and
+cubes.  Element orders are counted one cyclic subgroup at a time, and
+maximal subgroups are counted from the rank r of the abelianization
+(Burnside's basis theorem: |G:Phi(G)| = 3^r gives (3^r - 1)/2 of them), not
+listed.  Most routines assume (and some require) a group of 3-power order,
+which is the only case exercised here.
 """
 
 from dataclasses import dataclass, field
@@ -130,11 +132,12 @@ def is_abelian_set(G: FiniteGroup, members):
 
 
 def frattini(G: FiniteGroup) -> Subgroup:
-    """Frattini subgroup of a 3-group: <G', cubes of generators>."""
+    """Frattini subgroup of a 3-group, G'G^3, as the normal closure N of the
+    generators' commutators and cubes: G/N is abelian of exponent 3, so N
+    contains G'G^3, and its seeds lie in G'G^3."""
     _require_3group(G)
-    der = derived_subgroup(G)
-    seeds = list(der.members) + [G.power(g, 3) for g in G.gens]
-    return subgroup_closure(G, seeds)
+    seeds = [G.comm(a, b) for a in G.gens for b in G.gens]
+    return normal_closure(G, seeds + [G.power(g, 3) for g in G.gens])
 
 
 def quotient(G: FiniteGroup, N: Subgroup):
@@ -193,19 +196,18 @@ def minimal_nonabelian_subgroups(G: FiniteGroup):
     """All minimal non-abelian subgroups, by 2-generated pair search.
 
     A pair (a, b) with c = [a, b] != 1, c of order 3 and c central in <a, b>
-    generates a subgroup with derived subgroup <c> of order 3, which is the
-    minimal non-abelian criterion for 2-generated 3-groups.  Each candidate
-    is verified by Redei's criterion: |H'| = 3 and |H:Phi(H)| = 9, which
-    holds exactly when H is non-abelian with every maximal subgroup abelian.
+    generates a non-abelian H = <a, b> with H' = <c> of order 3 and
+    d(H) = 2, so H is minimal non-abelian by Redei's criterion (see
+    ``_is_minimal_nonabelian``) and is kept without a further test.
 
     Neither the filter nor <a, b> changes when a or b is replaced by a power
     prime to 3, so a and b run over one generator per cyclic subgroup.  Once
     a minimal non-abelian H contains a, every b in H is skipped: <a, b> is
-    then abelian or H itself.
+    then abelian or H itself.  So no H is found twice.
     """
     _require_3group(G)
     reps = [x for x, _ in _cyclic_generators(G)]
-    seen, out = set(), []
+    out = []
     for i, a in enumerate(reps):
         ra = G.row(a)
         skip = set().union(*(H.member_set for H in out if a in H))
@@ -218,11 +220,8 @@ def minimal_nonabelian_subgroups(G: FiniteGroup):
             if rc[rc[c]] or ra[c] != rc[a] or rb[c] != rc[b]:
                 continue  # c is not of order 3 and central in <a, b>
             H = subgroup_closure(G, [a, b])
-            if H.members not in seen:
-                seen.add(H.members)
-                if _is_minimal_nonabelian(G, H):
-                    out.append(H)
-                    skip |= H.member_set
+            out.append(H)
+            skip |= H.member_set
     out.sort(key=lambda s: (len(s.members), s.members))
     return out
 
@@ -318,15 +317,15 @@ class Fingerprint:
 
 
 def fingerprint(G: FiniteGroup) -> Fingerprint:
-    der = derived_subgroup(G)
-    Q, _ = quotient(G, der)
+    Q, _ = quotient(G, derived_subgroup(G))
+    ab = tuple(abelian_invariants(Q))  # |G:Phi(G)| = 3^len(ab)
     return Fingerprint(
         order=G.order,
         center_order=len(center(G)),
         nilpotency_class=nilpotency_class(G),
-        abelianization=tuple(abelian_invariants(Q)),
+        abelianization=ab,
         census=tuple(sorted(order_census(G).items())),
-        num_maximal=(G.order // len(frattini(G)) - 1) // 2,
+        num_maximal=(3 ** len(ab) - 1) // 2,
         num_minimal_nonabelian=len(minimal_nonabelian_subgroups(G)),
         derived_length=derived_length(G),
     )
@@ -338,7 +337,7 @@ def lower_central_series(G: FiniteGroup):
     while len(chain[-1]) > 1:
         K = chain[-1]
         seeds = {G.comm(a, g) for a in generators_of(G, K.members) for g in G.gens}
-        nxt = normal_closure(G, seeds) if seeds - {0} else Subgroup(G, (0,))
+        nxt = normal_closure(G, seeds)
         if nxt.members == K.members:
             raise GroupError("lower central series stabilized (not nilpotent)")
         chain.append(nxt)
@@ -346,14 +345,17 @@ def lower_central_series(G: FiniteGroup):
 
 
 def fundamental_subgroup(G: FiniteGroup) -> Subgroup:
-    """C_G(K_2/K_4) in a maximal-class 3-group."""
+    """C_G(K_2/K_4) in a maximal-class 3-group.  Only the generators k of
+    K_2 are tested: k -> [k, g]K_4 is a homomorphism on K_2, because
+    [K_3, K_2] lies in K_4."""
     K = lower_central_series(G)
     K2 = K[1] if len(K) > 1 else Subgroup(G, (0,))
     K4 = K[3] if len(K) > 3 else Subgroup(G, (0,))
     mem4 = K4.member_set
+    gens = generators_of(G, K2.members)
     members = [g for g in range(G.order)
-               if all(G.comm(k, g) in mem4 for k in K2.members)]
-    return Subgroup(G, tuple(sorted(members)))
+               if all(G.comm(k, g) in mem4 for k in gens)]
+    return Subgroup(G, tuple(members))
 
 
 def is_metacyclic(G: FiniteGroup):

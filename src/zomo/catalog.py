@@ -161,20 +161,8 @@ def _prop_center_pattern(G, pres):
     return tuple(analysis.central_quotient_center_pattern(G))
 
 
-def _prop_nilpotency_class(G, pres):
-    return analysis.nilpotency_class(G)
-
-
 def _prop_maximal_class(G, pres):
     return analysis.is_maximal_class(G)
-
-
-def _prop_derived_index(G, pres):
-    return G.order // len(analysis.derived_subgroup(G))
-
-
-def _prop_frattini_is_derived(G, pres):
-    return analysis.frattini(G).members == analysis.derived_subgroup(G).members
 
 
 def _prop_min_generators(G, pres):
@@ -244,10 +232,7 @@ PROPERTY_EVALUATORS = {
     "center_order": _prop_center_order,
     "center_elem_abelian": _prop_center_elem_abelian,
     "center_pattern": _prop_center_pattern,
-    "nilpotency_class": _prop_nilpotency_class,
     "maximal_class": _prop_maximal_class,
-    "derived_index": _prop_derived_index,
-    "frattini_is_derived": _prop_frattini_is_derived,
     "min_generators": _prop_min_generators,
     "minimal_nonabelian_count": _prop_minimal_nonabelian_count,
     "minimal_nonabelian_index3_count": _prop_minimal_nonabelian_index3_count,

@@ -18,7 +18,8 @@ import os
 from dataclasses import dataclass
 
 from . import ZomoError
-from .field import ExtField, PrimeField, _normalize, _power_table
+from .field import (ExtField, PrimeField, _normalize, _power_table,
+                    roots_of_unity)
 from .funcfield import Endo, FunctionField, _partial, _substitute
 from .group import group_from_permutations
 
@@ -294,10 +295,6 @@ def x0_curve():
 def fermat9_curve():
     return PlaneCurve.make("fermat9",
                            {(9, 0, 0): 1, (0, 9, 0): 1, (0, 0, 9): 1})
-
-
-def roots_of_unity(C, n):
-    return _power_table(C, n).get(C.one, [])
 
 
 def x0_scaling_maps(q):

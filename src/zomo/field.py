@@ -85,6 +85,11 @@ def _power_table(C, m):
     return tab
 
 
+def roots_of_unity(C, n):
+    """The n-th roots of unity of C, in element order."""
+    return _power_table(C, n).get(C.one, [])
+
+
 def _least_irreducible(base: PrimeField, k):
     """The monic degree-k irreducible over F_q whose low-coefficient vector
     (c0, c1, ..., c_{k-1}) is smallest in the integer encoding sum ci q^i."""

@@ -26,7 +26,7 @@ class FiniteGroup:
         self.gen_names = tuple(gen_names) if gen_names else tuple(
             "g%d" % i for i in range(len(gen_maps)))
         self.gen_maps = tuple(array("i", m) for m in gen_maps)  # read only
-        self.perms = perms  # optional faithful action aligned with element indices
+        self.perms = perms  # optional faithful action, perms[x] a tuple
         self._bfs = self._spanning_tree()
         self.gens = tuple(self.gen_maps[g][0] for g in range(len(gen_maps)))
         self._rows = [None] * order
@@ -145,4 +145,4 @@ def group_from_permutations(gens, gen_names=None) -> FiniteGroup:
                 elements.append(q)
             m.append(i)
     return FiniteGroup(len(elements), maps, gen_names=gen_names,
-                       perms=[list(p) for p in elements])
+                       perms=elements)

@@ -14,7 +14,7 @@ written out in closed form, followed by the negation (X : Y : Z) ->
 from dataclasses import dataclass
 
 from . import ZomoError
-from .field import _normalize, _power_table
+from .field import _normalize, _power_table, roots_of_unity
 from .funcfield import Endo, FunctionField
 
 
@@ -178,8 +178,7 @@ class EllipticGroup:
 
 def cube_roots_of_unity(C):
     """The two primitive cube roots of unity (requires q = 1 mod 3)."""
-    roots = [e for e in C.elements()
-             if e != C.one and C.mul(e, C.mul(e, e)) == C.one]
+    roots = [e for e in roots_of_unity(C, 3) if e != C.one]
     if len(roots) != 2:
         raise HesseError("field has no primitive cube root of unity")
     return roots

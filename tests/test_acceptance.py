@@ -149,7 +149,7 @@ def test_06_center_and_quotient_pattern():
 
 
 def _compose(p, q):
-    return [p[i] for i in q]
+    return tuple(p[i] for i in q)
 
 
 def test_08_curve_actions(x0_scaling_group, x0_full_group, fermat_group,
@@ -164,12 +164,12 @@ def test_08_curve_actions(x0_scaling_group, x0_full_group, fermat_group,
     assert len(Z.members) == 3
     # the distinguished scaling generates the center: it commutes with all
     # generators and has order 3 on the common domain
-    zperm = curves.act(curves.x0_center_map(19), S, domain)
+    zperm = tuple(curves.act(curves.x0_center_map(19), S, domain))
     for g in G81.gens:
         gp = G81.perms[g]
         assert _compose(zperm, gp) == _compose(gp, zperm)
-    assert zperm != list(range(len(domain)))
-    assert _compose(zperm, _compose(zperm, zperm)) == list(range(len(domain)))
+    assert zperm != tuple(range(len(domain)))
+    assert _compose(zperm, _compose(zperm, zperm)) == tuple(range(len(domain)))
 
     # fixed rational points of the scaling on the full nonsingular set
     S19 = curves.enumerate_points(curves.x0_curve(), 19)

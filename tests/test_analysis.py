@@ -3,7 +3,7 @@ import functools
 import pytest
 
 from oracles import maximal_subgroups
-from zomo import analysis, catalog
+from zomo import analysis, catalog, kummer
 from zomo.group import (FiniteGroup, GroupError, analyze_presentation,
                         coset_enumerate, group_from_permutations)
 
@@ -282,6 +282,8 @@ ALL_ENTRIES = [e.id for e in catalog.load_catalog()]
 def _group(eid, request):
     if eid == "genus28":
         return request.getfixturevalue("genus28")[0]
+    if eid.startswith("gbar"):
+        return kummer.build_gbar(int(eid[4:])).group
     return _catalog_group(eid)
 
 
@@ -303,6 +305,44 @@ def test_order_census_matches_a_count_by_element_order(eid, request):
                 o = G.element_order(x)
                 want[o] = want.get(o, 0) + 1
         assert analysis.order_census(G, H) == want
+
+
+# the catalog groups, genus28 and Gbar all have abelianization C3 x C3, so
+# Phi(G) = G' there; in these three Phi(G) is larger than G'
+PHI_ABOVE_DERIVED = {"C27": "<a | a^27>", "C9xC3": "<a, b | a^9, b^3, [a,b]>",
+                     "C9:C9": "<a, b | a^9, b^9, b^-1*a*b*a^-4>"}
+
+
+@pytest.mark.parametrize("eid", ALL_ENTRIES + ["genus28", "gbar19", "gbar73"]
+                         + list(PHI_ABOVE_DERIVED))
+def test_frattini_is_the_closure_of_derived_and_cubes(eid, request):
+    if eid in PHI_ABOVE_DERIVED:
+        G = analyze_presentation(PHI_ABOVE_DERIVED[eid])
+    else:
+        G = _group(eid, request)
+    seeds = set(analysis.derived_subgroup(G).members)
+    seeds |= {G.mult(x, G.mult(x, x)) for x in range(G.order)}
+    assert analysis.frattini(G).members == _closure_by_mult(G, seeds)
+
+
+def _fundamental_by_members(G):
+    """C_G(K_2/K_4) with [k, g] tested for every member k of K_2."""
+    K = analysis.lower_central_series(G)
+    mem4 = K[3].member_set if len(K) > 3 else {0}
+    return tuple(g for g in range(G.order)
+                 if all(G.comm(k, g) in mem4 for k in K[1].members))
+
+
+FUNDAMENTAL_ENTRIES = [e.id for e in catalog.load_catalog()
+                       if any(x.prop == "fundamental_abelian"
+                              for x in e.expected)]
+
+
+@pytest.mark.parametrize("eid", FUNDAMENTAL_ENTRIES)
+def test_fundamental_subgroup_matches_the_member_loop(eid):
+    G = _catalog_group(eid)
+    assert (analysis.fundamental_subgroup(G).members
+            == _fundamental_by_members(G))
 
 
 S3_PERMS = [(1, 0, 2), (1, 2, 0)]

@@ -1,7 +1,7 @@
 import pytest
 
 from zomo import analysis, catalog, cli, curves
-from zomo.field import PrimeField
+from zomo.field import PrimeField, roots_of_unity
 from zomo.funcfield import Endo, FunctionField, apply_endo, valuation_at
 
 
@@ -93,7 +93,7 @@ def test_closure_matches_stable_domain_and_act(x0_full_group):
     maps = curves.x0_scaling_maps(19) + [curves.x0_alpha2()]
     assert k == 2
     assert domain == curves.stable_domain(maps, S)
-    assert [G.perms[g] for g in G.gens] == [curves.act(m, S, domain)
+    assert [G.perms[g] for g in G.gens] == [tuple(curves.act(m, S, domain))
                                             for m in maps]
 
 
@@ -189,8 +189,8 @@ def _x0_endos_by_composition(field):
     x, y = field.u(), field.v()
     a2 = Endo(field, u_image=x / (y ** 3), v_image=x / (y ** 2))
     out = []
-    for lam in curves.roots_of_unity(C, 3):
-        for mu in curves.roots_of_unity(C, 9):
+    for lam in roots_of_unity(C, 3):
+        for mu in roots_of_unity(C, 9):
             e = Endo(field, u_image=field.from_int(lam) * x,
                      v_image=field.from_int(mu) * y)
             for _ in range(3):

@@ -152,7 +152,7 @@ def _two_pass_closure(gens):
                     nxt.append(q)
         frontier = nxt
     maps = [[index[tuple(compose(p, g))] for p in elements] for g in gens]
-    return [list(p) for p in elements], maps
+    return elements, maps
 
 
 def _assert_matches_two_pass(gens):
@@ -184,5 +184,5 @@ def test_one_pass_closure_matches_two_pass_on_curve_actions(genus28,
 def test_one_pass_closure_on_a_one_point_domain():
     G = group_from_permutations([[0]])
     assert G.order == 1
-    assert G.perms == [[0]]
+    assert G.perms == [(0,)]
     _assert_matches_two_pass([[0], [0]])
