@@ -345,17 +345,18 @@ def lower_central_series(G: FiniteGroup):
 
 
 def fundamental_subgroup(G: FiniteGroup) -> Subgroup:
-    """C_G(K_2/K_4) in a maximal-class 3-group.  Only the generators k of
-    K_2 are tested: k -> [k, g]K_4 is a homomorphism on K_2, because
-    [K_3, K_2] lies in K_4."""
+    """C_G(K_2/K_4) in a maximal-class 3-group: the preimage of the
+    centralizer of K_2/K_4 in G/K_4, tested on the images of K_2's
+    generators, so that only rows of the quotient are built."""
     K = lower_central_series(G)
     K2 = K[1] if len(K) > 1 else Subgroup(G, (0,))
     K4 = K[3] if len(K) > 3 else Subgroup(G, (0,))
-    mem4 = K4.member_set
-    gens = generators_of(G, K2.members)
-    members = [g for g in range(G.order)
-               if all(G.comm(k, g) in mem4 for k in gens)]
-    return Subgroup(G, tuple(members))
+    Q, proj = quotient(G, K4)
+    rows = [(k, Q.row(k))
+            for k in {proj[x] for x in generators_of(G, K2.members)}]
+    central = {y for y in range(Q.order)
+               if all(Q.row(y)[k] == row[y] for k, row in rows)}
+    return Subgroup(G, tuple(x for x in range(G.order) if proj[x] in central))
 
 
 def is_metacyclic(G: FiniteGroup):

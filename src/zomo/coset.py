@@ -3,8 +3,13 @@
 Enumerates cosets of the trivial subgroup, i.e. builds the regular
 representation of the presented group.  The strategy is HLT: every live coset
 is scanned against every relator, defining new cosets at the first missing
-table entry, with immediate coincidence processing.  Coset numbering is
-deterministic (definition order), so element indices are reproducible.
+table entry, with immediate coincidence processing.  One pass over the cosets
+suffices (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+2005, 5.1-5.2): a coincidence only merges cosets and moves every entry of the
+dead row to the surviving one, so once every live coset has been processed
+the table is complete and every relator closes at every coset.  Coset
+numbering is deterministic (definition order), so element indices are
+reproducible.
 """
 
 from . import ZomoError
@@ -124,12 +129,6 @@ class CosetTable:
             self.define(f, word[i])
 
 
-def _state(ct):
-    live = [c for c in range(len(ct.table)) if ct.rep(c) == c]
-    holes = sum(ct.table[c].count(None) for c in live)
-    return len(ct.table), len(live), holes
-
-
 def enumerate_cosets(pres: Presentation, max_cosets=100000):
     """Run HLT enumeration; return (order n, per-generator images on 0..n-1).
 
@@ -141,27 +140,18 @@ def enumerate_cosets(pres: Presentation, max_cosets=100000):
     ngens = len(pres.generators)
     relators = [_word_to_cols(w) for w in pres.relators]
     ct = CosetTable(ngens, max_cosets)
-    # The first pass defines the table.  Coincidence processing can leave
-    # transient holes in rows already passed, so passes repeat until one
-    # leaves the table unchanged.
-    before = None
-    while True:
-        alpha = 0
-        while alpha < len(ct.table):
-            if ct.rep(alpha) == alpha:
-                for rel in relators:
-                    ct.scan_and_fill(alpha, rel)
-                    if ct.rep(alpha) != alpha:
-                        break
-                else:
-                    for col in range(ct.ncols):
-                        if ct.table[alpha][col] is None:
-                            ct.define(alpha, col)
-            alpha += 1
-        after = _state(ct)
-        if after == before:
-            break
-        before = after
+    alpha = 0
+    while alpha < len(ct.table):
+        if ct.rep(alpha) == alpha:
+            for rel in relators:
+                ct.scan_and_fill(alpha, rel)
+                if ct.rep(alpha) != alpha:
+                    break
+            else:
+                for col in range(ct.ncols):
+                    if ct.table[alpha][col] is None:
+                        ct.define(alpha, col)
+        alpha += 1
 
     live = [c for c in range(len(ct.table)) if ct.rep(c) == c]
     renum = {c: i for i, c in enumerate(live)}

@@ -120,9 +120,9 @@ def zomorrodian_bound(q: BoundQuery) -> BoundResult:
 def enumerate_profiles(d, group_order, genus):
     """All ramification profiles of a d-group action producing the genus.
 
-    Orbit sizes run over d-power proper divisors of the group order; the
-    orbit count s and the quotient genus are capped by the exact closed
-    forms that the genus formula forces.
+    Orbit sizes run over d-power proper divisors of the group order, and the
+    quotient genus over every value whose unramified part n(2 gbar - 2)
+    leaves a nonnegative remainder for the short orbits to fill.
     """
     n = group_order
     if n < 1 or not _is_prime(d):
@@ -134,32 +134,25 @@ def enumerate_profiles(d, group_order, genus):
         raise ProfileError("group order must be a power of %d" % d)
     target = 2 * genus - 2
     divisors = _dpower_divisors(n, d)
-    if not divisors:
-        return [RamificationProfile(n, genus)] if n == 1 and genus >= 0 else []
-    min_contrib = n - max(divisors)     # smallest per-orbit contribution
-    s_cap = (target + 2 * n) // min_contrib if min_contrib > 0 else 0
-    gbar_cap = (target + 2 * n) // (2 * n) + 1
     out = []
-    for gbar in range(gbar_cap + 1):
-        base = n * (2 * gbar - 2)
-        if base > target:
-            break
-        rem = target - base
+    gbar = 0
+    while n * (2 * gbar - 2) <= target:
+        rem = target - n * (2 * gbar - 2)
 
         # multisets of short-orbit sizes whose contributions n - l sum to rem
-        def rec(idx, left, budget, acc):
+        def rec(idx, left, acc):
             if left == 0:
                 out.append(RamificationProfile(n, gbar, tuple(sorted(acc))))
                 return
-            if idx == len(divisors) or budget == 0:
+            if idx == len(divisors):
                 return
             l = divisors[idx]
             contrib = n - l
-            for cnt in range(min(budget, left // contrib) + 1):
-                rec(idx + 1, left - cnt * contrib, budget - cnt,
-                    acc + [l] * cnt)
+            for cnt in range(left // contrib + 1):
+                rec(idx + 1, left - cnt * contrib, acc + [l] * cnt)
 
-        rec(0, rem, s_cap, [])
+        rec(0, rem, [])
+        gbar += 1
     out.sort(key=lambda p: (p.quotient_genus, p.orbit_sizes))
     return out
 

@@ -32,8 +32,6 @@ class FiniteGroup:
         self._rows = [None] * order
         self._inv = {0: 0}
         self.row(0)
-        if self._rows[0][0] != 0:
-            raise GroupError("index 0 is not a left identity")
 
     def _spanning_tree(self):
         n = self.order

@@ -242,17 +242,6 @@ class KummerOutput:
     all_equations: tuple
 
 
-def _genus_from_orbits(h, theta):
-    if any(len(t) != 3 ** (h - 1) for t in theta):
-        raise KummerError("orbit sizes inconsistent with h = %d" % h)
-    # degree-3 cover of the elliptic quotient, totally ramified over the
-    # 3^h orbit points; cross-checked through the genus formula
-    g = rh_genus(RamificationProfile(3, 1, (1,) * (3 ** h)))
-    if g != 3 ** h + 1:
-        raise KummerError("genus formula mismatch")
-    return g
-
-
 def _monic_normalization(w):
     """w divided by its leading numerator coefficient c when c is a cube,
     c^((q-1)/3) = 1 as q = 1 mod 3; z -> z/c leaves the extension as it is."""
@@ -316,7 +305,10 @@ def build_kummer(q, golden_text):
         if exact:
             break
     exact, up_to_cube, Q, m, w, eq = best
-    genus = _genus_from_orbits(data.h, data.theta)
+    # z^3 = w is a degree-3 cover of the elliptic curve, totally ramified
+    # where v(w) is -2 or 1: on the three cosets theta_i of S, and
+    # build_gbar checks |S| = 3^(h-1), so on 3^h points (genus 3^h + 1)
+    genus = rh_genus(RamificationProfile(3, 1, (1,) * 3 ** data.h))
     return KummerOutput(q, data.h, data.epsilon, Q, m, w, eq, genus,
                         exact, up_to_cube, tuple(seen_equations))
 

@@ -160,8 +160,6 @@ class _Parser:
             self.take("]")
             return commutator_word(u, v)
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            if tok == "1":
-                return ()
             if tok not in self.gen_index:
                 raise ParseError("unknown generator %r" % tok)
             return ((self.gen_index[tok], 1),)

@@ -1,14 +1,20 @@
-"""Test oracles: the listing routines that the package replaced by counts.
+"""Test oracles: the listing routines that the package replaced by counts,
+and the plain or repeated computations it replaced by one pass.
 
 ``maximal_subgroups`` lists every maximal subgroup of a 3-group as the
 preimages of the index-3 subgroups of its Frattini quotient; the package
 only counts them, (|G:Phi(G)| - 1)/2 by Burnside's basis theorem.
+``enumerate_cosets_repeated`` repeats HLT passes until one leaves the coset
+table unchanged; the package runs one.  ``profiles_by_brute_force`` tries
+every multiset of short-orbit sizes at every quotient genus up to g.
 """
 
 import itertools
 
 from zomo import analysis
 from zomo.analysis import Subgroup
+from zomo.coset import CosetTable, EnumerationError, _word_to_cols
+from zomo.genus import RamificationProfile
 from zomo.group import FiniteGroup, GroupError
 
 
@@ -60,3 +66,71 @@ def _index3_subgroups_elem_abelian(Q: FiniteGroup):
             e for e, v in coord.items()
             if sum(a * b for a, b in zip(f, v)) % 3 == 0))
     return kernels
+
+
+def _state(ct):
+    live = [c for c in range(len(ct.table)) if ct.rep(c) == c]
+    holes = sum(ct.table[c].count(None) for c in live)
+    return len(ct.table), len(live), holes
+
+
+def enumerate_cosets_repeated(pres, max_cosets=100000):
+    """HLT enumeration that repeats the pass over all cosets until one pass
+    leaves the table's size, live count and holes unchanged; returns
+    (order, maps) as ``coset.enumerate_cosets`` does."""
+    if not pres.generators:
+        raise EnumerationError("empty presentation")
+    ngens = len(pres.generators)
+    relators = [_word_to_cols(w) for w in pres.relators]
+    ct = CosetTable(ngens, max_cosets)
+    before = None
+    while True:
+        alpha = 0
+        while alpha < len(ct.table):
+            if ct.rep(alpha) == alpha:
+                for rel in relators:
+                    ct.scan_and_fill(alpha, rel)
+                    if ct.rep(alpha) != alpha:
+                        break
+                else:
+                    for col in range(ct.ncols):
+                        if ct.table[alpha][col] is None:
+                            ct.define(alpha, col)
+            alpha += 1
+        after = _state(ct)
+        if after == before:
+            break
+        before = after
+    live = [c for c in range(len(ct.table)) if ct.rep(c) == c]
+    renum = {c: i for i, c in enumerate(live)}
+    maps = []
+    for g in range(ngens):
+        images = []
+        for c in live:
+            d = ct.table[c][2 * g]
+            if d is None:
+                raise EnumerationError("incomplete table after closure")
+            images.append(renum[ct.rep(d)])
+        maps.append(images)
+    return len(live), maps
+
+
+def profiles_by_brute_force(d, n, genus):
+    """Every RamificationProfile(n, gbar, sizes) with 2g - 2 = n(2 gbar - 2)
+    + sum(n - l): gbar runs over 0..genus and sizes over every multiset of
+    the proper d-power divisors of n, of at most (2g - 2 + 2n) // (n - n/d)
+    orbits, since each orbit adds at least n - n/d."""
+    divisors, l = [], 1
+    while l < n:
+        divisors.append(l)
+        l *= d
+    most = (2 * genus - 2 + 2 * n) // (n - n // d)
+    out = []
+    for gbar in range(genus + 1):
+        for s in range(most + 1):
+            for sizes in itertools.combinations_with_replacement(divisors, s):
+                if (n * (2 * gbar - 2) + sum(n - l for l in sizes)
+                        == 2 * genus - 2):
+                    out.append(RamificationProfile(n, gbar, sizes))
+    out.sort(key=lambda p: (p.quotient_genus, p.orbit_sizes))
+    return out

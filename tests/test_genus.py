@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import profiles_by_brute_force
 from zomo.genus import (BoundQuery, ProfileError, RamificationProfile,
                         abelian_bound_check, enumerate_profiles, is_extremal,
                         rh_genus, zomorrodian_bound)
@@ -60,6 +61,16 @@ def test_profile_uniqueness_extremal():
 def test_enumerate_profiles_all_reproduce_genus():
     for p in enumerate_profiles(3, 81, 10):
         assert rh_genus(p) == 10
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_enumerate_profiles_matches_brute_force(d):
+    """Orders d^0..d^4, genus 0..12: the trivial group, genus 0 and 1 and
+    every short-orbit multiset included."""
+    for k in range(5):
+        for genus in range(13):
+            assert (enumerate_profiles(d, d ** k, genus)
+                    == profiles_by_brute_force(d, d ** k, genus))
 
 
 def test_is_extremal():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import enumerate_cosets_repeated
 from zomo import catalog, kummer, words
 from zomo.coset import BudgetExceeded, enumerate_cosets
 from zomo.group import (GroupError, analyze_presentation, coset_enumerate,
@@ -85,6 +86,77 @@ def test_coset_numbering_is_pinned():
 def test_coset_budget():
     with pytest.raises(BudgetExceeded):
         coset_enumerate(parse_presentation("<a, b | a^2>"), max_cosets=50)
+
+
+def _relators_close(pres, order, maps):
+    """Each relator, read from any coset through the maps and their
+    inverses, returns to that coset."""
+    inverses = []
+    for m in maps:
+        inv = [0] * order
+        for c, d in enumerate(m):
+            inv[d] = c
+        inverses.append(inv)
+    for rel in pres.relators:
+        for c in range(order):
+            x = c
+            for g, e in rel:
+                step = maps[g] if e > 0 else inverses[g]
+                for _ in range(abs(e)):
+                    x = step[x]
+            if x != c:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("entry", catalog.load_catalog(), ids=lambda e: e.id)
+def test_one_hlt_pass_matches_repeated_passes_on_the_catalog(entry):
+    got = enumerate_cosets(entry.presentation)
+    assert got == enumerate_cosets_repeated(entry.presentation)
+
+
+def _random_relator(draw, ngens):
+    """A commutator power, a conjugation relation or a short word."""
+    gen = st.integers(0, ngens - 1)
+    exp = st.sampled_from([-2, -1, 1, 2])
+    kind = draw(st.sampled_from(["comm", "conj", "word"]))
+    if kind == "comm":
+        u, v = ((draw(gen), draw(exp)),), ((draw(gen), draw(exp)),)
+        return words.power_word(words.commutator_word(u, v),
+                                draw(st.integers(1, 3)))
+    if kind == "conj":
+        x, y = draw(gen), draw(gen)
+        # x^y = x^k
+        return words.concat_words(words.conjugate_word(((x, 1),), ((y, 1),)),
+                                  ((x, -draw(st.integers(1, 4))),))
+    return words.normalize_word(draw(st.lists(st.tuples(gen, exp),
+                                              max_size=6)))
+
+
+@st.composite
+def small_presentations(draw):
+    ngens = draw(st.integers(1, 3))
+    powers = [((g, draw(st.sampled_from([1, 2, 3, 4, 9, 27]))),)
+              for g in range(ngens)]
+    extra = [_random_relator(draw, ngens)
+             for _ in range(draw(st.integers(ngens - 1, 4)))]
+    return words.Presentation(tuple("abc"[:ngens]),
+                              tuple(powers + [r for r in extra if r]))
+
+
+@given(small_presentations())
+@settings(max_examples=100, deadline=None)
+def test_one_hlt_pass_matches_repeated_passes(pres):
+    """One pass closes every relator at every coset and gives the table of
+    the passes repeated until nothing changes, or both exhaust the budget."""
+    try:
+        got = enumerate_cosets(pres, max_cosets=5000)
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            enumerate_cosets_repeated(pres, max_cosets=5000)
+        return
+    assert got == enumerate_cosets_repeated(pres, max_cosets=5000)
+    assert _relators_close(pres, *got)
 
 
 def test_group_ops_consistency():
