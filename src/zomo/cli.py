@@ -155,7 +155,7 @@ def _cmd_profiles(args):
 
 def _cmd_kummer_build(args):
     if args.golden is not None:
-        golden = _read_text(args.golden)
+        golden = _read_text(args.golden).strip()
     else:
         golden = kummer.load_golden(args.q)
     with _open_out(args.out) as fh:

@@ -5,10 +5,11 @@ The group law uses the polarization of the Fermat cubic F: restricted to the
 line s*A + t*B through curve points A, B, F factors as s*t*(s*c1 + t*c2) with
 c1 = 3 sum A_i^2 B_i and c2 = 3 sum A_i B_i^2, so the third intersection is
 c2*A - c1*B.  The tangential point has the classical closed form
-(X(Z^3-Y^3) : Y(X^3-Z^3) : Z(Y^3-X^3)).  A translation's endomorphism is the
-chord formula for a constant point and the generic point (x : y : 1),
-written out in closed form, followed by the negation (X : Y : Z) ->
-(Z : Y : X) that the inflection identity (-1 : 0 : 1) gives.
+(X(Z^3-Y^3) : Y(X^3-Z^3) : Z(Y^3-X^3)).  With the inflection (-1 : 0 : 1)
+as identity, -(X : Y : Z) = (Z : Y : X), so a + b, which is -(a * b), is
+one chord's third point with its coordinates reversed.  A translation's
+endomorphism is the same chord for a constant point and the generic point
+(x : y : 1), written out in closed form, followed by that reversal.
 """
 
 from dataclasses import dataclass
@@ -68,9 +69,11 @@ def third_point(C, a: HessePoint, b: HessePoint) -> HessePoint:
     return HessePoint(_normalize(C, t))
 
 
-def hesse_add(C, a: HessePoint, b: HessePoint, O: HessePoint) -> HessePoint:
-    u = third_point(C, a, b)
-    return third_point(C, O, u) if u != O else third_point(C, O, O)
+def hesse_add(C, a: HessePoint, b: HessePoint) -> HessePoint:
+    """a + b = -(a * b) for the identity (-1 : 0 : 1), which negates by
+    reversing the coordinates."""
+    x, y, z = third_point(C, a, b).coords
+    return HessePoint(_normalize(C, (z, y, x)))
 
 
 def enumerate_hesse_points(C):
@@ -115,7 +118,7 @@ class EllipticGroup:
         gens = []
         while len(rows) < n:
             g = self.points[next(i for i in range(n) if i not in rows)]
-            gens.append([self.index[hesse_add(self.C, g, p, self.O)]
+            gens.append([self.index[hesse_add(self.C, g, p)]
                          for p in self.points])
             todo = list(rows)
             while todo:

@@ -14,15 +14,16 @@ so that z^3 = w defines a cover of genus 3^h + 1.  The line slope m is the
 only free choice, and it changes w only by a constant, since div w =
 theta_2 + theta_3 - 2 theta_1 for every Q in theta_2: the product is formed
 for the first slope m0 only, and each other w is c_m w_{m0}, with c_m read
-off the products at one y0 in F_q.  The builder tries every slope, for the
-least primitive cube root eps only, and compares the emitted equation
-against a stored reference, exactly first and then up to a multiplicative
-constant that is a cube in F_q.
+off at P, where it is a product of values in F_q.  The builder tries every
+slope, for the least primitive cube root eps only, and compares the emitted
+equation against a stored reference, exactly first and then up to a
+multiplicative constant that is a cube in F_q.
 """
 
 from dataclasses import dataclass
+from math import prod
 
-from . import ZomoError, polys
+from . import ZomoError
 from .analysis import _log3, frattini
 from .field import PrimeField
 from .funcfield import Endo, FFElem, apply_endo, ffelem_str, valuation_at
@@ -167,44 +168,20 @@ def build_w(field, m, pullbacks):
     return _product([c - u for u in pullbacks])
 
 
-def slope_ratios(F, pullbacks, slopes):
+def slope_ratios(E, S, slopes):
     """{m: c_m} with build_w(field, m, pullbacks) = c_m w_{m0} for every m
-    in slopes, m0 = slopes[0].  div w_m is theta_2 + theta_3 - 2 theta_1
-    for every slope through theta_2, so each ratio is a constant.  It is
-    read off the products at the first y0 in F_q where every pullback
-    denominator and the m0 product are nonzero: there they live in
-    F_q[x]/(x^3 + y0^3 + 1), and the denominators cancel in the ratio.
-    One component gives c_m; the others must agree."""
-    for y0 in F.elements():
-        spec = [(polys.peval(F, u.den, y0),
-                 polys.ptrim(F, [polys.peval(F, n, y0) for n in u.nums]))
-                for u in pullbacks]
-        if all(d for d, _ in spec):
-            mod = ((y0 ** 3 + 1) % F.q, 0, 0, 1)
-            prods = [_product_at(F, spec, mod, m) for m in slopes]
-            if prods[0]:
-                break
-    else:
-        raise KummerError("no y0 in F_%d specialises the product" % F.q)
-    base = prods[0]
-    ratios = {}
-    for m, prod in zip(slopes, prods):
-        c = F.mul(prod[-1], F.inv(base[-1])) if prod else 0
-        if not c or polys.pscale(F, base, c) != prod:
-            raise KummerError("w for m = %d is not a constant multiple of "
-                              "w for m = %d" % (m, slopes[0]))
-        ratios[m] = c
-    return ratios
-
-
-def _product_at(F, spec, mod, m):
-    """prod (m den_T - num_T) mod ``mod``, the T-th pullback at y0 being
-    num_T/den_T: the product for m times prod den_T, which is free of m."""
-    acc = (1,)
-    for d, num in spec:
-        acc = polys.pmod(F, polys.pmul(F, acc, polys.psub(F, (m * d,), num)),
-                         mod)
-    return acc
+    in slopes, m0 = slopes[0], the pullbacks being those of the Frattini
+    translations S.  div w_m is theta_2 + theta_3 - 2 theta_1 for every
+    slope through theta_2, so each ratio is a constant; it is read at the
+    identity O = P.  There u_O = y/(x+1) has a pole, so (m - u_O)/(m0 - u_O)
+    tends to 1, and every other u_T takes the value s(T) = line_slope(E, T),
+    finite and off theta_2's slopes since T lies on theta_1:
+    c_m = prod over T != O of (m - s(T))/(m0 - s(T))."""
+    q = E.C.q
+    at_O = [line_slope(E, T) for T in S if T != E.O]
+    w = {m: prod(m - s for s in at_O) % q for m in slopes}
+    inv0 = pow(w[slopes[0]], -1, q)
+    return {m: v * inv0 % q for m, v in w.items()}
 
 
 def verify_w_divisor(field, w: FFElem, theta):
@@ -242,16 +219,6 @@ class KummerOutput:
     all_equations: tuple
 
 
-def _monic_normalization(w):
-    """w divided by its leading numerator coefficient c when c is a cube,
-    c^((q-1)/3) = 1 as q = 1 mod 3; z -> z/c leaves the extension as it is."""
-    F = w.field.constants
-    lead = next((num[-1] for num in reversed(w.nums) if num), None)
-    if lead is None or lead == F.one or pow(lead, (F.q - 1) // 3, F.q) != 1:
-        return None
-    return w.scale(F.inv(lead))
-
-
 def load_golden(q):
     from importlib import resources
     ref = resources.files("zomo") / "data" / "golden" / ("kummer_q%d.txt" % q)
@@ -279,7 +246,10 @@ def _cached_pullbacks(field, data: GbarData):
 def build_kummer(q, golden_text):
     """Run the construction over F_q, trying every line slope, and report
     the best match against golden_text.  Each slope's w is c_m w_{m0} (see
-    ``slope_ratios``).  Only the least primitive cube root is tried: the
+    ``slope_ratios``), so all share one monic form w_{m0}/lead(w_{m0}), and
+    c_m w_{m0} is that form times a cube exactly when c_m lead(w_{m0}) is a
+    cube, (c_m lead)^((q-1)/3) = 1 as q = 1 mod 3; z -> z/c then leaves the
+    extension as it is.  Only the least primitive cube root is tried: the
     other gives alpha^2, the same <alpha>, hence the same Frattini
     translations S, theta_2 and covers."""
     F = PrimeField(q)
@@ -290,16 +260,18 @@ def build_kummer(q, golden_text):
     points = {}     # slope -> the first point of theta_2 on its line
     for Q in data.theta[1]:
         points.setdefault(line_slope(data.E, Q), Q)
-    pullbacks = _cached_pullbacks(field, data)
-    w0 = build_w(field, next(iter(points)), pullbacks)
-    for m, c in slope_ratios(F, pullbacks, list(points)).items():
+    slopes = list(points)
+    w0 = build_w(field, slopes[0], _cached_pullbacks(field, data))
+    lead = next(num[-1] for num in reversed(w0.nums) if num)
+    monic_is_golden = ffelem_str(w0.scale(F.inv(lead))) == golden_text
+    for m, c in slope_ratios(data.E, data.phi_translations, slopes).items():
         Q, w = points[m], w0.scale(c)
         eq = ffelem_str(w)
         if eq not in seen_equations:
             seen_equations.append(eq)
         exact = eq == golden_text
-        wn = None if exact else _monic_normalization(w)
-        up_to_cube = wn is not None and ffelem_str(wn) == golden_text
+        up_to_cube = (not exact and monic_is_golden
+                      and pow(F.mul(c, lead), (q - 1) // 3, q) == 1)
         if best is None or exact or (up_to_cube and not best[1]):
             best = (exact, up_to_cube, Q, m, w, eq)
         if exact:

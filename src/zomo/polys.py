@@ -84,15 +84,6 @@ def _pack(coeffs, w):
                           "little")
 
 
-def peval(F, a, x):
-    """a(x) in F_p, by Horner."""
-    p = F.q
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def pscale(F, a, c):
     p = F.q
     return _itrim([x * c % p for x in a])

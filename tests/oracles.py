@@ -7,15 +7,19 @@ only counts them, (|G:Phi(G)| - 1)/2 by Burnside's basis theorem.
 ``enumerate_cosets_repeated`` repeats HLT passes until one leaves the coset
 table unchanged; the package runs one.  ``profiles_by_brute_force`` tries
 every multiset of short-orbit sizes at every quotient genus up to g.
+``slope_ratios_by_specialisation`` reads the Kummer slope constants off the
+products of the pullbacks themselves at one y = y0; the package reads them
+off the point table at the identity.
 """
 
 import itertools
 
-from zomo import analysis
+from zomo import analysis, polys
 from zomo.analysis import Subgroup
 from zomo.coset import CosetTable, EnumerationError, _word_to_cols
 from zomo.genus import RamificationProfile
 from zomo.group import FiniteGroup, GroupError
+from zomo.kummer import KummerError
 
 
 def maximal_subgroups(G: FiniteGroup):
@@ -134,3 +138,47 @@ def profiles_by_brute_force(d, n, genus):
                     out.append(RamificationProfile(n, gbar, sizes))
     out.sort(key=lambda p: (p.quotient_genus, p.orbit_sizes))
     return out
+
+
+def slope_ratios_by_specialisation(F, pullbacks, slopes):
+    """{m: c_m} with prod (m - u_T) = c_m prod (m0 - u_T) over the
+    pullbacks u_T, m0 = slopes[0], read off the products at the first y0 in
+    F_q where every pullback denominator and the m0 product are nonzero:
+    there they live in F_q[x]/(x^3 + y0^3 + 1), and the denominators cancel
+    in the ratio.  One component gives c_m; the others must agree."""
+    def at_y0(poly, y0):
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * y0 + c) % F.q
+        return acc
+
+    for y0 in F.elements():
+        spec = [(at_y0(u.den, y0),
+                 polys.ptrim(F, [at_y0(n, y0) for n in u.nums]))
+                for u in pullbacks]
+        if all(d for d, _ in spec):
+            mod = ((y0 ** 3 + 1) % F.q, 0, 0, 1)
+            prods = [_product_at(F, spec, mod, m) for m in slopes]
+            if prods[0]:
+                break
+    else:
+        raise KummerError("no y0 in F_%d specialises the product" % F.q)
+    base = prods[0]
+    ratios = {}
+    for m, prod in zip(slopes, prods):
+        c = F.mul(prod[-1], F.inv(base[-1])) if prod else 0
+        if not c or polys.pscale(F, base, c) != prod:
+            raise KummerError("w for m = %d is not a constant multiple of "
+                              "w for m = %d" % (m, slopes[0]))
+        ratios[m] = c
+    return ratios
+
+
+def _product_at(F, spec, mod, m):
+    """prod (m den_T - num_T) mod ``mod``, the T-th pullback at y0 being
+    num_T/den_T: the product for m times prod den_T, which is free of m."""
+    acc = (1,)
+    for d, num in spec:
+        acc = polys.pmod(F, polys.pmul(F, acc, polys.psub(F, (m * d,), num)),
+                         mod)
+    return acc

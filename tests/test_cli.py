@@ -165,6 +165,20 @@ def test_kummer_build_json(tmp_path, capsys):
     assert set(payload["choice"]) == {"Q", "epsilon"}
 
 
+GOLDEN = Path(SRC) / "zomo" / "data" / "golden"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("kummer_q*.txt")),
+                         ids=lambda p: p.stem)
+def test_kummer_build_golden_file_is_the_packaged_reference(path, capsys):
+    # --golden with a packaged file reads it as load_golden does, trailing
+    # newline and all
+    q = int(path.stem.partition("_q")[2])
+    h = kummer.build_gbar(q).h
+    argv = ("kummer", "build", "--q", str(q), "--h", str(h))
+    assert run(capsys, *argv, "--golden", str(path)) == run(capsys, *argv)
+
+
 def test_kummer_build_wrong_h(capsys):
     code, _, err = run(capsys, "kummer", "build", "--q", "19", "--h", "2")
     assert code == 2

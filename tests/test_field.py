@@ -286,13 +286,6 @@ def _ref_gcd(F, a, b):
     return _ref_scale(F, a, F.inv(a[-1])) if a else a
 
 
-def _ref_eval(F, a, x):
-    acc = F.zero
-    for c in reversed(a):
-        acc = F.add(F.mul(acc, x), F.from_int(c))
-    return acc
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -318,7 +311,6 @@ def test_int_kernel_matches_field_method_loops(case):
     assert polys.pneg(F, a) == tuple(F.neg(x) for x in a)
     assert polys.pscale(F, a, c) == _ref_scale(F, a, c)
     assert polys.pmul(F, a, b) == _ref_mul(F, a, b)
-    assert polys.peval(F, a, c) == _ref_eval(F, a, F.from_int(c))
     for kernel, ref in ((polys.pdivmod, _ref_divmod),
                         (polys.pgcd, _ref_gcd)):
         assert _outcome(kernel, F, a, b) == _outcome(ref, F, a, b)

@@ -9,10 +9,10 @@ F73 = PrimeField(73)
 
 
 def _add_table(E):
-    """The addition table from the chord-tangent law, pair by pair."""
-    n = len(E.points)
-    return [[E.index[hesse.hesse_add(E.C, E.points[i], E.points[j], E.O)]
-             for j in range(n)] for i in range(n)]
+    """The addition table from the two-chord law a + b = O * (a * b), pair
+    by pair: independent of the coordinate reversal ``hesse_add`` uses."""
+    return [[E.index[hesse.third_point(E.C, E.O, hesse.third_point(E.C, a, b))]
+             for b in E.points] for a in E.points]
 
 
 def _check_group_law(E):
@@ -59,6 +59,8 @@ def test_points_in_double_scan_order(q):
 def test_table_matches_chord_tangent_law(F):
     E = hesse.EllipticGroup(F)
     assert E.table == _add_table(E)
+    assert [[E.index[hesse.hesse_add(F, a, b)] for b in E.points]
+            for a in E.points] == E.table
     for p in E.points:
         assert E.neg(p) == hesse.third_point(F, p, E.O)
         assert E.order_of(p) == len(E.multiples(p))

@@ -1,12 +1,13 @@
 """Layout checks on the package source: no function without a caller, none
-that only the tests or the benchmark call, and one base class for every
-error the package raises."""
+that only the tests or the benchmark call, one base class for every error
+the package raises, and no import from outside the standard library."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import zomo
@@ -77,3 +78,20 @@ def test_every_exception_derives_from_zomo_error():
                     and not issubclass(obj, zomo.ZomoError)):
                 stray.append("%s.%s" % (module.__name__, name))
     assert stray == []
+
+
+def _absolute_imports(path):
+    """The top-level module of each absolute import in one source file."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_package_imports_only_the_standard_library():
+    imported = {name for path in sorted(PKG.rglob("*.py"))
+                for name in _absolute_imports(path)}
+    assert imported
+    assert sorted(imported - sys.stdlib_module_names) == []
