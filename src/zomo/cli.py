@@ -169,10 +169,11 @@ def _cmd_kummer_build(args):
             "equation": out.equation,
             "genus": out.genus,
             "matched_golden": out.matched_golden,
+            "matched_up_to_cube": out.matched_up_to_cube,
             "choice": {"Q": list(out.Q.coords), "epsilon": out.epsilon},
         }
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return 0 if out.matched_golden else 1
+    return 0 if out.passed else 1
 
 
 CURVE_NAMES = ("hesse", "x0", "fermat9", "genus10")

@@ -18,8 +18,7 @@ import os
 from dataclasses import dataclass
 
 from . import ZomoError
-from .field import (ExtField, PrimeField, _normalize, _power_table,
-                    roots_of_unity)
+from .field import ExtField, PrimeField, _power_table, roots_of_unity
 from .funcfield import Endo, FunctionField, _partial, _substitute
 from .group import group_from_permutations
 
@@ -131,7 +130,7 @@ def enumerate_points(curve: PlaneCurve, q, k=1):
         A = tuple(((i,), n * r) for i, n in A.items())
         for x in C.elements():
             for y in tab.get(C.eval_monomials(A, (x,)), ()):
-                pts.append(_normalize(C, (x, y, C.one)))
+                pts.append((x, y, C.one))
     else:
         if C.order ** 2 > budget:
             raise BudgetError("affine scan of %d pairs exceeds the budget"
@@ -139,12 +138,12 @@ def enumerate_points(curve: PlaneCurve, q, k=1):
         for x in C.elements():
             for y in C.elements():
                 if C.eval_monomials(aff.items(), (x, y)) == C.zero:
-                    pts.append(_normalize(C, (x, y, C.one)))
+                    pts.append((x, y, C.one))
     # z = 0 chart: points (x : 1 : 0), then (1 : 0 : 0)
     if inf:
         for x in C.elements():
             if C.eval_monomials(inf.items(), (x, C.one)) == C.zero:
-                pts.append(_normalize(C, (x, C.one, C.zero)))
+                pts.append((x, C.one, C.zero))
     origin = (C.one, C.zero, C.zero)
     if curve.eval_at(C, origin) == C.zero:
         pts.append(origin)
@@ -175,10 +174,12 @@ class RationalMap:
         return RationalMap(name, tuple(forms))
 
     def eval_at(self, C, p):
-        out = tuple(C.eval_monomials(form, p) for form in self.forms)
-        if all(v == C.zero for v in out):
+        """The image of p, scaled so its last nonzero coordinate is one;
+        a point where all three forms vanish is a ``CurveError``."""
+        out = C.quotients(self.forms, p)
+        if out is None:
             raise CurveError("map %s has a base point at %r" % (self.name, p))
-        return _normalize(C, out)
+        return out
 
 
 def act(m: RationalMap, S: PointSet, domain=None, images=None):
@@ -204,9 +205,10 @@ def act(m: RationalMap, S: PointSet, domain=None, images=None):
 def stable_domain(maps, S: PointSet, images=None):
     """Largest subset of the nonsingular points every map sends into the
     subset.  A point whose image under some map is undefined (None),
-    singular or already removed drops out; the survivors are the common
-    permutation domain.  A base point of a map remains a hard error, and
-    so does a domain that has not settled after 50 rounds.
+    singular or already removed drops out, round after round until a round
+    removes none; the survivors are the common permutation domain.  Each
+    round only removes points, so the loop ends.  A base point of a map
+    remains a hard error.
 
     Each (map, point) pair is evaluated at most once, into ``images`` (one
     {point: image} dict per map) when the caller passes that list; every
@@ -214,7 +216,7 @@ def stable_domain(maps, S: PointSet, images=None):
     C = S.field
     alive = set(S.nonsingular())
     images = [{} for _ in maps] if images is None else images
-    for _ in range(50):
+    while True:
         dead = set()
         for p in alive:
             for m, seen in zip(maps, images):
@@ -228,7 +230,6 @@ def stable_domain(maps, S: PointSet, images=None):
         if not dead:
             return sorted(alive)
         alive -= dead
-    raise CurveError("stable domain did not settle")
 
 
 def _closure(maps, point_set, k_max):
@@ -405,12 +406,7 @@ class AffineRationalMap:
 
     def eval_at(self, C, p):
         """Image point, or None when the denominator vanishes."""
-        d = C.eval_monomials(self.den, p)
-        if d == C.zero:
-            return None
-        dinv = C.inv(d)
-        return tuple(C.mul(C.eval_monomials(comp, p), dinv)
-                     for comp in self.comps)
+        return C.quotients(self.comps, p, self.den)
 
 
 def genus28_points(q=19, k=1):

@@ -2,20 +2,22 @@
 
 Both classes expose one field-object protocol, read by the point scans,
 the Hesse group law and ``funcfield``: attributes ``zero`` and ``one`` plus
-methods add, sub, mul, neg, inv, from_int and eval_monomials (a sum of int
-multiples of monomials at a point).  Elements are plain immutable values
-(ints for PrimeField, int tuples for ExtField), so structural equality is
-element equality.  ``polys`` works over a PrimeField only.
+methods add, sub, mul, neg, inv, from_int, eval_monomials (a sum of int
+multiples of monomials at a point) and quotients (several such sums at a
+point over one divisor).  Elements are plain immutable values (ints for
+PrimeField, int tuples for ExtField), so structural equality is element
+equality.  ``polys`` works over a PrimeField only.
 
 An ``ExtField`` is F_q[t]/(modulus) for the least irreducible modulus of its
 degree.  Its elements are coefficient tuples (c_0, ..., c_{k-1}); add, sub
 and neg map them coefficientwise through a table of residues mod q, with no
 Python-level arithmetic per coefficient.  mul and inv are lookups in a
 log/antilog table over the least primitive element, built on the first
-use (the discrete-log coding of FLINT's ``fq_zech``, without its Zech
-table for addition), and eval_monomials turns each term into one antilog
-of a sum of logs.  Polynomial arithmetic only builds the modulus and that
-table.
+use with a Zech table for addition (FLINT's ``fq_zech``; K. Huber, IEEE
+Trans. Inform. Theory 36, 1990).  eval_monomials and quotients stay in the
+log domain: a term is a sum of logs, terms add through the Zech table, and
+a quotient is the antilog of a difference of logs.  Polynomial arithmetic
+only builds the modulus and these tables.
 """
 
 import operator
@@ -63,6 +65,15 @@ class PrimeField:
         q = self.q
         return sum(n * prod(pow(c, e, q) for c, e in zip(p, exps))
                    for exps, n in monos) % q
+
+    def quotients(self, forms, p, den=None):
+        """The values of the forms at p divided by the value of den or, when
+        den is None, by the last nonzero value; None when that is zero."""
+        vals = [self.eval_monomials(f, p) for f in forms]
+        d = (self.eval_monomials(den, p) if den is not None
+             else next((v for v in reversed(vals) if v), 0))
+        r = d and self.inv(d)
+        return tuple(v * r % self.q for v in vals) if r else None
 
     def elements(self):
         return range(self.q)
@@ -140,11 +151,12 @@ class ExtField:
     """F_{q^k} as F_q[t]/(modulus); elements are length-k int tuples.
 
     ``exp[i]`` is g^i for the least primitive element g of ``elements()``,
-    ``log`` maps each element back to its exponent (zero to None) and
-    ``int_log[c]`` is the log of the constant c in [0, q).  All three stay
-    None until the first mul, inv or eval_monomials: callers that multiply
-    scan the whole field anyway, and a field that is only sized (say, to
-    refuse a point budget) never pays for the table.
+    ``log`` maps each element back to its exponent (zero to None),
+    ``int_log[c]`` is the log of the constant c in [0, q) and ``zech[i]`` is
+    log(1 + g^i) (None where 1 + g^i = 0).  All four stay None until the
+    first mul, inv, eval_monomials or quotients: callers that use them scan
+    the whole field anyway, and a field that is only sized (say, to refuse a
+    point budget) never pays.
     """
 
     def __init__(self, base: PrimeField, k):
@@ -160,6 +172,7 @@ class ExtField:
         self.exp = None
         self.log = None
         self.int_log = None
+        self.zech = None
         # red[i] = i mod q for -3q <= i < 3q, a C-level lookup per coefficient
         self._red = tuple(range(self.q)) * 3
 
@@ -176,7 +189,8 @@ class ExtField:
         return tuple(map(self._red.__getitem__, map(operator.neg, a)))
 
     def tables(self):
-        """(exp, log), built on the first call and kept on the object."""
+        """(exp, log), built on the first call and kept on the object; it also
+        fills ``int_log`` and ``zech``, which ``_form_log`` reads directly."""
         if self.exp is None:
             F, mod, n = self.base, self.modulus, self.order - 1
             factors = _prime_factors(n)
@@ -196,6 +210,7 @@ class ExtField:
             log = {e: i for i, e in enumerate(exp)}
             log[self.zero] = None
             self.int_log = [log[self.from_int(c)] for c in range(q)]
+            self.zech = [log[(self._red[e[0] + 1],) + e[1:]] for e in exp]
             self.exp, self.log = exp, log
         return self.exp, self.log
 
@@ -234,18 +249,20 @@ class ExtField:
             raise ZeroDivisionError("inverse of 0 in F_%d^%d" % (self.q, self.k))
         return exp[-i]  # g^(n - i), and exp[0] = one for i = 0
 
-    def eval_monomials(self, monos, p):
-        """sum of n * p[0]^e0 * p[1]^e1 * ... over the (exponents, n) pairs,
-        each term the antilog of log n + sum e log p[i] (or none when n or a
-        coordinate with e > 0 is zero)."""
-        exp, log = self.exp, self.log
-        if log is None:
-            exp, log = self.tables()
+    def _logs(self, p):
+        """The logs of p's coordinates (None for zero)."""
+        log = self.log or self.tables()[1]
         try:
-            logs = [log[c] for c in p]
+            return [log[c] for c in p]
         except (KeyError, TypeError):
             raise self._not_element(*p) from None
-        n_exp, int_log, q = len(exp), self.int_log, self.q
+
+    def _form_log(self, monos, logs):
+        """A log of the monomial sum at the point with coordinate logs
+        ``logs`` (None for zero): log(g^a + g^b) = a + zech[(b - a) mod n],
+        and a partial sum that cancels restarts at the next term."""
+        int_log, zech, q = self.int_log, self.zech, self.q
+        n_exp = len(zech)
         acc = None
         for exps, n in monos:
             i = int_log[n % q]
@@ -257,9 +274,30 @@ class ExtField:
                         break
                     i += e * j
             else:
-                term = exp[i % n_exp]
-                acc = term if acc is None else self.add(acc, term)
-        return self.zero if acc is None else acc
+                if acc is None:
+                    acc = i
+                else:
+                    z = zech[(i - acc) % n_exp]
+                    acc = None if z is None else acc + z
+        return acc
+
+    def eval_monomials(self, monos, p):
+        """sum of n * p[0]^e0 * p[1]^e1 * ... over the (exponents, n) pairs."""
+        i = self._form_log(monos, self._logs(p))
+        return self.zero if i is None else self.exp[i % len(self.exp)]
+
+    def quotients(self, forms, p, den=None):
+        """The values of the forms at p divided by the value of den or, when
+        den is None, by the last nonzero value; None when that is zero."""
+        logs, form_log = self._logs(p), self._form_log
+        vals = [form_log(f, logs) for f in forms]
+        d = (form_log(den, logs) if den is not None
+             else next((v for v in reversed(vals) if v is not None), None))
+        if d is None:
+            return None
+        exp, n = self.exp, len(self.exp)
+        return tuple([self.zero if v is None else exp[(v - d) % n]
+                      for v in vals])
 
     def elements(self):
         return product(range(self.q), repeat=self.k)

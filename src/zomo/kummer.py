@@ -218,6 +218,11 @@ class KummerOutput:
     matched_up_to_cube: bool
     all_equations: tuple
 
+    @property
+    def passed(self):
+        """Exact, or up to a constant cube for q != 19 (report and CLI)."""
+        return self.matched_golden or self.q != 19 and self.matched_up_to_cube
+
 
 def load_golden(q):
     from importlib import resources

@@ -9,7 +9,11 @@ table unchanged; the package runs one.  ``profiles_by_brute_force`` tries
 every multiset of short-orbit sizes at every quotient genus up to g.
 ``slope_ratios_by_specialisation`` reads the Kummer slope constants off the
 products of the pullbacks themselves at one y = y0; the package reads them
-off the point table at the identity.
+off the point table at the identity.  ``map_image_by_normalize`` evaluates
+each form of a curve map by adding its terms' antilogs with ``add``, then
+scales the image with ``inv`` and ``mul`` (``_normalize`` when there is no
+denominator); the package keeps the sums as logs and divides by
+subtracting them.
 """
 
 import itertools
@@ -17,6 +21,7 @@ import itertools
 from zomo import analysis, polys
 from zomo.analysis import Subgroup
 from zomo.coset import CosetTable, EnumerationError, _word_to_cols
+from zomo.field import ExtField, _normalize
 from zomo.genus import RamificationProfile
 from zomo.group import FiniteGroup, GroupError
 from zomo.kummer import KummerError
@@ -182,3 +187,35 @@ def _product_at(F, spec, mod, m):
         acc = polys.pmod(F, polys.pmul(F, acc, polys.psub(F, (m * d,), num)),
                          mod)
     return acc
+
+
+def eval_monomials_by_add(C, monos, p):
+    """The monomial sum at p, each term of an ExtField sum one antilog of
+    a sum of logs, the terms added with ``C.add``."""
+    if not isinstance(C, ExtField):
+        return C.eval_monomials(monos, p)
+    exp, log = C.tables()
+    logs = [log[c] for c in p]
+    acc = C.zero
+    for exps, n in monos:
+        i = C.int_log[n % C.q]
+        if i is None or any(e and j is None for j, e in zip(logs, exps)):
+            continue
+        i += sum(e * j for j, e in zip(logs, exps) if e)
+        acc = C.add(acc, exp[i % len(exp)])
+    return acc
+
+
+def map_image_by_normalize(C, forms, p, den=None):
+    """The forms at p over the value of den or, when den is None, scaled so
+    that the last nonzero value is one; None when that divisor is zero."""
+    vals = tuple(eval_monomials_by_add(C, f, p) for f in forms)
+    if den is None:
+        if all(v == C.zero for v in vals):
+            return None
+        return _normalize(C, vals)
+    d = eval_monomials_by_add(C, den, p)
+    if d == C.zero:
+        return None
+    dinv = C.inv(d)
+    return tuple(C.mul(v, dinv) for v in vals)

@@ -162,7 +162,20 @@ def test_kummer_build_json(tmp_path, capsys):
     assert payload["h"] == 3
     assert payload["genus"] == 28
     assert payload["matched_golden"] is True
+    assert payload["matched_up_to_cube"] is False
     assert set(payload["choice"]) == {"Q", "epsilon"}
+
+
+@pytest.mark.parametrize("q, h, actual", [
+    (73, 4, "exact match"), (271, 5, "match up to a constant cube")])
+def test_kummer_build_passes_where_the_report_does(q, h, actual, capsys):
+    code, out, _ = run(capsys, "kummer", "build", "--q", str(q),
+                       "--h", str(h))
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["matched_golden"] is (actual == "exact match")
+    assert payload["matched_up_to_cube"] is (actual != "exact match")
+    assert checks._kummer(q) == (actual, True)
 
 
 GOLDEN = Path(SRC) / "zomo" / "data" / "golden"

@@ -4,6 +4,8 @@ from zomo import analysis, catalog, cli, curves
 from zomo.field import PrimeField, roots_of_unity
 from zomo.funcfield import Endo, FunctionField, apply_endo, valuation_at
 
+from oracles import map_image_by_normalize
+
 
 def test_enumerate_points_line():
     line = curves.PlaneCurve.make("line", {(1, 0, 0): 1})
@@ -65,6 +67,45 @@ def test_stable_domain_drops_undefined_images():
     # y = 2 maps to 1/2 = 10, outside the set: only y = 1 survives
     few = curves.PointSet(C, [(0, y, 1) for y in range(3)], set())
     assert curves.stable_domain([inv_y], few) == [(0, 1, 1)]
+
+
+@pytest.mark.parametrize("q", [47, 53])
+def test_stable_domain_follows_a_long_chain_of_removals(q):
+    # (0, j, 0) -> (0, j + 1, 0), undefined at j = 0: each round removes
+    # one more point, q rounds in all (at q = 53 more than 50)
+    shift = curves.AffineRationalMap.make(
+        "shift", ({(1, 1, 0): 1}, {(0, 2, 0): 1, (0, 1, 0): 1},
+                  {(0, 1, 1): 1}), {1: 1})
+    line = curves.PointSet(PrimeField(q), [(0, j, 0) for j in range(q)],
+                           set())
+    assert curves.stable_domain([shift], line) == []
+
+
+def _maps_and_points(model, k):
+    if model == "genus28":
+        C, pts = curves.genus28_points(19, k)
+        return C, curves.genus28_maps(19), pts
+    if model == "x0":
+        curve, maps = (curves.x0_curve(),
+                       curves.x0_scaling_maps(19) + [curves.x0_alpha2()])
+    else:
+        curve, maps = curves.fermat9_curve(), curves.fermat9_maps(19)
+    S = curves.enumerate_points(curve, 19, k)
+    return S.field, maps, S.nonsingular()
+
+
+@pytest.mark.parametrize("model, k, n_maps", [
+    ("x0", 2, 28), ("fermat9", 2, 82), ("genus28", 2, 2), ("genus28", 3, 2)])
+def test_map_images_match_the_normalize_oracle(model, k, n_maps):
+    C, maps, points = _maps_and_points(model, k)
+    assert len(maps) == n_maps and points
+    for m in maps:
+        den = getattr(m, "den", None)
+        forms = m.forms if den is None else m.comps
+        for p in points:
+            want = map_image_by_normalize(C, forms, p, den)
+            assert C.quotients(forms, p, den) == want
+            assert m.eval_at(C, p) == want
 
 
 def test_act_functoriality():

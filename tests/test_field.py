@@ -137,6 +137,8 @@ def test_ext_field_rejects_non_elements(bad):
         F6859.inv(bad)
     with pytest.raises(FieldError, match=re.escape(repr(bad))):
         F6859.eval_monomials((((1, 1), 1),), (F6859.one, bad))
+    with pytest.raises(FieldError, match=re.escape(repr(bad))):
+        F6859.quotients(((((1, 1), 1),),), (F6859.one, bad))
     with pytest.raises(ZeroDivisionError):
         F6859.inv(F6859.zero)
 
@@ -187,6 +189,74 @@ def _monomial_cases(draw):
 def test_eval_monomials_matches_repeated_mul(case):
     C, monos, p = case
     assert C.eval_monomials(monos, p) == _ref_eval_monomials(C, monos, p)
+
+
+# -- the Zech table and the log-domain sums and quotients --------------------
+
+F125 = ExtField(PrimeField(5), 3)
+
+
+@pytest.mark.parametrize("K", [F361, F125], ids=repr)
+def test_zech_table_is_the_log_of_one_plus_each_power(K):
+    assert ExtField(K.base, K.k).zech is None
+    exp, log = K.tables()
+    n = len(exp)
+    assert K.zech == [log[K.add(K.one, e)] for e in exp]
+    # 1 + g^i = 0 only at g^i = -1 = g^(n/2)
+    assert [i for i, z in enumerate(K.zech) if z is None] == [n // 2]
+    for a in range(n):
+        for b in range(n):
+            z = K.zech[(b - a) % n]
+            want = K.zero if z is None else exp[(a + z) % n]
+            assert K.add(exp[a], exp[b]) == want
+
+
+@st.composite
+def _cancelling_forms(draw):
+    """A field, a point and four forms, the last one a divisor.  A term may
+    be followed by its negative, so that a partial sum cancels in the middle
+    of the form, and a form may end with the negatives of all its terms, so
+    that the whole sum cancels.  Coefficients may vanish mod 19, and one
+    coordinate may be zero, which kills only the terms with a positive
+    exponent there."""
+    C = draw(st.sampled_from([F19, F361, F6859]))
+    elements = (st.integers(0, 18) if C is F19
+                else st.tuples(*[st.integers(0, 18)] * C.k))
+    nvars = draw(st.integers(1, 3))
+    p = list(draw(st.tuples(*[elements] * nvars)))
+    if draw(st.booleans()):
+        p[draw(st.integers(0, nvars - 1))] = C.zero
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * nvars),
+                     st.one_of(st.integers(1, 18), st.integers(-40, 40),
+                               st.sampled_from([0, 19, -38, -1])))
+    forms = []
+    for _ in range(4):
+        form = []
+        for exps, n in draw(st.lists(term, min_size=1, max_size=4)):
+            form.append((exps, n))
+            if draw(st.integers(0, 2)) == 2:
+                form.append((exps, -n))
+        if draw(st.integers(0, 3)) == 3:
+            form += [(exps, -n) for exps, n in reversed(form)]
+        forms.append(tuple(form))
+    return C, forms[:-1], forms[-1], tuple(p)
+
+
+def _divided(C, vals, d):
+    return None if d == C.zero else tuple(C.mul(v, C.inv(d)) for v in vals)
+
+
+@given(_cancelling_forms())
+@settings(max_examples=300, deadline=None)
+def test_quotients_match_repeated_mul(case):
+    C, forms, den, p = case
+    vals = [_ref_eval_monomials(C, f, p) for f in forms]
+    assert [C.eval_monomials(f, p) for f in forms] == vals
+    d = _ref_eval_monomials(C, den, p)
+    assert C.eval_monomials(den, p) == d
+    assert C.quotients(forms, p, den) == _divided(C, vals, d)
+    last = next((v for v in reversed(vals) if v != C.zero), C.zero)
+    assert C.quotients(forms, p) == _divided(C, vals, last)
 
 
 coeffs = st.lists(st.integers(0, 18), min_size=0, max_size=5)
