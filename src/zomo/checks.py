@@ -105,8 +105,8 @@ def _map_image_sample(seed):
     pts = S.nonsingular()
     sample = random.Random(seed).sample(pts, min(SAMPLE_SIZE, len(pts)))
     for m in curves.x0_scaling_maps(19):
-        for p in sample:
-            if cu.eval_at(S.field, m.eval_at(S.field, p)) != S.field.zero:
+        for ip in m.images(S.field, sample):
+            if cu.eval_at(S.field, ip) != S.field.zero:
                 return "image off curve under %s" % m.name, False
     return "%d sampled points stay on the curve" % len(sample), True
 

@@ -16,6 +16,7 @@ subset every map permutes) and one extension-degree loop (``_closure``).
 
 import os
 from dataclasses import dataclass
+from itertools import compress
 
 from . import ZomoError
 from .field import ExtField, PrimeField, _power_table, roots_of_unity
@@ -64,13 +65,6 @@ class PlaneCurve:
     def eval_at(self, C, p):
         return C.eval_monomials(self.coeffs, p)
 
-    def partials(self):
-        return [_partial(self.coeffs, axis) for axis in range(3)]
-
-    def is_singular_at(self, C, p):
-        return all(C.eval_monomials(pd, p) == C.zero
-                   for pd in self.partials())
-
 
 @dataclass
 class PointSet:
@@ -109,46 +103,56 @@ def _separated(aff):
     return m, aff[(0, m)], {i: n for (i, j), n in aff.items() if j == 0}
 
 
+def _scan_budget(C, visits):
+    """Refuse a scan of more field values than ``point_budget()``."""
+    if visits > point_budget():
+        raise BudgetError("scan of %d values over %r exceeds the budget"
+                          % (visits, C))
+
+
+def _zeros(C, monos, points):
+    """The points where the {exponents: n} form vanishes, in order."""
+    values = C.values(tuple(monos.items()), points)
+    return [p for p, v in zip(points, values) if v == C.zero]
+
+
 def enumerate_points(curve: PlaneCurve, q, k=1):
     """All projective F_{q^k}-points of the curve, with singular flags.
 
     When the affine equation separates as A(x) + c y^m the y-solutions come
-    from a precomputed m-th power table, one field pass per x.  Otherwise a
-    full double loop runs, refused with ``BudgetError`` when it would visit
-    more pairs than ``point_budget()`` (``ZOMO_BUDGET``) allows.
+    from a precomputed m-th power table, read at the column of A(x) over
+    every x.  Otherwise each x reads the column of all y.  The scan is
+    refused with ``BudgetError`` when it visits more x-values (q^k) or
+    (x, y) pairs (q^2k) than ``point_budget()`` (``ZOMO_BUDGET``) allows.
     """
     C = field_for(q, k)
-    budget = point_budget()
     aff, inf = _chart_split(curve)
     pts = []
     sep = _separated(aff)
+    _scan_budget(C, C.order if sep is not None else C.order ** 2)
+    xs = [(x,) for x in C.elements()]
     if sep is not None:
         m, cm, A = sep
         tab = _power_table(C, m)
         # y^m = -A(x)/c, with -1/c folded into the int coefficients of A
         r = PrimeField(q).inv(-cm)
         A = tuple(((i,), n * r) for i, n in A.items())
-        for x in C.elements():
-            for y in tab.get(C.eval_monomials(A, (x,)), ()):
-                pts.append((x, y, C.one))
+        for (x,), a in zip(xs, C.values(A, xs)):
+            pts += [(x, y, C.one) for y in tab.get(a, ())]
     else:
-        if C.order ** 2 > budget:
-            raise BudgetError("affine scan of %d pairs exceeds the budget"
-                              % C.order ** 2)
-        for x in C.elements():
-            for y in C.elements():
-                if C.eval_monomials(aff.items(), (x, y)) == C.zero:
-                    pts.append((x, y, C.one))
+        for (x,) in xs:
+            pts += [p + (C.one,) for p in
+                    _zeros(C, aff, [(x, y) for (y,) in xs])]
     # z = 0 chart: points (x : 1 : 0), then (1 : 0 : 0)
     if inf:
-        for x in C.elements():
-            if C.eval_monomials(inf.items(), (x, C.one)) == C.zero:
-                pts.append((x, C.one, C.zero))
+        pts += [p + (C.zero,) for p in
+                _zeros(C, inf, [(x, C.one) for (x,) in xs])]
     origin = (C.one, C.zero, C.zero)
     if curve.eval_at(C, origin) == C.zero:
         pts.append(origin)
-    singular = {i for i, p in enumerate(pts) if curve.is_singular_at(C, p)}
-    return PointSet(C, pts, singular)
+    # singular where all three partials vanish: there they have no quotient
+    sing = C.quotients([_partial(curve.coeffs, a) for a in range(3)], pts)
+    return PointSet(C, pts, {i for i, v in enumerate(sing) if v is None})
 
 
 @dataclass(frozen=True)
@@ -173,63 +177,58 @@ class RationalMap:
             forms.append(tuple(sorted(f.items())))
         return RationalMap(name, tuple(forms))
 
-    def eval_at(self, C, p):
-        """The image of p, scaled so its last nonzero coordinate is one;
-        a point where all three forms vanish is a ``CurveError``."""
-        out = C.quotients(self.forms, p)
-        if out is None:
-            raise CurveError("map %s has a base point at %r" % (self.name, p))
+    def images(self, C, points):
+        """The image of each point, scaled so its last nonzero coordinate is
+        one; a point where all three forms vanish is a ``CurveError``."""
+        out = C.quotients(self.forms, points)
+        if None in out:
+            raise CurveError("map %s has a base point at %r"
+                             % (self.name, points[out.index(None)]))
         return out
+
+    def eval_at(self, C, p):
+        return self.images(C, [p])[0]
 
 
 def act(m: RationalMap, S: PointSet, domain=None, images=None):
     """The map as a permutation (index list) of the nonsingular points,
     or of an explicitly restricted domain.  ``images`` is an optional
-    {point: image} memo of the map, such as ``stable_domain`` fills."""
-    C = S.field
+    {point: image} memo of the map over the domain, such as
+    ``stable_domain`` fills."""
     domain = S.nonsingular() if domain is None else domain
-    images = {} if images is None else images
+    if images is None:
+        images = dict(zip(domain, m.images(S.field, domain)))
     index = {p: i for i, p in enumerate(domain)}
-    perm = []
-    for p in domain:
-        ip = images[p] if p in images else m.eval_at(C, p)
-        if ip not in index:
-            raise CurveError("map %s sends %r off the nonsingular point set"
-                             % (m.name, p))
-        perm.append(index[ip])
-    if sorted(perm) != list(range(len(domain))):
+    perm = list(map(index.get, map(images.__getitem__, domain)))
+    if None in perm:
+        raise CurveError("map %s sends %r off the nonsingular point set"
+                         % (m.name, domain[perm.index(None)]))
+    if len(set(perm)) != len(domain):
         raise CurveError("map %s is not injective on the point set" % m.name)
     return perm
 
 
 def stable_domain(maps, S: PointSet, images=None):
     """Largest subset of the nonsingular points every map sends into the
-    subset.  A point whose image under some map is undefined (None),
-    singular or already removed drops out, round after round until a round
-    removes none; the survivors are the common permutation domain.  Each
-    round only removes points, so the loop ends.  A base point of a map
-    remains a hard error.
-
-    Each (map, point) pair is evaluated at most once, into ``images`` (one
-    {point: image} dict per map) when the caller passes that list; every
-    point of the domain then has its image under every map there."""
-    C = S.field
-    alive = set(S.nonsingular())
+    subset.  Each map is evaluated once over all the nonsingular points,
+    into ``images`` (one {point: image} dict per map) when the caller
+    passes that list, so a base point of any map is a hard error whatever
+    the order of ``maps``.  Then a point whose image under some map is
+    undefined (None), singular or already removed drops out, round after
+    round until a round removes none; rounds only remove, so this ends."""
+    C, points = S.field, S.nonsingular()
     images = [{} for _ in maps] if images is None else images
+    columns = [m.images(C, points) for m in maps]
+    for seen, column in zip(images, columns):
+        seen.update(zip(points, column))
+    alive = set(points)
     while True:
-        dead = set()
-        for p in alive:
-            for m, seen in zip(maps, images):
-                if p in seen:
-                    ip = seen[p]
-                else:
-                    ip = seen[p] = m.eval_at(C, p)
-                if ip not in alive:
-                    dead.add(p)
-                    break
-        if not dead:
+        # the points that every map sends into alive, read by membership
+        kept = alive.intersection(*[
+            compress(points, map(alive.__contains__, c)) for c in columns])
+        if len(kept) == len(alive):
             return sorted(alive)
-        alive -= dead
+        alive = kept
 
 
 def _closure(maps, point_set, k_max):
@@ -404,9 +403,12 @@ class AffineRationalMap:
         den = tuple(sorted(((0, j, 0), v) for j, v in den.items() if v))
         return AffineRationalMap(name, comps, den)
 
+    def images(self, C, points):
+        """The image of each point, or None where the denominator is 0."""
+        return C.quotients(self.comps, points, self.den)
+
     def eval_at(self, C, p):
-        """Image point, or None when the denominator vanishes."""
-        return C.quotients(self.comps, p, self.den)
+        return self.images(C, [p])[0]
 
 
 def genus28_points(q=19, k=1):
@@ -414,6 +416,7 @@ def genus28_points(q=19, k=1):
     with N = y^6 + y^3 + 1, D = y^2 (y^3 + 1).  Points with D(y) = 0 are
     the indeterminate locus of the model and are left out."""
     C = field_for(q, k)
+    _scan_budget(C, C.order)
     cube = _power_table(C, 3)
     pts = []
     for y in C.elements():

@@ -2,27 +2,29 @@
 
 Both classes expose one field-object protocol, read by the point scans,
 the Hesse group law and ``funcfield``: attributes ``zero`` and ``one`` plus
-methods add, sub, mul, neg, inv, from_int, eval_monomials (a sum of int
-multiples of monomials at a point) and quotients (several such sums at a
-point over one divisor).  Elements are plain immutable values (ints for
-PrimeField, int tuples for ExtField), so structural equality is element
-equality.  ``polys`` works over a PrimeField only.
+methods add, sub, mul, neg, inv, from_int, values (a sum of int multiples
+of monomials at each point of a list), eval_monomials (its one-point case)
+and quotients (several such sums over one divisor, at each point).
+Elements are plain immutable values (ints for PrimeField, int tuples for
+ExtField), so structural equality is element equality.  ``polys`` works
+over a PrimeField only.
 
-An ``ExtField`` is F_q[t]/(modulus) for the least irreducible modulus of its
-degree.  Its elements are coefficient tuples (c_0, ..., c_{k-1}); add, sub
-and neg map them coefficientwise through a table of residues mod q, with no
-Python-level arithmetic per coefficient.  mul and inv are lookups in a
-log/antilog table over the least primitive element, built on the first
-use with a Zech table for addition (FLINT's ``fq_zech``; K. Huber, IEEE
-Trans. Inform. Theory 36, 1990).  eval_monomials and quotients stay in the
-log domain: a term is a sum of logs, terms add through the Zech table, and
-a quotient is the antilog of a difference of logs.  Polynomial arithmetic
-only builds the modulus and these tables.
+Both fields keep log/antilog tables over their least primitive element,
+built on first use with a Zech table for addition (FLINT's ``fq_zech``;
+K. Huber, IEEE Trans. Inform. Theory 36, 1990).  values and quotients stay
+in the log domain over a whole list of points: one column of logs per
+coordinate, a term is a sum of columns, terms add through the Zech table,
+and a quotient is the antilog of a difference of logs.  An ``ExtField`` is
+F_q[t]/(modulus) for the least irreducible modulus of its degree, with
+coefficient tuples (c_0, ..., c_{k-1}) as elements; add, sub and neg map
+them coefficientwise through a table of residues mod q, and mul and inv
+are table lookups.  Polynomial arithmetic only builds the modulus and the
+tables.
 """
 
 import operator
+from functools import reduce
 from itertools import product
-from math import prod
 
 from . import ZomoError, polys
 
@@ -31,7 +33,97 @@ class FieldError(ZomoError, ArithmeticError):
     pass
 
 
-class PrimeField:
+class _LogField:
+    """The log-domain kernel both fields share.  ``exp[i]`` is g^i for the
+    least primitive element g of ``elements()``, ``log`` maps each element
+    back to its exponent (zero to None), ``int_log[c]`` is the log of the
+    constant c in [0, q) and ``zech[i]`` is log(1 + g^i) (None where
+    1 + g^i = 0).  All four stay None until first read, so a field that is
+    only sized (say, to refuse a point budget) never pays."""
+
+    exp = log = int_log = zech = None
+
+    def tables(self):
+        """(exp, log), built on the first call and kept on the object; it also
+        fills ``int_log`` and ``zech``, which ``_log_sums`` reads directly."""
+        if self.exp is None:
+            exp, succ = self._powers()
+            log = {e: i for i, e in enumerate(exp)}
+            log[self.zero] = None
+            self.int_log = [log[self.from_int(c)] for c in range(self.q)]
+            self.zech = [log[e] for e in succ]
+            self.exp, self.log = exp, log
+        return self.exp, self.log
+
+    def _not_element(self, *args):
+        """The error for the first argument the log table does not hold."""
+        for a in args:
+            try:
+                if a in self.log:
+                    continue
+            except TypeError:
+                pass
+            return FieldError("%r is not an element of %r" % (a, self))
+
+    def _log_sums(self, forms, points):
+        """(big, sums): sums[f][i] is a log of form f at points[i], or at
+        least big where that value is zero.  Log 0 is written as big, which
+        no sum of logs of nonzero values (at most (n - 1)(1 + terms +
+        degree)) reaches: a term with a zero factor stays at or above it.
+        Terms add through the Zech table, log(g^a + g^b) = a +
+        zech[(b - a) mod n], and a cancelled sum (None) becomes big."""
+        log = self.log or self.tables()[1]
+        int_log, zech, q, n = self.int_log, self.zech, self.q, len(self.exp)
+        big = n * (1 + sum(1 + sum(e) for f in forms for e, _ in f))
+        try:
+            cols = [[big if j is None else j for j in map(log.__getitem__, c)]
+                    for c in zip(*points)]
+        except (KeyError, TypeError):
+            raise self._not_element(*(c for p in points for c in p)) from None
+        sums = []
+        for f in forms:
+            acc = None
+            for exps, c in f:
+                i = int_log[c % q]
+                if i is None:
+                    continue
+                t = [i] * len(points)
+                for e, col in zip(exps, cols):
+                    if e:
+                        t = list(map(operator.add, t, col if e == 1 else
+                                     map(e.__mul__, col)))
+                acc = t if acc is None else [
+                    b if a >= big else a if b >= big
+                    else big if (z := zech[(b - a) % n]) is None else a + z
+                    for a, b in zip(acc, t)]
+            sums.append([big] * len(points) if acc is None else acc)
+        return big, sums
+
+    def values(self, monos, points):
+        """The monomial sum at each point of the list."""
+        big, (sums,) = self._log_sums((monos,), points)
+        exp, zero, n = self.exp, self.zero, len(self.exp)
+        return [zero if i >= big else exp[i % n] for i in sums]
+
+    def eval_monomials(self, monos, p):
+        """sum of n * p[0]^e0 * p[1]^e1 * ... over the (exponents, n) pairs."""
+        return self.values(monos, (p,))[0]
+
+    def quotients(self, forms, points, den=None):
+        """One image per point: the values of the forms there over the value
+        of den or, when den is None, over the last nonzero value; None where
+        that divisor is zero.  A quotient is a difference of logs."""
+        big, vals = self._log_sums(
+            forms if den is None else (*forms, den), points)
+        d = vals.pop() if den is not None else reduce(
+            lambda d, v: [b if b < big else a for a, b in zip(d, v)], vals)
+        exp, zero, n = self.exp, self.zero, len(self.exp)
+        cols = [[zero if v >= big else exp[(v - e) % n]
+                 for v, e in zip(col, d)] for col in vals]
+        return [None if e >= big else img for e, img in zip(d, zip(*cols))]
+
+
+class PrimeField(_LogField):
     def __init__(self, q):
         if q < 2 or any(q % d == 0 for d in range(2, int(q ** 0.5) + 1)):
             raise FieldError("%d is not prime" % q)
@@ -60,20 +152,13 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0 in F_%d" % self.q)
         return pow(a, self.q - 2, self.q)
 
-    def eval_monomials(self, monos, p):
-        """sum of n * p[0]^e0 * p[1]^e1 * ... over the (exponents, n) pairs."""
-        q = self.q
-        return sum(n * prod(pow(c, e, q) for c, e in zip(p, exps))
-                   for exps, n in monos) % q
-
-    def quotients(self, forms, p, den=None):
-        """The values of the forms at p divided by the value of den or, when
-        den is None, by the last nonzero value; None when that is zero."""
-        vals = [self.eval_monomials(f, p) for f in forms]
-        d = (self.eval_monomials(den, p) if den is not None
-             else next((v for v in reversed(vals) if v), 0))
-        r = d and self.inv(d)
-        return tuple(v * r % self.q for v in vals) if r else None
+    def _powers(self):
+        """(exp, the 1 + g^i) for the least primitive root g."""
+        q, n = self.q, self.q - 1
+        g = next(g for g in range(1, q)
+                 if all(pow(g, n // r, q) != 1 for r in _prime_factors(n)))
+        exp = [pow(g, i, q) for i in range(n)]
+        return exp, [(e + 1) % q for e in exp]
 
     def elements(self):
         return range(self.q)
@@ -90,9 +175,9 @@ class PrimeField:
 
 def _power_table(C, m):
     """{e^m: [e, ...]} over the elements of C, each list in element order."""
-    tab, mono = {}, (((m,), 1),)
-    for e in C.elements():
-        tab.setdefault(C.eval_monomials(mono, (e,)), []).append(e)
+    tab, xs = {}, [(e,) for e in C.elements()]
+    for (e,), v in zip(xs, C.values((((m,), 1),), xs)):
+        tab.setdefault(v, []).append(e)
     return tab
 
 
@@ -147,17 +232,8 @@ def _prime_factors(n):
     return out + [n] if n > 1 else out
 
 
-class ExtField:
-    """F_{q^k} as F_q[t]/(modulus); elements are length-k int tuples.
-
-    ``exp[i]`` is g^i for the least primitive element g of ``elements()``,
-    ``log`` maps each element back to its exponent (zero to None),
-    ``int_log[c]`` is the log of the constant c in [0, q) and ``zech[i]`` is
-    log(1 + g^i) (None where 1 + g^i = 0).  All four stay None until the
-    first mul, inv, eval_monomials or quotients: callers that use them scan
-    the whole field anyway, and a field that is only sized (say, to refuse a
-    point budget) never pays.
-    """
+class ExtField(_LogField):
+    """F_{q^k} as F_q[t]/(modulus); elements are length-k int tuples."""
 
     def __init__(self, base: PrimeField, k):
         if k < 1:
@@ -169,10 +245,6 @@ class ExtField:
         self.modulus = _least_irreducible(base, k)
         self.zero = (0,) * k
         self.one = tuple([1 % base.q] + [0] * (k - 1))
-        self.exp = None
-        self.log = None
-        self.int_log = None
-        self.zech = None
         # red[i] = i mod q for -3q <= i < 3q, a C-level lookup per coefficient
         self._red = tuple(range(self.q)) * 3
 
@@ -188,41 +260,24 @@ class ExtField:
     def neg(self, a):
         return tuple(map(self._red.__getitem__, map(operator.neg, a)))
 
-    def tables(self):
-        """(exp, log), built on the first call and kept on the object; it also
-        fills ``int_log`` and ``zech``, which ``_form_log`` reads directly."""
-        if self.exp is None:
-            F, mod, n = self.base, self.modulus, self.order - 1
-            factors = _prime_factors(n)
-            for e in self.elements():
-                g = polys.ptrim(F, e)
-                if g and all(polys.ppow_mod(F, g, n // r, mod) != (F.one,)
-                             for r in factors):
-                    break
-            # multiplication by g as a matrix over F_q: column j is g t^j
-            cols = [polys.pmod(F, polys.pmul(F, (0,) * j + (1,), g), mod)
-                    for j in range(self.k)]
-            rows = list(zip(*(c + (0,) * (self.k - len(c)) for c in cols)))
-            exp, q = [self.one], self.q
-            for _ in range(n - 1):
-                exp.append(tuple([sum(map(operator.mul, r, exp[-1])) % q
-                                  for r in rows]))
-            log = {e: i for i, e in enumerate(exp)}
-            log[self.zero] = None
-            self.int_log = [log[self.from_int(c)] for c in range(q)]
-            self.zech = [log[(self._red[e[0] + 1],) + e[1:]] for e in exp]
-            self.exp, self.log = exp, log
-        return self.exp, self.log
-
-    def _not_element(self, *args):
-        """The error for the first argument the log table does not hold."""
-        for a in args:
-            try:
-                if a in self.log:
-                    continue
-            except TypeError:
-                pass
-            return FieldError("%r is not an element of %r" % (a, self))
+    def _powers(self):
+        """(exp, the 1 + g^i) for the least primitive element g."""
+        F, mod, n = self.base, self.modulus, self.order - 1
+        factors = _prime_factors(n)
+        for e in self.elements():
+            g = polys.ptrim(F, e)
+            if g and all(polys.ppow_mod(F, g, n // r, mod) != (F.one,)
+                         for r in factors):
+                break
+        # multiplication by g as a matrix over F_q: column j is g t^j
+        cols = [polys.pmod(F, polys.pmul(F, (0,) * j + (1,), g), mod)
+                for j in range(self.k)]
+        rows = list(zip(*(c + (0,) * (self.k - len(c)) for c in cols)))
+        exp, q = [self.one], self.q
+        for _ in range(n - 1):
+            exp.append(tuple([sum(map(operator.mul, r, exp[-1])) % q
+                              for r in rows]))
+        return exp, [(self._red[e[0] + 1],) + e[1:] for e in exp]
 
     def mul(self, a, b):
         exp, log = self.exp, self.log
@@ -248,56 +303,6 @@ class ExtField:
         if i is None:
             raise ZeroDivisionError("inverse of 0 in F_%d^%d" % (self.q, self.k))
         return exp[-i]  # g^(n - i), and exp[0] = one for i = 0
-
-    def _logs(self, p):
-        """The logs of p's coordinates (None for zero)."""
-        log = self.log or self.tables()[1]
-        try:
-            return [log[c] for c in p]
-        except (KeyError, TypeError):
-            raise self._not_element(*p) from None
-
-    def _form_log(self, monos, logs):
-        """A log of the monomial sum at the point with coordinate logs
-        ``logs`` (None for zero): log(g^a + g^b) = a + zech[(b - a) mod n],
-        and a partial sum that cancels restarts at the next term."""
-        int_log, zech, q = self.int_log, self.zech, self.q
-        n_exp = len(zech)
-        acc = None
-        for exps, n in monos:
-            i = int_log[n % q]
-            if i is None:
-                continue
-            for j, e in zip(logs, exps):
-                if e:
-                    if j is None:
-                        break
-                    i += e * j
-            else:
-                if acc is None:
-                    acc = i
-                else:
-                    z = zech[(i - acc) % n_exp]
-                    acc = None if z is None else acc + z
-        return acc
-
-    def eval_monomials(self, monos, p):
-        """sum of n * p[0]^e0 * p[1]^e1 * ... over the (exponents, n) pairs."""
-        i = self._form_log(monos, self._logs(p))
-        return self.zero if i is None else self.exp[i % len(self.exp)]
-
-    def quotients(self, forms, p, den=None):
-        """The values of the forms at p divided by the value of den or, when
-        den is None, by the last nonzero value; None when that is zero."""
-        logs, form_log = self._logs(p), self._form_log
-        vals = [form_log(f, logs) for f in forms]
-        d = (form_log(den, logs) if den is not None
-             else next((v for v in reversed(vals) if v is not None), None))
-        if d is None:
-            return None
-        exp, n = self.exp, len(self.exp)
-        return tuple([self.zero if v is None else exp[(v - d) % n]
-                      for v in vals])
 
     def elements(self):
         return product(range(self.q), repeat=self.k)

@@ -421,28 +421,39 @@ def ffelem_str(f: FFElem):
     """Canonical display: terms in descending powers of the algebraic
     generator, each rational-function coefficient num/den in lowest terms
     and parenthesized."""
+    return scaled_str(f)(1)
+
+
+def scaled_str(f: FFElem):
+    """c -> ffelem_str(c f) for nonzero constants c of F_p: each coefficient
+    num/den of f is put in lowest terms once, as c num has num's gcd."""
     field = f.field
     F, u = field.constants, field.u_name
-    parts = []
+    terms = []
     for i, num in reversed(list(enumerate(f.nums))):
-        if not num:
-            continue
-        g = polys.pgcd(F, num, f.den)
-        num = polys.pdivmod(F, num, g)[0]
-        den = polys.pdivmod(F, f.den, g)[0]
-        coeff = poly_str(num, u)
-        if den != (1,):
-            coeff = "(%s)/(%s)" % (coeff, poly_str(den, u))
-        if i == 0:
+        if num:
+            g = polys.pgcd(F, num, f.den)
+            den = polys.pdivmod(F, f.den, g)[0]
+            terms.append((i, polys.pdivmod(F, num, g)[0],
+                          den != (1,) and poly_str(den, u)))
+
+    def show(c):
+        parts = []
+        for i, num, den_str in terms:
+            num = polys.pscale(F, num, c)
+            coeff = poly_str(num, u)
+            if den_str:
+                coeff = "(%s)/(%s)" % (coeff, den_str)
+            if i:
+                if not den_str and sum(1 for x in num if x) > 1:
+                    coeff = "(%s)" % coeff
+                elif coeff == "1":
+                    coeff = ""
+                coeff += (field.v_name if i == 1
+                          else "%s^%d" % (field.v_name, i))
             parts.append(coeff)
-            continue
-        if den == (1,) and sum(1 for c in num if c) > 1:
-            coeff = "(%s)" % coeff
-        elif coeff == "1":
-            coeff = ""
-        parts.append(coeff + (field.v_name if i == 1
-                              else "%s^%d" % (field.v_name, i)))
-    return " + ".join(parts) if parts else "0"
+        return " + ".join(parts) if parts else "0"
+    return show
 
 
 def lemma_factorization_check(F):

@@ -26,7 +26,8 @@ from math import prod
 from . import ZomoError
 from .analysis import _log3, frattini
 from .field import PrimeField
-from .funcfield import Endo, FFElem, apply_endo, ffelem_str, valuation_at
+from .funcfield import (Endo, FFElem, apply_endo, ffelem_str, scaled_str,
+                        valuation_at)
 from .group import FiniteGroup, group_from_permutations
 from .genus import RamificationProfile, rh_genus
 from .hesse import (EllipticGroup, HessePoint, cube_roots_of_unity,
@@ -268,10 +269,11 @@ def build_kummer(q, golden_text):
     slopes = list(points)
     w0 = build_w(field, slopes[0], _cached_pullbacks(field, data))
     lead = next(num[-1] for num in reversed(w0.nums) if num)
-    monic_is_golden = ffelem_str(w0.scale(F.inv(lead))) == golden_text
+    w0_str = scaled_str(w0)
+    monic_is_golden = w0_str(F.inv(lead)) == golden_text
     for m, c in slope_ratios(data.E, data.phi_translations, slopes).items():
         Q, w = points[m], w0.scale(c)
-        eq = ffelem_str(w)
+        eq = w0_str(c)
         if eq not in seen_equations:
             seen_equations.append(eq)
         exact = eq == golden_text

@@ -222,6 +222,15 @@ def test_curve_check_over_budget_fails_fast():
     assert "exceeds the budget" in done.stderr
 
 
+def test_separated_curve_check_over_budget_fails_fast():
+    # hesse separates as x^3 + y^3 + 1: a scan of 19^9 x-values is refused
+    # before F_{19^9} builds a table
+    done = run_fresh("curve", "check", "--name", "hesse", "--q", "19",
+                     "--k", "9", timeout=10)
+    assert done.returncode == 1
+    assert "exceeds the budget" in done.stderr
+
+
 @pytest.mark.slow
 def test_report_json_schema_and_determinism(tmp_path, capsys):
     a = tmp_path / "a.json"

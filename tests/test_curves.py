@@ -2,7 +2,8 @@ import pytest
 
 from zomo import analysis, catalog, cli, curves
 from zomo.field import PrimeField, roots_of_unity
-from zomo.funcfield import Endo, FunctionField, apply_endo, valuation_at
+from zomo.funcfield import (Endo, FunctionField, _partial, apply_endo,
+                            valuation_at)
 
 from oracles import map_image_by_normalize
 
@@ -35,6 +36,38 @@ def test_budget_guard(monkeypatch):
         "dense", {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): 1})
     with pytest.raises(curves.BudgetError):
         curves.enumerate_points(dense, 19)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_dense_scan_matches_a_point_by_point_search(k):
+    # the dense cubic (singular at (1 : 1 : 1) over F_19) takes the row
+    # scan; every projective point with last nonzero coordinate 1 is tried
+    # one at a time with eval_monomials and the partials
+    dense = curves.PlaneCurve.make(
+        "dense", {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): -3})
+    S = curves.enumerate_points(dense, 19, k)
+    C = S.field
+    els = list(C.elements())
+    cands = ([(x, y, C.one) for x in els for y in els]
+             + [(x, C.one, C.zero) for x in els] + [(C.one, C.zero, C.zero)])
+    on = [p for p in cands if C.eval_monomials(dense.coeffs, p) == C.zero]
+    sing = {p for p in on
+            if all(C.eval_monomials(_partial(dense.coeffs, a), p) == C.zero
+                   for a in range(3))}
+    assert S.points == on
+    assert {S.points[i] for i in S.singular} == sing
+    assert (C.one, C.one, C.one) in sing
+
+
+def test_budget_guard_counts_the_x_values_of_separated_scans(monkeypatch):
+    monkeypatch.setenv("ZOMO_BUDGET", "1000")
+    hesse = cli._load_curve("hesse")
+    assert len(curves.enumerate_points(hesse, 19, 2).points) > 0
+    with pytest.raises(curves.BudgetError, match="6859 values"):
+        curves.enumerate_points(hesse, 19, 3)
+    assert curves.genus28_points(19, 2)[1]
+    with pytest.raises(curves.BudgetError, match="6859 values"):
+        curves.genus28_points(19, 3)
 
 
 def test_act_identity_and_orders():
@@ -102,10 +135,10 @@ def test_map_images_match_the_normalize_oracle(model, k, n_maps):
     for m in maps:
         den = getattr(m, "den", None)
         forms = m.forms if den is None else m.comps
-        for p in points:
-            want = map_image_by_normalize(C, forms, p, den)
-            assert C.quotients(forms, p, den) == want
-            assert m.eval_at(C, p) == want
+        want = [map_image_by_normalize(C, forms, p, den) for p in points]
+        assert C.quotients(forms, points, den) == want
+        assert m.images(C, points) == want
+        assert [m.eval_at(C, p) for p in points] == want
 
 
 def test_act_functoriality():
@@ -118,6 +151,22 @@ def test_act_functoriality():
     dom = S.nonsingular()
     comp = [dom.index(m1.eval_at(C, m2.eval_at(C, p))) for p in dom]
     assert comp == [p1[p2[i]] for i in range(len(dom))]
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_base_point_is_an_error_whatever_the_map_order(order):
+    # A sends every point off the set, and B = (XY : Y^2 : YZ) has a base
+    # point at (0 : 0 : 1): the error must not hang on which map comes first
+    A = curves.RationalMap.make("A", {(1, 0, 0): 1, (0, 0, 1): 1},
+                                {(0, 1, 0): 1}, {(0, 0, 1): 1})
+    B = curves.RationalMap.make("B", {(1, 1, 0): 1}, {(0, 2, 0): 1},
+                                {(0, 1, 1): 1})
+    S = curves.PointSet(PrimeField(19), [(0, y, 1) for y in range(19)],
+                        set())
+    maps = [(A, B)[i] for i in order]
+    with pytest.raises(curves.CurveError, match=r"map B has a base point "
+                       r"at \(0, 0, 1\)"):
+        curves.stable_domain(maps, S)
 
 
 def test_base_point_in_domain_is_an_error():

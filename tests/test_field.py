@@ -138,7 +138,7 @@ def test_ext_field_rejects_non_elements(bad):
     with pytest.raises(FieldError, match=re.escape(repr(bad))):
         F6859.eval_monomials((((1, 1), 1),), (F6859.one, bad))
     with pytest.raises(FieldError, match=re.escape(repr(bad))):
-        F6859.quotients(((((1, 1), 1),),), (F6859.one, bad))
+        F6859.quotients(((((1, 1), 1),),), [(F6859.one, bad)])
     with pytest.raises(ZeroDivisionError):
         F6859.inv(F6859.zero)
 
@@ -196,9 +196,10 @@ def test_eval_monomials_matches_repeated_mul(case):
 F125 = ExtField(PrimeField(5), 3)
 
 
-@pytest.mark.parametrize("K", [F361, F125], ids=repr)
+@pytest.mark.parametrize("K", [F19, F361, F125], ids=repr)
 def test_zech_table_is_the_log_of_one_plus_each_power(K):
-    assert ExtField(K.base, K.k).zech is None
+    fresh = PrimeField(K.q) if K.order == K.q else ExtField(K.base, K.k)
+    assert fresh.zech is None
     exp, log = K.tables()
     n = len(exp)
     assert K.zech == [log[K.add(K.one, e)] for e in exp]
@@ -213,19 +214,22 @@ def test_zech_table_is_the_log_of_one_plus_each_power(K):
 
 @st.composite
 def _cancelling_forms(draw):
-    """A field, a point and four forms, the last one a divisor.  A term may
-    be followed by its negative, so that a partial sum cancels in the middle
-    of the form, and a form may end with the negatives of all its terms, so
-    that the whole sum cancels.  Coefficients may vanish mod 19, and one
-    coordinate may be zero, which kills only the terms with a positive
-    exponent there."""
+    """A field, a column of points and four forms, the last one a divisor.
+    A term may be followed by its negative, so that a partial sum cancels
+    in the middle of the form, and a form may end with the negatives of
+    all its terms, so that the whole sum cancels.  Coefficients may vanish
+    mod 19, and a point may have a zero coordinate, which kills only the
+    terms with a positive exponent there."""
     C = draw(st.sampled_from([F19, F361, F6859]))
     elements = (st.integers(0, 18) if C is F19
                 else st.tuples(*[st.integers(0, 18)] * C.k))
     nvars = draw(st.integers(1, 3))
-    p = list(draw(st.tuples(*[elements] * nvars)))
-    if draw(st.booleans()):
-        p[draw(st.integers(0, nvars - 1))] = C.zero
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = list(draw(st.tuples(*[elements] * nvars)))
+        if draw(st.booleans()):
+            p[draw(st.integers(0, nvars - 1))] = C.zero
+        points.append(tuple(p))
     term = st.tuples(st.tuples(*[st.integers(0, 3)] * nvars),
                      st.one_of(st.integers(1, 18), st.integers(-40, 40),
                                st.sampled_from([0, 19, -38, -1])))
@@ -239,24 +243,81 @@ def _cancelling_forms(draw):
         if draw(st.integers(0, 3)) == 3:
             form += [(exps, -n) for exps, n in reversed(form)]
         forms.append(tuple(form))
-    return C, forms[:-1], forms[-1], tuple(p)
+    return C, forms[:-1], forms[-1], points
 
 
 def _divided(C, vals, d):
     return None if d == C.zero else tuple(C.mul(v, C.inv(d)) for v in vals)
 
 
+def _ref_quotients(C, forms, points, den=None):
+    """One image per point from the repeated-mul sums: over den's value or
+    the last nonzero value, None where that is zero."""
+    out = []
+    for p in points:
+        vals = [_ref_eval_monomials(C, f, p) for f in forms]
+        d = (_ref_eval_monomials(C, den, p) if den is not None
+             else next((v for v in reversed(vals) if v != C.zero), C.zero))
+        out.append(_divided(C, vals, d))
+    return out
+
+
 @given(_cancelling_forms())
 @settings(max_examples=300, deadline=None)
 def test_quotients_match_repeated_mul(case):
-    C, forms, den, p = case
-    vals = [_ref_eval_monomials(C, f, p) for f in forms]
-    assert [C.eval_monomials(f, p) for f in forms] == vals
-    d = _ref_eval_monomials(C, den, p)
-    assert C.eval_monomials(den, p) == d
-    assert C.quotients(forms, p, den) == _divided(C, vals, d)
-    last = next((v for v in reversed(vals) if v != C.zero), C.zero)
-    assert C.quotients(forms, p) == _divided(C, vals, last)
+    C, forms, den, points = case
+    for f in (*forms, den):
+        assert ([C.eval_monomials(f, p) for p in points]
+                == [_ref_eval_monomials(C, f, p) for p in points])
+    assert C.quotients(forms, points, den) == _ref_quotients(C, forms,
+                                                             points, den)
+    assert C.quotients(forms, points) == _ref_quotients(C, forms, points)
+
+
+def _edge_points(K):
+    """Points (x, y) with x or y zero, and points whose coordinate logs are
+    large, so that degree-9 terms sum to several times the group order."""
+    exp, _ = K.tables()
+    top = [exp[-1], exp[-2], exp[len(exp) // 2 + 1]]
+    return ([(K.zero, K.zero), (K.zero, exp[1]), (exp[1], K.zero)]
+            + [(a, b) for a in top for b in top])
+
+
+# each form in (x, y): the forms a column must get right one by one
+_EDGE_FORMS = {
+    # x - x cancels at the second term, and the sum restarts at 2y^9
+    "cancel-mid": (((1, 0), 1), ((1, 0), -1), ((0, 9), 2)),
+    # every term is undone, so the form is 0 at every point
+    "cancel-end": (((9, 0), 3), ((0, 1), 5), ((0, 1), -5), ((9, 0), -3)),
+    # coefficients 19 and -38 vanish mod q = 19
+    "zero-coeffs": (((1, 1), 19), ((9, 9), -38), ((4, 5), 7)),
+    # y^3 alone: x = 0 must not kill a term where x has exponent 0
+    "x-exponent-0": (((0, 3), 4),),
+    "high-degree": (((9, 9), 1), ((9, 8), 2), ((0, 9), 3)),
+    "all-zero": (),
+}
+
+
+@pytest.mark.parametrize("K", [F19, F361, F6859], ids=repr)
+@pytest.mark.parametrize("name", sorted(_EDGE_FORMS))
+def test_quotients_column_edge_cases(K, name):
+    f, points = _EDGE_FORMS[name], _edge_points(K)
+    others = [_EDGE_FORMS["x-exponent-0"], _EDGE_FORMS["high-degree"]]
+    want = [_ref_eval_monomials(K, f, p) for p in points]
+    assert [K.eval_monomials(f, p) for p in points] == want
+    if name in ("cancel-end", "all-zero"):
+        assert want == [K.zero] * len(points)
+    for forms, den in [([f, *others], None), ([*others, f], None),
+                       (others, f), ([f], others[0])]:
+        column = K.quotients(forms, points, den)
+        assert column == _ref_quotients(K, forms, points, den)
+        # a one-point column is the same image
+        assert [K.quotients(forms, [p], den)[0] for p in points] == column
+    # a divisor that vanishes everywhere leaves no image, and so do forms
+    # that all vanish
+    if name in ("cancel-end", "all-zero"):
+        assert K.quotients(others, points, f) == [None] * len(points)
+        assert K.quotients([f, f], points) == [None] * len(points)
 
 
 coeffs = st.lists(st.integers(0, 18), min_size=0, max_size=5)

@@ -7,7 +7,7 @@ from zomo.field import PrimeField
 from zomo.funcfield import (Endo, FuncFieldError, FunctionField,
                             _expand_point, _series_inv, apply_endo,
                             ffelem_str, lemma_factorization_check, poly_str,
-                            valuation_at)
+                            scaled_str, valuation_at)
 
 F19 = PrimeField(19)
 
@@ -258,6 +258,19 @@ def test_serialization_branches():
              (f.elem(((1,),), (0, 1)), "(1)/(y)"),
              (f.elem(((), (16,)), (0, 0, 1)), "(16)/(y^2)x")]
     assert [ffelem_str(e) for e, _ in cases] == [s for _, s in cases]
+
+
+def test_scaled_str_is_the_string_of_each_multiple():
+    # coefficients with a common factor with den, a reduced fraction, a
+    # polynomial coefficient and a constant: every branch under every c
+    f = hesse_field()
+    x, y = f.v(), f.u()
+    e = ((y + f.one) / (y * y - f.one) * x * x + (y ** 2 + f.from_int(3)) * x
+         + f.from_int(7) / y)
+    show = scaled_str(e)
+    assert [show(c) for c in range(1, 19)] == [ffelem_str(e.scale(c))
+                                               for c in range(1, 19)]
+    assert scaled_str(f.zero)(5) == "0"
 
 
 def test_factorization_identity():
