@@ -154,15 +154,16 @@ def _cmd_profiles(args):
 
 
 def _cmd_kummer_build(args):
+    # q and h are checked before the reference is read or anything built
+    h = kummer.kummer_h(args.q)
+    if h != args.h:
+        raise UsageError("q = %d gives h = %d, not %d" % (args.q, h, args.h))
     if args.golden is not None:
         golden = _read_text(args.golden).strip()
     else:
         golden = kummer.load_golden(args.q)
     with _open_out(args.out) as fh:
         out = kummer.build_kummer(args.q, golden)
-        if out.h != args.h:
-            raise UsageError("q = %d gives h = %d, not %d"
-                             % (args.q, out.h, args.h))
         payload = {
             "q": out.q,
             "h": out.h,

@@ -196,6 +196,15 @@ class FFElem:
         return FFElem(self.field, tuple(polys.pscale(F, x, c)
                                         for x in self.nums), self.den)
 
+    def scale_u(self, c):
+        """self(c u, v) for a nonzero constant c: the coefficients of u^k
+        scale by c^(k - deg den), so den stays monic; the pullback under
+        (u, v) -> (c u, v) when that keeps the relation (c^3 = 1 on Hesse)."""
+        q, d = self.field.constants.q, len(self.den) - 1
+        den, *nums = [tuple(a * pow(c, k - d, q) % q for k, a in enumerate(p))
+                      for p in (self.den,) + self.nums]
+        return FFElem(self.field, tuple(nums), den)
+
     def _constants(self, other):
         if not isinstance(other, FFElem) or other.field != self.field:
             raise FuncFieldError("operands from different function fields")

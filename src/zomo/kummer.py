@@ -10,7 +10,12 @@ theta_2 form
     t = (m x - y + m)/(x + 1),     w = prod over Frattini translations of
                                        the pullback of t,
 
-so that z^3 = w defines a cover of genus 3^h + 1.  The line slope m is the
+so that z^3 = w defines a cover of genus 3^h + 1.  As t = m - s for
+s = y/(x+1), the pullbacks u_T = s tau_T under the translations tau_T are
+taken one alpha-orbit at a time: alpha (x, y) -> (x, eps y) is a group
+automorphism fixing O, so tau_alpha(T) = alpha tau_T alpha^-1, and
+s alpha = eps s; hence u_alpha(T) = eps u_T(x, eps^2 y), for either
+primitive cube root eps and every T.  The line slope m is the
 only free choice, and it changes w only by a constant, since div w =
 theta_2 + theta_3 - 2 theta_1 for every Q in theta_2: the product is formed
 for the first slope m0 only, and each other w is c_m w_{m0}, with c_m read
@@ -21,7 +26,7 @@ multiplicative constant that is a cube in F_q.
 """
 
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
 from . import ZomoError
 from .analysis import _log3, frattini
@@ -31,21 +36,32 @@ from .funcfield import (Endo, FFElem, apply_endo, ffelem_str, scaled_str,
 from .group import FiniteGroup, group_from_permutations
 from .genus import RamificationProfile, rh_genus
 from .hesse import (EllipticGroup, HessePoint, cube_roots_of_unity,
-                    hesse_function_field, make_point, scaling_endo,
-                    scaling_point_map, translation_endo)
+                    enumerate_hesse_points, hesse_function_field, make_point,
+                    scaling_endo, scaling_point_map, translation_endo)
 
 
 class KummerError(ZomoError, ValueError):
     pass
 
 
-def translation_sylow3(q):
-    """The 3-Sylow subgroup of (E(F_q), +) with its invariant factors."""
+def _base_field(q):
     if q % 3 != 1:
         raise KummerError("q = %d is not 1 mod 3" % q)
-    E = EllipticGroup(PrimeField(q))
+    return PrimeField(q)
+
+
+def translation_sylow3(q):
+    """The 3-Sylow subgroup of (E(F_q), +) with its invariant factors."""
+    E = EllipticGroup(_base_field(q))
     pts, invariants = E.sylow3()
     return E, pts, invariants
+
+
+def kummer_h(q):
+    """h with 3^h = |A|, the 3-part of #E(F_q), from the points alone: no
+    addition table, so a large q costs O(q), not O(q^2)."""
+    n = len(enumerate_hesse_points(_base_field(q)))
+    return _log3(gcd(n, 3 ** n.bit_length()))
 
 
 def _sylow_generators(E, pts, invariants):
@@ -144,10 +160,26 @@ def line_slope(E, Q: HessePoint):
 
 
 def phi_pullbacks(field, translations):
-    """The pullbacks u_T of y/(x+1) under the translations."""
+    """The pullbacks u_T of s = y/(x+1) under the translations, in input
+    order: ``apply_endo`` for the first T of each alpha-orbit, and
+    u_alpha(T) = eps u_T(x, eps^2 y) (see the module docstring) for the
+    rest of its orbit, with eps the least primitive cube root."""
+    F = field.constants
+    eps = min(cube_roots_of_unity(F))
+    eps2, alpha = F.mul(eps, eps), scaling_point_map(F, eps)
     s = field.u() / (field.v() + field.one)
-    return [apply_endo(translation_endo(field, T), s)
-            for T in translations]
+    wanted, lifts = set(translations), {}
+    for T in translations:
+        if T in lifts:
+            continue
+        u = lifts[T] = apply_endo(translation_endo(field, T), s)
+        P = alpha(T)
+        while P != T:   # the orbit has length 1 or 3
+            u = u.scale_u(eps2).scale(eps)
+            if P in wanted:
+                lifts[P] = u
+            P = alpha(P)
+    return [lifts[T] for T in translations]
 
 
 def _product(items):

@@ -9,11 +9,13 @@ table unchanged; the package runs one.  ``profiles_by_brute_force`` tries
 every multiset of short-orbit sizes at every quotient genus up to g.
 ``slope_ratios_by_specialisation`` reads the Kummer slope constants off the
 products of the pullbacks themselves at one y = y0; the package reads them
-off the point table at the identity.  ``map_image_by_normalize`` evaluates
-each form of a curve map by adding its terms' antilogs with ``add``, then
-scales the image with ``inv`` and ``mul`` (``_normalize`` when there is no
-denominator); the package keeps the sums as logs and divides by
-subtracting them.
+off the point table at the identity.  ``pullbacks_by_translation`` pulls
+y/(x+1) back with one ``apply_endo`` per translation; the package runs one
+per alpha-orbit and scales y for the rest.  ``map_image_by_normalize``
+evaluates each form of a curve map by adding its terms' antilogs with
+``add``, then scales the image with ``inv`` and ``mul`` (``_normalize``
+when there is no denominator); the package keeps the sums as logs and
+divides by subtracting them.
 """
 
 import itertools
@@ -22,8 +24,10 @@ from zomo import analysis, polys
 from zomo.analysis import Subgroup
 from zomo.coset import CosetTable, EnumerationError, _word_to_cols
 from zomo.field import ExtField, _normalize
+from zomo.funcfield import apply_endo
 from zomo.genus import RamificationProfile
 from zomo.group import FiniteGroup, GroupError
+from zomo.hesse import translation_endo
 from zomo.kummer import KummerError
 
 
@@ -177,6 +181,13 @@ def slope_ratios_by_specialisation(F, pullbacks, slopes):
                               "w for m = %d" % (m, slopes[0]))
         ratios[m] = c
     return ratios
+
+
+def pullbacks_by_translation(field, translations):
+    """The pullback of y/(x+1) under each translation, one ``apply_endo``
+    per point."""
+    s = field.u() / (field.v() + field.one)
+    return [apply_endo(translation_endo(field, T), s) for T in translations]
 
 
 def _product_at(F, spec, mod, m):

@@ -197,6 +197,44 @@ def test_kummer_build_wrong_h(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("q, message", [
+    ("4", "error: 4 is not prime"), ("17", "error: q = 17 is not 1 mod 3")])
+def test_kummer_build_bad_q_is_named_before_the_reference(q, message,
+                                                          capsys):
+    # the same refusal with or without --golden: q is checked first
+    for extra in ((), ("--golden", "nosuch.txt")):
+        code, out, err = run(capsys, "kummer", "build", "--q", q, "--h", "1",
+                             *extra)
+        assert code == 2 and out == ""
+        assert err.strip() == message
+
+
+def test_kummer_build_wrong_h_is_refused_before_the_build(monkeypatch,
+                                                          capsys):
+    def no_work(*args):
+        pytest.fail("the cover was built before the wrong --h was refused")
+
+    monkeypatch.setattr(kummer, "build_kummer", no_work)
+    code, out, err = run(capsys, "kummer", "build", "--q", "271", "--h", "4")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: q = 271 gives h = 5, not 4"
+
+
+def test_kummer_build_large_q_is_refused_without_the_group_law(monkeypatch,
+                                                               capsys):
+    # h comes from the point count: no O(q^2) addition table is built
+    def no_table(*args):
+        pytest.fail("the addition table was built to check q and h")
+
+    monkeypatch.setattr(kummer, "EllipticGroup", no_table)
+    for h, message in (("1", "q = 10009 gives h = 3, not 1"),
+                       ("3", "no reference equation stored for q = 10009")):
+        code, out, err = run(capsys, "kummer", "build", "--q", "10009",
+                             "--h", h)
+        assert code == 2 and out == ""
+        assert err.strip() == "error: " + message
+
+
 def test_failing_command_keeps_the_old_out_file(tmp_path, capsys):
     out_file = tmp_path / "k.json"
     out_file.write_text("old content\n")

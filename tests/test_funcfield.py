@@ -3,11 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zomo import polys
-from zomo.field import PrimeField
+from zomo.field import PrimeField, roots_of_unity
 from zomo.funcfield import (Endo, FuncFieldError, FunctionField,
                             _expand_point, _series_inv, apply_endo,
                             ffelem_str, lemma_factorization_check, poly_str,
                             scaled_str, valuation_at)
+from zomo.hesse import scaling_endo
 
 F19 = PrimeField(19)
 
@@ -103,6 +104,25 @@ def test_canonical_form(field, data):
     assert common == (1,)
     assert a.is_zero() == (a.den == (1,) and not any(a.nums)) == (
         not any(polys.ptrim(F, [x % F.q for x in n]) for n in nums))
+
+
+@pytest.mark.parametrize("q", [19, 73])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_scale_u_is_the_scaling_endo(q, data):
+    # y -> c y for a cube root of unity c is a map of the Hesse field; for
+    # any nonzero c, scaling by c and then by 1/c gives the element back
+    field = hesse_field(q)
+    F = field.constants
+    a = field.elem(*_raw(data.draw, field))
+    c = data.draw(st.sampled_from(sorted(roots_of_unity(F, 3))))
+    got = a.scale_u(c)
+    assert got == apply_endo(scaling_endo(field, c), a)
+    assert got.den[-1] == 1
+    c = data.draw(st.integers(1, q - 1))
+    got = a.scale_u(c)
+    assert got.den[-1] == 1
+    assert got.scale_u(F.inv(c)) == a
 
 
 coeffs = st.lists(st.integers(0, 18), min_size=0, max_size=5)

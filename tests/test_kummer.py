@@ -1,12 +1,14 @@
+from math import prod
+
 import pytest
 
 from zomo import kummer
 from zomo.field import PrimeField
 from zomo.funcfield import ffelem_str
 from zomo.hesse import (EllipticGroup, cube_roots_of_unity,
-                        hesse_function_field, make_point)
+                        hesse_function_field, make_point, scaling_point_map)
 
-from oracles import slope_ratios_by_specialisation
+from oracles import pullbacks_by_translation, slope_ratios_by_specialisation
 
 
 def test_build_gbar_structure_q19():
@@ -25,6 +27,12 @@ def test_build_gbar_structure_q73():
     assert data.group.order == 243
     assert len(data.sylow_points) == 81
     assert len(data.phi_translations) == 27
+
+
+@pytest.mark.parametrize("q", [7, 13, 19, 73, 271])
+def test_kummer_h_is_the_rank_of_the_sylow_group(q):
+    _, pts, invariants = kummer.translation_sylow3(q)
+    assert 3 ** kummer.kummer_h(q) == len(pts) == prod(invariants)
 
 
 def test_gbar_rejects_bad_epsilon():
@@ -61,6 +69,38 @@ def test_line_slope_degenerate():
     Q = make_point(PrimeField(19), -1, 0, 1)
     with pytest.raises(kummer.KummerError):
         kummer.line_slope(E, Q)
+
+
+@pytest.mark.parametrize("q", [19, 73, 271])
+def test_pullbacks_match_one_apply_endo_per_translation(q):
+    # the orbit walk uses the least cube root whichever one built Gbar
+    F = PrimeField(q)
+    field = hesse_function_field(F)
+    for epsilon in sorted(cube_roots_of_unity(F)):
+        S = kummer.build_gbar(q, epsilon).phi_translations
+        assert (kummer.phi_pullbacks(field, S)
+                == pullbacks_by_translation(field, S))
+
+
+def test_pullbacks_match_on_the_order_27_frattini_part():
+    E, _, S, _, _ = kummer.small_gbar27(19)
+    field = hesse_function_field(E.C)
+    assert (kummer.phi_pullbacks(field, S)
+            == pullbacks_by_translation(field, S))
+
+
+def test_pullbacks_of_a_list_not_closed_under_alpha():
+    # one point of a 3-orbit alone, and two points of a 3-orbit (the one
+    # between them left out) around a fixed point, in input order
+    F = PrimeField(73)
+    field = hesse_function_field(F)
+    data = kummer.build_gbar(73)
+    alpha = scaling_point_map(F, min(cube_roots_of_unity(F)))
+    T = next(T for T in data.phi_translations if alpha(T) != T)
+    fixed = next(T for T in data.phi_translations if alpha(T) == T)
+    for points in ([T], [alpha(alpha(T)), fixed, T]):
+        got = kummer.phi_pullbacks(field, points)
+        assert got == pullbacks_by_translation(field, points)
 
 
 def _slopes(data):
