@@ -40,9 +40,12 @@ def point_budget():
     if not env:
         return DEFAULT_BUDGET
     try:
-        return int(env)
+        budget = int(env)
     except ValueError:
         raise ZomoError("ZOMO_BUDGET=%r is not an integer" % env) from None
+    if budget < 1:
+        raise ZomoError("ZOMO_BUDGET=%r is not a positive integer" % env)
+    return budget
 
 
 @dataclass(frozen=True)

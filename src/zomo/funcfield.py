@@ -1,13 +1,16 @@
-"""Function fields K(u)[v]/(m) with m monic in v, over finite constant fields.
+"""Function fields K(u)[v]/(v^n + m0(u)) over finite prime fields.
 
-An element sum_i c_i(u) v^i, i < n = deg_v(m), is stored as n numerator
-polynomials in F_p[u] over one common monic denominator, in lowest terms, so
-every operation runs on the int kernel of ``polys``.  The module also provides
-endomorphisms given by coordinate images, valuations at nonsingular affine
-points via power-series expansion, and canonical serialization matching the
-project's printed-equation style.  Curve equations are sorted ((i, j), c)
-monomial tuples, the form ``curves.PlaneCurve`` uses, and the power series
-of a valuation are F_p[s] polynomials of ``polys`` truncated below s^prec.
+Each is a cyclic Kummer extension of K(u): n divides p - 1, so v -> zeta v
+for a primitive n-th root of unity zeta is an automorphism of order n.  An
+element sum_i c_i(u) v^i, i < n, is stored as n numerator polynomials in
+F_p[u] over one common monic denominator, in lowest terms, so every
+operation runs on the int kernel of ``polys``; an inverse is the product of
+the other conjugates over the norm.  The module also provides endomorphisms
+given by coordinate images, valuations at nonsingular affine points via
+power-series expansion, and canonical serialization matching the project's
+printed-equation style.  Curve equations are sorted ((i, j), c) monomial
+tuples, the form ``curves.PlaneCurve`` uses, and the power series of a
+valuation are F_p[s] polynomials of ``polys`` truncated below s^prec.
 """
 
 from dataclasses import dataclass
@@ -34,7 +37,7 @@ def _partial(monos, axis):
 def _rows(monos):
     """The rows of m by v-degree: row i holds the F_p[u] coefficient of v^i
     (trimmed, since every coefficient of ``monos`` is nonzero)."""
-    rows = [[] for _ in range(1 + max(i for (i, _), _ in monos))]
+    rows = [[] for _ in range(1 + max((i for (i, _), _ in monos), default=0))]
     for (i, j), c in monos:
         row = rows[i]
         row.extend([0] * (j + 1 - len(row)))
@@ -43,30 +46,35 @@ def _rows(monos):
 
 
 class FunctionField:
-    """K(u)[v]/(m(v, u)) with m monic in v.
+    """K(u)[v]/(m), m = v^n + m0(u) with n dividing p - 1.
 
     ``equation`` is {(i, j): int} for m = sum c v^i u^j; the constant field
     is a prime field object.  ``u_name``/``v_name`` only affect printing.
     ``monomials`` holds m as sorted ((i, j), c) pairs with c in [1, p), the
-    form of ``PlaneCurve.coeffs``.  ``modulus`` holds the rows m_0, ...,
-    m_{n-1} of m below v^n, as F_p[u] polynomials: m is monic in v with
-    polynomial coefficients, so v^n = -(m_0 + m_1 v + ... + m_{n-1}
-    v^(n-1)) reduces without division.
+    form of ``PlaneCurve.coeffs``; ``m0`` is the F_p[u] polynomial m0 and
+    ``zeta`` the primitive n-th root of unity g^((p-1)/n), g the least
+    primitive root.  v -> zeta v keeps m, so it fixes the norm of f, the
+    product of the conjugates f(u, zeta^j v), which thus lies in K(u).
     """
 
     def __init__(self, constants, equation, u_name="x", v_name="y"):
         self.constants = constants
         self.u_name = u_name
         self.v_name = v_name
-        self.monomials = tuple(sorted((k, c % constants.q)
-                                      for k, c in equation.items()
-                                      if c % constants.q))
+        p = constants.q
+        self.monomials = tuple(sorted((k, c % p) for k, c in equation.items()
+                                      if c % p))
         rows = _rows(self.monomials)
         n = len(rows) - 1
+        if n < 1 or rows[n] != (1,) or any(rows[1:n]):
+            raise FuncFieldError("equation must be %s^n + m0(%s) with n >= 1"
+                                 % (v_name, u_name))
+        if (p - 1) % n:
+            raise FuncFieldError("F_%d has no primitive %d-th root of unity"
+                                 % (p, n))
         self.degree = n
-        if rows[n] != (1,):
-            raise FuncFieldError("modulus must be monic in %s" % v_name)
-        self.modulus = tuple(rows[:n])
+        self.m0 = rows[0]
+        self.zeta = constants.tables()[0][(p - 1) // n % (p - 1)]
         self.zero = FFElem(self, ((),) * n, (1,))
         self.one = self.scalar((1,))
 
@@ -113,16 +121,13 @@ class FunctionField:
 
 def _reduce(field, nums):
     """nums (a list of any length) reduced mod m to exactly n entries, by
-    v^n = -(m_0 + ... + m_{n-1} v^(n-1)) from the top term down."""
-    F = field.constants
-    n = field.degree
+    v^n = -m0 from the top term down."""
+    F, n, m0 = field.constants, field.degree, field.m0
     nums = nums + [()] * (n - len(nums))
     for k in range(len(nums) - 1, n - 1, -1):
         c = nums.pop()
         if c:
-            for i, m_i in enumerate(field.modulus, k - n):
-                if m_i:
-                    nums[i] = polys.psub(F, nums[i], polys.pmul(F, c, m_i))
+            nums[k - n] = polys.psub(F, nums[k - n], polys.pmul(F, c, m0))
     return nums
 
 
@@ -205,50 +210,41 @@ class FFElem:
                       for p in (self.den,) + self.nums]
         return FFElem(self.field, tuple(nums), den)
 
+    def scale_v(self, c):
+        """self(u, c v) for a nonzero constant c: the numerator of v^i
+        scales by c^i and the denominator stays, so the form stays in
+        lowest terms; the pullback under (u, v) -> (u, c v) when c^n = 1."""
+        F = self.field.constants
+        return FFElem(self.field, tuple(polys.pscale(F, x, pow(c, i, F.q))
+                                        for i, x in enumerate(self.nums)),
+                      self.den)
+
     def _constants(self, other):
         if not isinstance(other, FFElem) or other.field != self.field:
             raise FuncFieldError("operands from different function fields")
         return self.field.constants
 
     def inverse(self):
-        """With N = sum nums[i] v^i and M the matrix of multiplication by
-        N, the inverse is den * X / D: fraction-free (Bareiss) elimination
-        of M X = D e_0 over F_p[u] gives D = +-det M as its last pivot and
-        the polynomial solution X, so no step leaves F_p[u]."""
+        """With P = sum nums[i] v^i, so that self = P / den, and G the
+        product of the conjugates P(u, zeta^j v), 0 < j < n: the norm
+        N = P G is fixed by v -> zeta v, so it lies in F_p[u], and the
+        inverse is den G / N.  N = 0 makes self a zero divisor, which only
+        a reducible m allows.  Over the denominator 1 no product needs a
+        gcd."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero function-field element")
         field = self.field
-        F, n = field.constants, field.degree
-        # column j holds the numerators of (sum nums[i] v^i) * v^j
-        cols = [list(self.nums)]
-        for _ in range(n - 1):
-            cols.append(_reduce(field, [()] + cols[-1]))
-        rows = [[cols[j][i] for j in range(n)] + [(1,) if i == 0 else ()]
-                for i in range(n)]
-        prev = (1,)
-        for k in range(n):
-            r = next((r for r in range(k, n) if rows[r][k]), None)
-            if r is None:
-                raise FuncFieldError("modulus reducible: %r is a zero "
-                                     "divisor" % (self,))
-            rows[k], rows[r] = rows[r], rows[k]
-            pivot = rows[k]
-            for row in rows[k + 1:]:
-                c = row[k]
-                row[k] = ()
-                for j in range(k + 1, n + 1):
-                    t = polys.psub(F, polys.pmul(F, pivot[k], row[j]),
-                                   polys.pmul(F, c, pivot[j]))
-                    row[j] = polys.pdivmod(F, t, prev)[0]
-            prev = pivot[k]
-        X = [()] * n
-        for i in range(n - 1, -1, -1):
-            t = polys.pmul(F, prev, rows[i][n])
-            for j in range(i + 1, n):
-                t = polys.psub(F, t, polys.pmul(F, rows[i][j], X[j]))
-            X[i] = polys.pdivmod(F, t, rows[i][i])[0]
-        return _canonical(field, [polys.pmul(F, self.den, x) for x in X],
-                          prev)
+        F, zeta = field.constants, field.zeta
+        P = FFElem(field, self.nums, (1,))
+        G = field.one
+        for j in range(1, field.degree):
+            G = G * P.scale_v(pow(zeta, j, F.q))
+        norm = (P * G).nums[0]
+        if not norm:
+            raise FuncFieldError("modulus reducible: %r is a zero divisor"
+                                 % (self,))
+        return _canonical(field, [polys.pmul(F, self.den, x) for x in G.nums],
+                          norm)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -277,10 +273,10 @@ class Endo:
     v_image: FFElem
 
     def __post_init__(self):
-        acc = self.field.zero
-        for (i, j), c in self.field.monomials:
-            acc = acc + (self.v_image ** i * self.u_image ** j).scale(c)
-        if not acc.is_zero():
+        field = self.field
+        rel = (self.v_image ** field.degree
+               + _eval_poly_at(field, field.m0, self.u_image))
+        if not rel.is_zero():
             raise FuncFieldError("images do not satisfy the field relation")
 
     def compose(self, other):

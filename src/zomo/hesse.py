@@ -214,8 +214,3 @@ def translation_endo(field: FunctionField, t: HessePoint) -> Endo:
     inv = r0.inverse()
     return Endo(field, u_image=r1 * inv, v_image=r2 * inv)
 
-
-def scaling_endo(field: FunctionField, eps) -> Endo:
-    """(x, y) -> (x, eps y)."""
-    return Endo(field, u_image=field.from_int(eps) * field.u(),
-                v_image=field.v())

@@ -37,7 +37,7 @@ from .group import FiniteGroup, group_from_permutations
 from .genus import RamificationProfile, rh_genus
 from .hesse import (EllipticGroup, HessePoint, cube_roots_of_unity,
                     enumerate_hesse_points, hesse_function_field, make_point,
-                    scaling_endo, scaling_point_map, translation_endo)
+                    scaling_point_map, translation_endo)
 
 
 class KummerError(ZomoError, ValueError):
@@ -370,7 +370,8 @@ def small_construction(q=19):
 
     The line through P = (-1, 0, 1) and Q is X + Y + Z = 0, so m = -1.
     Rescaling t by a constant multiplies w by its cube, so w is fixed only
-    up to a cube constant by the normalisation of t."""
+    up to a cube constant by the normalisation of t.  alpha (x, y) ->
+    (x, eps y) pulls w back by ``scale_u``, delta by its endomorphism."""
     E, G, S, theta, epsilon = small_gbar27(q)
     F = E.C
     field = hesse_function_field(F)
@@ -379,11 +380,9 @@ def small_construction(q=19):
         raise KummerError("expected (1, -1, 0) in theta_2")
     m = line_slope(E, Q)
     w = build_w(field, m, phi_pullbacks(field, S))
-    alpha_endo = scaling_endo(field, F.from_int(epsilon))
-    delta_endo = _rotation_endo(field)
     return SmallConstruction(
         epsilon, m, w, ffelem_str(w), theta,
-        apply_endo(alpha_endo, w) / w, apply_endo(delta_endo, w) / w)
+        w.scale_u(epsilon) / w, apply_endo(_rotation_endo(field), w) / w)
 
 
 def _rotation_endo(field):

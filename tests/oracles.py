@@ -15,7 +15,12 @@ per alpha-orbit and scales y for the rest.  ``map_image_by_normalize``
 evaluates each form of a curve map by adding its terms' antilogs with
 ``add``, then scales the image with ``inv`` and ``mul`` (``_normalize``
 when there is no denominator); the package keeps the sums as logs and
-divides by subtracting them.
+divides by subtracting them.  ``inverse_by_elimination`` inverts a
+function-field element by fraction-free (Bareiss) elimination on the matrix
+of multiplication by it; the package divides the product of the other
+conjugates under v -> zeta v by the norm.  ``scaling_endo`` is y -> eps y
+on the Hesse field as an ``Endo``; the package applies it with
+``FFElem.scale_u``.
 """
 
 import itertools
@@ -24,7 +29,8 @@ from zomo import analysis, polys
 from zomo.analysis import Subgroup
 from zomo.coset import CosetTable, EnumerationError, _word_to_cols
 from zomo.field import ExtField, _normalize
-from zomo.funcfield import apply_endo
+from zomo.funcfield import (Endo, FuncFieldError, _canonical, _reduce,
+                            apply_endo)
 from zomo.genus import RamificationProfile
 from zomo.group import FiniteGroup, GroupError
 from zomo.hesse import translation_endo
@@ -188,6 +194,51 @@ def pullbacks_by_translation(field, translations):
     per point."""
     s = field.u() / (field.v() + field.one)
     return [apply_endo(translation_endo(field, T), s) for T in translations]
+
+
+def scaling_endo(field, eps):
+    """(x, y) -> (x, eps y) on the Hesse field, whose u is y."""
+    return Endo(field, u_image=field.from_int(eps) * field.u(),
+                v_image=field.v())
+
+
+def inverse_by_elimination(f):
+    """With N = sum nums[i] v^i and M the matrix of multiplication by N,
+    the inverse is den * X / D: fraction-free (Bareiss) elimination of
+    M X = D e_0 over F_p[u] gives D = +-det M as its last pivot and the
+    polynomial solution X, so no step leaves F_p[u]."""
+    if f.is_zero():
+        raise ZeroDivisionError("inverse of zero function-field element")
+    field = f.field
+    F, n = field.constants, field.degree
+    # column j holds the numerators of (sum nums[i] v^i) * v^j
+    cols = [list(f.nums)]
+    for _ in range(n - 1):
+        cols.append(_reduce(field, [()] + cols[-1]))
+    rows = [[cols[j][i] for j in range(n)] + [(1,) if i == 0 else ()]
+            for i in range(n)]
+    prev = (1,)
+    for k in range(n):
+        r = next((r for r in range(k, n) if rows[r][k]), None)
+        if r is None:
+            raise FuncFieldError("%r is a zero divisor" % (f,))
+        rows[k], rows[r] = rows[r], rows[k]
+        pivot = rows[k]
+        for row in rows[k + 1:]:
+            c = row[k]
+            row[k] = ()
+            for j in range(k + 1, n + 1):
+                t = polys.psub(F, polys.pmul(F, pivot[k], row[j]),
+                               polys.pmul(F, c, pivot[j]))
+                row[j] = polys.pdivmod(F, t, prev)[0]
+        prev = pivot[k]
+    X = [()] * n
+    for i in range(n - 1, -1, -1):
+        t = polys.pmul(F, prev, rows[i][n])
+        for j in range(i + 1, n):
+            t = polys.psub(F, t, polys.pmul(F, rows[i][j], X[j]))
+        X[i] = polys.pdivmod(F, t, rows[i][i])[0]
+    return _canonical(field, [polys.pmul(F, f.den, x) for x in X], prev)
 
 
 def _product_at(F, spec, mod, m):

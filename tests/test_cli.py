@@ -144,6 +144,15 @@ def test_curve_check_bad_budget_is_usage_error(monkeypatch, capsys):
     assert err == "error: ZOMO_BUDGET='abc' is not an integer\n"
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_curve_check_non_positive_budget_is_usage_error(budget, monkeypatch,
+                                                        capsys):
+    monkeypatch.setenv("ZOMO_BUDGET", budget)
+    code, _, err = run(capsys, "curve", "check", "--name", "x0", "--q", "19")
+    assert code == 2
+    assert err == "error: ZOMO_BUDGET=%r is not a positive integer\n" % budget
+
+
 def test_analyze_non_3_group_is_usage_error(tmp_path, capsys):
     p = tmp_path / "c2.pres"
     p.write_text("<a | a^2>\n")
@@ -315,3 +324,13 @@ def test_report_bad_budget_is_usage_error(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: ZOMO_BUDGET='abc' is not an integer\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_report_non_positive_budget_is_usage_error(budget, monkeypatch,
+                                                   capsys):
+    monkeypatch.setenv("ZOMO_BUDGET", budget)
+    code, out, err = run(capsys, "report", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: ZOMO_BUDGET=%r is not a positive integer\n" % budget

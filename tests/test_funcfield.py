@@ -8,7 +8,8 @@ from zomo.funcfield import (Endo, FuncFieldError, FunctionField,
                             _expand_point, _series_inv, apply_endo,
                             ffelem_str, lemma_factorization_check, poly_str,
                             scaled_str, valuation_at)
-from zomo.hesse import scaling_endo
+
+from oracles import inverse_by_elimination, scaling_endo
 
 F19 = PrimeField(19)
 
@@ -52,9 +53,13 @@ def test_ffelem_ring_axioms(ac, bc):
 
 # -- numerators over one denominator ---------------------------------------
 
-X0_F19 = FunctionField(F19, {(9, 0): 1, (0, 6): 1, (0, 3): 1},
-                       u_name="x", v_name="y")
-ELEMENT_FIELDS = [pytest.param(X0_F19, id="x0-F19"),
+def x0_field(q=19):
+    return FunctionField(PrimeField(q), {(9, 0): 1, (0, 6): 1, (0, 3): 1},
+                         u_name="x", v_name="y")
+
+
+ELEMENT_FIELDS = [pytest.param(x0_field(), id="x0-F19"),
+                  pytest.param(hesse_field(), id="hesse-F19"),
                   pytest.param(hesse_field(271), id="hesse-F271")]
 
 
@@ -79,8 +84,40 @@ def test_inverse_and_division(field, data):
     b = field.elem(*_raw(data.draw, field))
     if not a.is_zero():
         assert a * a.inverse() == field.one
+        assert a.inverse() == inverse_by_elimination(a)
     if not b.is_zero():
         assert (a * b) / b == a
+
+
+def test_kummer_field_data():
+    field = x0_field()
+    assert (field.degree, field.m0, field.zeta) == (9, (0, 0, 0, 1, 0, 0, 1),
+                                                    4)
+    assert pow(field.zeta, 9, 19) == 1 and pow(field.zeta, 3, 19) != 1
+    assert hesse_field().m0 == (1, 0, 0, 1)
+
+
+def test_zero_divisor_of_a_reducible_kummer_field():
+    # v^3 - u^3 = (v - u)(v - 7u)(v - 49u) over F_19
+    field = FunctionField(F19, {(3, 0): 1, (0, 3): -1})
+    a = field.v() - field.u()
+    with pytest.raises(FuncFieldError, match="zero divisor"):
+        a.inverse()
+    with pytest.raises(FuncFieldError, match="zero divisor"):
+        inverse_by_elimination(a)
+
+
+@pytest.mark.parametrize("q,equation,message", [
+    (19, {(3, 0): 1, (1, 1): 1, (0, 0): 1}, r"must be y\^n \+ m0"),
+    (19, {(3, 0): 2, (0, 3): 1, (0, 0): 1}, r"must be y\^n \+ m0"),
+    (19, {(0, 3): 1, (0, 0): 1}, r"must be y\^n \+ m0"),
+    (19, {(3, 0): 19}, r"must be y\^n \+ m0"),
+    (23, {(3, 0): 1, (0, 3): 1, (0, 0): 1}, "F_23 has no primitive 3-th"),
+    (23, {(9, 0): 1, (0, 6): 1, (0, 3): 1}, "F_23 has no primitive 9-th"),
+], ids=["mixed-term", "not-monic", "no-v", "zero", "hesse-F23", "x0-F23"])
+def test_only_kummer_fields_are_accepted(q, equation, message):
+    with pytest.raises(FuncFieldError, match=message):
+        FunctionField(PrimeField(q), equation)
 
 
 @pytest.mark.parametrize("field", ELEMENT_FIELDS)
@@ -123,6 +160,17 @@ def test_scale_u_is_the_scaling_endo(q, data):
     got = a.scale_u(c)
     assert got.den[-1] == 1
     assert got.scale_u(F.inv(c)) == a
+    # v -> c v for an n-th root of unity c is a map of the Hesse and the
+    # X0 field; the result stays canonical
+    for field in (field, x0_field(q)):
+        a = field.elem(*_raw(data.draw, field))
+        roots = sorted(roots_of_unity(F, field.degree))
+        assert field.zeta in roots and len(roots) == field.degree
+        c = data.draw(st.sampled_from(roots))
+        got = a.scale_v(c)
+        assert got == apply_endo(Endo(field, field.u(),
+                                      field.v().scale(c)), a)
+        assert got == field.elem(got.nums, got.den)
 
 
 coeffs = st.lists(st.integers(0, 18), min_size=0, max_size=5)

@@ -4,6 +4,8 @@ from zomo import hesse, kummer
 from zomo.field import PrimeField
 from zomo.funcfield import apply_endo
 
+from oracles import scaling_endo
+
 F19 = PrimeField(19)
 F73 = PrimeField(73)
 
@@ -181,7 +183,7 @@ def _eval_poly(C, poly, v):
 
 def test_scaling_endo_consistency():
     field = hesse.hesse_function_field(F19)
-    endo = hesse.scaling_endo(field, 7)
+    endo = scaling_endo(field, 7)
     y = field.u()
     img = apply_endo(endo, y)
-    assert img == field.from_int(7) * y
+    assert img == field.from_int(7) * y == y.scale_u(7)

@@ -1,6 +1,7 @@
 """Layout checks on the package source: no function without a caller, none
-that only the tests or the benchmark call, one base class for every error
-the package raises, and no import from outside the standard library."""
+that only the tests or the benchmark call, no module-level cache beyond the
+listed ones, one base class for every error the package raises, and no
+import from outside the standard library."""
 
 import ast
 import importlib
@@ -62,6 +63,60 @@ def test_every_function_is_referenced_in_the_package():
     found = _unreferenced((PKG,))
     assert [f for f in found if f[1] not in PACKAGE_UNCALLED] == []
     assert {name for _, name in found} == PACKAGE_UNCALLED
+
+
+_CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict",
+               "Counter"}
+_CACHES = {"cache", "lru_cache"}
+
+
+def _name(node):
+    """The last name of a Name, an Attribute or a Call of either."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _module_state(path):
+    """The module-level names of one source file bound to a mutable
+    container, and its functions under a ``functools`` cache decorator."""
+    tree = ast.parse(path.read_text(), str(path))
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value:
+            value = node.value
+            if (isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                                   ast.ListComp, ast.SetComp))
+                    or (isinstance(value, ast.Call)
+                        and _name(value) in _CONTAINERS)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    for leaf in ast.walk(target):
+                        if isinstance(leaf, ast.Name):
+                            yield leaf.id
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and any(_name(d) in _CACHES for d in node.decorator_list)):
+            yield node.name
+
+
+# The module-level containers the package may keep.  The last three are
+# caches that wait for the benchmark's per-run cache context (ROADMAP item
+# 3), because bench/checks.py clears them by name; a new cache belongs in an
+# explicit object, not in this set.
+MODULE_STATE = {"catalog.PROPERTY_EVALUATORS", "cli._VAR_AXIS",
+                "catalog._group_cache", "kummer._GBAR_CACHE",
+                "kummer._LIFT_CACHE"}
+
+
+def test_no_new_module_level_cache():
+    """Every module-level dict, list or set and every function under
+    ``functools.cache`` or ``lru_cache`` in the package is in MODULE_STATE."""
+    found = {"%s.%s" % (path.stem, name) for path in sorted(PKG.glob("*.py"))
+             for name in _module_state(path)}
+    assert found == MODULE_STATE
 
 
 def test_every_exception_derives_from_zomo_error():
