@@ -4,19 +4,21 @@ Centers, derived and Frattini subgroups, ascending central series,
 quotients, element-order censuses, minimal non-abelian subgroup search, and
 an isomorphism-invariant fingerprint used in place of database
 identification.  They multiply through generators (``FiniteGroup.gen_maps``
-and the Cayley rows of a few elements), never through the whole table.
+and the Cayley rows of a few elements), never through the whole table, and
+no subgroup is copied into a group of its own.
 Each subgroup is derived once, as the closure of a few generators:
 Phi(G) = G'G^3 is one normal closure of the generators' commutators and
 cubes.  Element orders are counted one cyclic subgroup at a time, and
 maximal subgroups are counted from the rank r of the abelianization
 (Burnside's basis theorem: |G:Phi(G)| = 3^r gives (3^r - 1)/2 of them), not
-listed.  Most routines assume (and some require) a group of 3-power order,
+listed.  Minimality is tested on generating pairs only, by Redei's criterion
+(``is_minimal_nonabelian_pair``), both in the subgroup search and for the
+catalog.  Most routines assume (and some require) a group of 3-power order,
 which is the only case exercised here.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
 
 from .group import FiniteGroup, GroupError
 
@@ -39,17 +41,6 @@ class Subgroup:
     @cached_property
     def member_set(self):
         return frozenset(self.members)
-
-    def as_group(self):
-        """The subgroup as a FiniteGroup of its own, from the rows of its
-        generators.  Those rows multiply on the left, so this is the
-        opposite group H^op (isomorphic to H by inversion): use it only
-        for isomorphism invariants."""
-        G = self.parent
-        index = {x: i for i, x in enumerate(self.members)}
-        maps = [[index[row[x]] for x in self.members]
-                for row in map(G.row, generators_of(G, self.members))]
-        return FiniteGroup(len(self.members), maps)
 
 
 def subgroup_closure(G: FiniteGroup, gens):
@@ -187,20 +178,26 @@ def order_census(G: FiniteGroup, restrict_outside: Subgroup | None = None):
     return counts
 
 
-def exponent_of_complement(G: FiniteGroup, H: Subgroup):
-    """Exponent of the set G minus H (lcm of element orders)."""
-    return lcm(1, *order_census(G, restrict_outside=H))
+def is_minimal_nonabelian_pair(G: FiniteGroup, a, b):
+    """Whether <a, b> is minimal non-abelian, in a 3-group G: c = [a, b] is
+    not 1, has order 3 and commutes with a and b.  Then H = <a, b> has
+    H' = <c> (the normal closure of c) of order 3 and d(H) = 2, which is
+    Redei's criterion.  Conversely a minimal non-abelian 3-group has
+    |H'| = 3, and a normal subgroup of order 3 of a 3-group is central."""
+    ra, rb = G.row(a), G.row(b)
+    if ra[b] == rb[a]:
+        return False
+    c = G.comm(a, b)
+    rc = G.row(c)
+    return not rc[rc[c]] and ra[c] == rc[a] and rb[c] == rc[b]
 
 
 def minimal_nonabelian_subgroups(G: FiniteGroup):
-    """All minimal non-abelian subgroups, by 2-generated pair search.
+    """All minimal non-abelian subgroups, each found as <a, b> for a pair
+    that passes ``is_minimal_nonabelian_pair``: a minimal non-abelian H is
+    generated by any two of its members that do not commute.
 
-    A pair (a, b) with c = [a, b] != 1, c of order 3 and c central in <a, b>
-    generates a non-abelian H = <a, b> with H' = <c> of order 3 and
-    d(H) = 2, so H is minimal non-abelian by Redei's criterion (see
-    ``_is_minimal_nonabelian``) and is kept without a further test.
-
-    Neither the filter nor <a, b> changes when a or b is replaced by a power
+    Neither the test nor <a, b> changes when a or b is replaced by a power
     prime to 3, so a and b run over one generator per cyclic subgroup.  Once
     a minimal non-abelian H contains a, every b in H is skipped: <a, b> is
     then abelian or H itself.  So no H is found twice.
@@ -209,16 +206,10 @@ def minimal_nonabelian_subgroups(G: FiniteGroup):
     reps = [x for x, _ in _cyclic_generators(G)]
     out = []
     for i, a in enumerate(reps):
-        ra = G.row(a)
         skip = set().union(*(H.member_set for H in out if a in H))
         for b in reps[i + 1:]:
-            rb = G.row(b)
-            if b in skip or ra[b] == rb[a]:
+            if b in skip or not is_minimal_nonabelian_pair(G, a, b):
                 continue
-            c = G.comm(a, b)
-            rc = G.row(c)
-            if rc[rc[c]] or ra[c] != rc[a] or rb[c] != rc[b]:
-                continue  # c is not of order 3 and central in <a, b>
             H = subgroup_closure(G, [a, b])
             out.append(H)
             skip |= H.member_set
@@ -239,19 +230,6 @@ def _cyclic_generators(G: FiniteGroup):
                 y, k = row[y], k + 1
             reps.append((x, k))
     return reps
-
-
-def _is_minimal_nonabelian(G: FiniteGroup, H: Subgroup):
-    """Redei: a 3-group H is minimal non-abelian iff |H'| = 3 (so H is
-    non-abelian) and H is 2-generated, |H:Phi(H)| = 9."""
-    Hg = H.as_group()
-    return len(derived_subgroup(Hg)) == 3 and Hg.order == 9 * len(frattini(Hg))
-
-
-def minimal_nonabelian_of_index3(G: FiniteGroup):
-    """Minimal non-abelian subgroups of index 3."""
-    return [H for H in minimal_nonabelian_subgroups(G)
-            if 3 * len(H) == G.order]
 
 
 def central_quotient_center_pattern(G: FiniteGroup):

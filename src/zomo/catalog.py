@@ -13,12 +13,16 @@ tag: ``stated`` for values asserted by the source classification, ``derived``
 for values this suite computed independently and froze.  Property expressions
 are a bare name or ``name(arg; arg; ...)`` where arguments are words in the
 entry's generators (or small integers).  Supported properties are the keys of
-``PROPERTY_EVALUATORS``.
+``PROPERTY_EVALUATORS``, and an expression must pass each evaluator exactly
+the arguments it takes: ``is_minimal_nonabelian(u; v)`` takes two words and
+tests <u, v> by Redei's criterion, ``analysis.is_minimal_nonabelian_pair``.
 """
 
+import inspect
 import re
 from dataclasses import dataclass
 from importlib import resources
+from math import lcm
 
 from . import ZomoError, analysis
 from .coset import BudgetExceeded
@@ -175,7 +179,8 @@ def _prop_minimal_nonabelian_count(G, pres):
 
 
 def _prop_minimal_nonabelian_index3_count(G, pres):
-    return len(analysis.minimal_nonabelian_of_index3(G))
+    return sum(3 * len(H) == G.order
+               for H in analysis.minimal_nonabelian_subgroups(G))
 
 
 def _prop_metacyclic(G, pres):
@@ -203,13 +208,13 @@ def _prop_abelian_subgroup(G, pres, *words):
     return analysis.is_abelian_set(G, _subgroup(G, pres, words).members)
 
 
-def _prop_is_minimal_nonabelian(G, pres, *words):
-    H = _subgroup(G, pres, words)
-    return analysis._is_minimal_nonabelian(G, H)
+def _prop_is_minimal_nonabelian(G, pres, u, v):
+    return analysis.is_minimal_nonabelian_pair(
+        G, *_words_to_elements(G, pres, (u, v)))
 
 
 def _prop_complement_exponent(G, pres, *words):
-    return analysis.exponent_of_complement(G, _subgroup(G, pres, words))
+    return lcm(1, *analysis.order_census(G, _subgroup(G, pres, words)))
 
 
 def _prop_order3_outside(G, pres, *words):
@@ -262,7 +267,12 @@ def evaluate_property(G: FiniteGroup, pres: Presentation, expr: str):
     args = []
     if argtext is not None and argtext.strip():
         args = [a.strip() for a in argtext.split(";")]
-    return PROPERTY_EVALUATORS[name](G, pres, *args)
+    fn = PROPERTY_EVALUATORS[name]
+    try:
+        inspect.signature(fn).bind(G, pres, *args)
+    except TypeError:
+        raise CatalogError("wrong number of arguments in %r" % expr) from None
+    return fn(G, pres, *args)
 
 
 _group_cache = {}

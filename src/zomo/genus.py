@@ -167,10 +167,3 @@ def is_extremal(genus, order):
     if g1 != 1 or h < 1 or order != 3 ** (h + 2):
         return False, None
     return True, h
-
-
-def abelian_bound_check(genus, order):
-    """Whether the order is admissible for an abelian automorphism group."""
-    if genus < 2:
-        raise ProfileError("genus must be at least 2")
-    return order <= 4 * genus + 4

@@ -133,9 +133,6 @@ class EllipticGroup:
     def add(self, a, b):
         return self.points[self.table[self.index[a]][self.index[b]]]
 
-    def neg(self, a):
-        return self.points[self.table[self.index[a]].index(self.iO)]
-
     def order_of(self, a):
         row = self.table[self.index[a]]
         k, i = 1, row[self.iO]

@@ -199,7 +199,8 @@ def test_11_property_suites():
         iO = E.index[E.O]
         for i in range(n):
             assert tab[i][iO] == i
-            assert tab[i][E.index[E.neg(E.points[i])]] == iO
+            neg = hesse.third_point(E.C, E.points[i], E.O)
+            assert tab[i][E.index[neg]] == iO
             for j in range(n):
                 assert tab[i][j] == tab[j][i]
                 row = tab[tab[i][j]]

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import pytest
 
@@ -180,11 +181,21 @@ def _pair_search_subgroups(G):
     return tuple(seen.values())
 
 
+def _as_group(G, H):
+    """H as a FiniteGroup of its own, from the rows of its generators.
+    Those rows multiply on the left, so this is the opposite group H^op
+    (isomorphic to H by inversion): fit for isomorphism invariants only."""
+    index = {x: i for i, x in enumerate(H.members)}
+    maps = [[index[row[x]] for x in H.members]
+            for row in map(G.row, analysis.generators_of(G, H.members))]
+    return FiniteGroup(len(H), maps)
+
+
 def _minimal_nonabelian_by_definition(G, H):
     """H is non-abelian and every maximal subgroup of H is abelian."""
     if analysis.is_abelian_set(G, H.members):
         return False
-    Hg = H.as_group()
+    Hg = _as_group(G, H)
     return all(analysis.is_abelian_set(Hg, M.members)
                for M in maximal_subgroups(Hg))
 
@@ -358,12 +369,38 @@ def test_order_census_needs_a_3group():
 @pytest.mark.parametrize("eid", SMALL_ENTRIES + ["genus28"])
 def test_redei_criterion_matches_the_definition(eid, request):
     # the subgroups the pair search meets are all non-abelian; the center
-    # and the maximal subgroups add abelian ones, some 2-generated
+    # and the maximal subgroups add abelian ones, some 2-generated.  The
+    # images of generators_of(H) span H/Phi(H), so they hold a basis of it:
+    # H is 2-generated iff two of them generate H (Burnside's basis
+    # theorem), and a minimal non-abelian H is 2-generated
     G = _group(eid, request)
     subgroups = (list(_pair_search_subgroups(G)) + [analysis.center(G)]
                  + maximal_subgroups(G))
     for H in subgroups:
-        assert (analysis._is_minimal_nonabelian(G, H)
+        gens = analysis.generators_of(G, H.members)
+        pairs = [(a, b) for a, b in
+                 itertools.combinations_with_replacement(gens, 2)
+                 if _closure_by_mult(G, [a, b]) == H.members]
+        want = _minimal_nonabelian_by_definition(G, H)
+        if not pairs:  # H needs 3 or more generators
+            assert not want
+        for a, b in pairs:
+            assert analysis.is_minimal_nonabelian_pair(G, a, b) == want
+
+
+def test_redei_pair_needs_a_commutator_of_order_3():
+    # class 2 with c = [a, b] central of order 9, so <a, b>' = <c> has
+    # order 9; [a^3, b] = c^3 has order 3.  No catalog group has a pair
+    # with c central of order 9, so the test above cannot see this case
+    G = analyze_presentation(
+        "<a, b | a^9, b^9, [a,b]^9, [[a,b],a], [[a,b],b]>")
+    a, b = G.gens
+    a3 = G.power(a, 3)
+    assert not analysis.is_minimal_nonabelian_pair(G, a, b)
+    assert analysis.is_minimal_nonabelian_pair(G, a3, b)
+    for x, y in [(a, b), (a3, b)]:
+        H = analysis.subgroup_closure(G, [x, y])
+        assert (analysis.is_minimal_nonabelian_pair(G, x, y)
                 == _minimal_nonabelian_by_definition(G, H))
 
 

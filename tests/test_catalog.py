@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from zomo import catalog
@@ -54,3 +56,26 @@ def test_property_rows_spot_check():
     rows = {r.prop: r for r in report.rows}
     assert rows["order"].actual == 729
     assert all(r.passed for r in report.rows)
+
+
+REFUSALS = [
+    ("order(a)", "wrong number of arguments in 'order(a)'"),
+    ("is_minimal_nonabelian(a)",
+     "wrong number of arguments in 'is_minimal_nonabelian(a)'"),
+    ("is_minimal_nonabelian(a; b; a*b)",
+     "wrong number of arguments in 'is_minimal_nonabelian(a; b; a*b)'"),
+    ("identity(a)", "wrong number of arguments in 'identity(a)'"),
+    ("order_count", "wrong number of arguments in 'order_count'"),
+    ("Order", "bad property expression 'Order'"),
+    ("order(a", "bad property expression 'order(a'"),
+    ("no_such_property", "unknown property 'no_such_property'"),
+]
+
+
+@pytest.mark.parametrize("expr, message", REFUSALS,
+                         ids=[expr for expr, _ in REFUSALS])
+def test_evaluate_property_refusals(expr, message):
+    e = catalog.entry_by_id("C9_rtimes_C3")
+    G = catalog.materialize(e)
+    with pytest.raises(catalog.CatalogError, match=re.escape(message)):
+        catalog.evaluate_property(G, e.presentation, expr)

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from oracles import profiles_by_brute_force
 from zomo.genus import (BoundQuery, ProfileError, RamificationProfile,
-                        abelian_bound_check, enumerate_profiles, is_extremal,
-                        rh_genus, zomorrodian_bound)
+                        enumerate_profiles, is_extremal, rh_genus,
+                        zomorrodian_bound)
 
 
 def test_rh_genus_oracles():
@@ -79,11 +79,6 @@ def test_is_extremal():
     assert is_extremal(82, 729) == (True, 4)
     assert is_extremal(10, 243) == (False, None)
     assert is_extremal(11, 81) == (False, None)
-
-
-def test_abelian_bound():
-    assert not abelian_bound_check(10, 81)   # 81 > 44
-    assert abelian_bound_check(10, 44)
 
 
 @given(st.integers(1, 5))

@@ -51,9 +51,9 @@ def test_every_function_is_referenced():
 
 
 # Kept without a caller in the package until the open items that wire them
-# land: the extremal-type classification (is_extremal, abelian_bound_check)
-# and the Kummer divisor check at every place (verify_w_divisor).
-PACKAGE_UNCALLED = {"is_extremal", "abelian_bound_check", "verify_w_divisor"}
+# land: the extremal-type classification (is_extremal) and the Kummer
+# divisor check at every place (verify_w_divisor).
+PACKAGE_UNCALLED = {"is_extremal", "verify_w_divisor"}
 
 
 def test_every_function_is_referenced_in_the_package():
