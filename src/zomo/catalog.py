@@ -81,10 +81,9 @@ def _parse_value(text):
     return int(text)
 
 
-def load_catalog():
-    root = _data_root()
-    manifest = (root / "manifest.txt").read_text()
-    entries = []
+def _manifest():
+    """(id, file, expectations) per manifest block, in manifest order."""
+    records = []
     block = {}
     expects = []
 
@@ -94,13 +93,9 @@ def load_catalog():
         for key in ("id", "file"):
             if key not in block:
                 raise CatalogError("manifest block missing %r" % key)
-        text = (root / "presentations" / block["file"]).read_text()
-        entries.append(CatalogEntry(
-            id=block["id"], file=block["file"],
-            presentation=parse_presentation(text),
-            expected=tuple(expects)))
+        records.append((block["id"], block["file"], tuple(expects)))
 
-    for line in manifest.splitlines():
+    for line in (_data_root() / "manifest.txt").read_text().splitlines():
         line = line.split("#", 1)[0].rstrip()
         if not line.strip():
             flush()
@@ -124,14 +119,29 @@ def load_catalog():
             raise CatalogError("unknown manifest key %r" % key)
     flush()
 
-    ids = [e.id for e in entries]
+    ids = [r[0] for r in records]
     if len(set(ids)) != len(ids):
         raise CatalogError("duplicate entry ids in manifest")
-    return entries
+    return records
+
+
+def _entry(eid, file, expected):
+    text = (_data_root() / "presentations" / file).read_text()
+    return CatalogEntry(id=eid, file=file,
+                        presentation=parse_presentation(text),
+                        expected=expected)
+
+
+def load_catalog():
+    return [_entry(*r) for r in _manifest()]
 
 
 def entry_by_id(eid, entries=None):
-    for e in entries if entries is not None else load_catalog():
+    """The entry with this id, from ``entries`` or else from the manifest,
+    parsing only that entry's presentation."""
+    if entries is None:
+        entries = [_entry(*r) for r in _manifest() if r[0] == eid]
+    for e in entries:
         if e.id == eid:
             return e
     raise CatalogError("no catalog entry %r" % eid)

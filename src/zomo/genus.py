@@ -132,6 +132,8 @@ def enumerate_profiles(d, group_order, genus):
         m //= d
     if m != 1:
         raise ProfileError("group order must be a power of %d" % d)
+    if genus < 0:
+        raise ProfileError("genus must be nonnegative, got %d" % genus)
     target = 2 * genus - 2
     divisors = _dpower_divisors(n, d)
     out = []
@@ -159,6 +161,8 @@ def enumerate_profiles(d, group_order, genus):
 
 def is_extremal(genus, order):
     """(flag, h): genus = 3^h + 1 and order = 3^(h+2) for some h >= 1."""
+    if genus < 2:  # g - 1 = 0 would divide by 3 forever
+        return False, None
     g1 = genus - 1
     h = 0
     while g1 % 3 == 0:

@@ -5,7 +5,9 @@ generator i is the map ``gen_maps[i]``; left multiplication by a is the
 Cayley row ``row(a)``, filled on first use by a walk over a fixed spanning
 tree.  Products, powers and inverses build only the rows of their operands.
 Groups come either from coset enumeration (regular action on cosets of the
-trivial subgroup) or from explicit permutations.
+trivial subgroup) or from explicit permutations, closed on the images of a
+base with a certificate that the base images determine the element (see
+``group_from_permutations``).
 """
 
 from array import array
@@ -20,13 +22,17 @@ class GroupError(ZomoError, ValueError):
 
 
 class FiniteGroup:
-    def __init__(self, order, gen_maps, gen_names=None, perms=None):
-        """gen_maps[g][c] = index of c * (generator g)."""
+    def __init__(self, order, gen_maps, gen_names=None, gen_perms=None,
+                 perms=None):
+        """gen_maps[g][c] = index of c * (generator g).  gen_perms is an
+        optional faithful action, generator g as a permutation of 0..n-1;
+        perms, if the caller has it, is every element's tuple."""
         self.order = order
         self.gen_names = tuple(gen_names) if gen_names else tuple(
             "g%d" % i for i in range(len(gen_maps)))
         self.gen_maps = tuple(array("i", m) for m in gen_maps)  # read only
-        self.perms = perms  # optional faithful action, perms[x] a tuple
+        self._gen_perms = gen_perms
+        self._perms = perms
         self._bfs = self._spanning_tree()
         self.gens = tuple(self.gen_maps[g][0] for g in range(len(gen_maps)))
         self._rows = [None] * order
@@ -52,6 +58,18 @@ class FiniteGroup:
         if not all(seen):
             raise GroupError("generator maps do not generate a transitive action")
         return steps
+
+    @property
+    def perms(self):
+        """perms[x] = element x as a permutation tuple (None without an
+        action), composed along the spanning tree on first read."""
+        if self._perms is None and self._gen_perms is not None:
+            perms = [None] * self.order
+            perms[0] = tuple(range(len(self._gen_perms[0])))
+            for child, parent, g in self._bfs:
+                perms[child] = _images(perms[parent])(self._gen_perms[g])
+            self._perms = perms
+        return self._perms
 
     def row(self, a):
         """row(a)[x] = a * x, filled on first use."""
@@ -118,29 +136,91 @@ def analyze_presentation(text):
 
 
 def group_from_permutations(gens, gen_names=None) -> FiniteGroup:
-    """Close a list of permutations of {0..n-1} under composition, in one
-    breadth-first walk over the growing element list that numbers each new
-    product p then g and records its index in the map of g."""
+    """Close a list of permutations of {0..n-1} under composition.
+
+    An element p is kept as its images of the base B, the least point of
+    each orbit of <gens>: the product p then g has images g[p(b)].  One
+    breadth-first walk over the growing list of base images numbers each
+    new product p then g and records its index in the map of g.  The walk
+    numbers the cosets of the pointwise stabiliser G_(B), so it gives the
+    group exactly when G_(B) is trivial.  Certificate: the Cayley row of
+    every generator commutes with every generator map exactly when every
+    generator normalises G_(B), whose Schreier generators generate it.
+    A normal G_(B) fixes every image of B, which is every point, so it is
+    trivial.  When the check fails the same walk reruns with B the whole
+    domain.  Either way the element numbers and ``gen_maps`` are those of
+    the whole-domain walk; ``perms`` is composed on first read.
+    """
     if not gens:
         raise GroupError("need at least one generator permutation")
     n = len(gens[0])
     for p in gens:
         if len(p) != n or sorted(p) != list(range(n)):
             raise GroupError("generator is not a permutation of 0..%d" % (n - 1))
-    ident = tuple(range(n))
-    index = {ident: 0}
-    elements = [ident]
+    gens = [tuple(p) for p in gens]  # kept for perms: no caller's list
+    for base in (_orbit_minima(gens, n), range(n)):
+        images, maps = _close(gens, tuple(base))
+        whole = len(base) == n
+        G = FiniteGroup(len(images), maps, gen_names=gen_names,
+                        gen_perms=gens, perms=images if whole else None)
+        if whole or _rows_commute(G):
+            return G
+
+
+def _images(points):
+    """The function g -> (g[b] for b in points) as a tuple (itemgetter
+    alone gives a bare item for one point)."""
+    if len(points) > 1:
+        return itemgetter(*points)
+    return lambda g: tuple(g[b] for b in points)
+
+
+def _rows_commute(G):
+    """Whether the Cayley row of each generator commutes with every
+    generator map, row[m[x]] == m[row[x]] for every x: one itemgetter per
+    distinct generator and map, and r^2 |G| lookups."""
+    maps = dict(zip(G.gens, G.gen_maps))  # equal elements, equal maps
+    at_maps = [(itemgetter(*m), m) for m in maps.values()]
+    for e in maps:
+        row = G.row(e)
+        at_row = itemgetter(*row)
+        if any(at_m(row) != at_row(m) for at_m, m in at_maps):
+            return False
+    return True
+
+
+def _orbit_minima(gens, n):
+    """The least point of each orbit of <gens> on 0..n-1."""
+    seen = bytearray(n)
+    minima = []
+    for x in range(n):
+        if not seen[x]:
+            minima.append(x)
+            seen[x] = 1
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                for g in gens:
+                    z = g[y]
+                    if not seen[z]:
+                        seen[z] = 1
+                        stack.append(z)
+    return minima
+
+
+def _close(gens, base):
+    """(images, maps): the base's images under the group, numbered in one
+    breadth-first walk, and the right action of each generator on them."""
+    index = {base: 0}
+    images = [base]
     maps = [[] for _ in gens]
-    for p in elements:  # grows while walked
-        # itemgetter(*p)(g) is (g[p[0]], g[p[1]], ...); for n < 2 every
-        # permutation is the identity and the product is g itself
-        compose = itemgetter(*p) if n > 1 else tuple
+    for p in images:  # grows while walked
+        compose = _images(p)
         for g, m in zip(gens, maps):
             q = compose(g)
             i = index.get(q)
             if i is None:
-                i = index[q] = len(elements)
-                elements.append(q)
+                i = index[q] = len(images)
+                images.append(q)
             m.append(i)
-    return FiniteGroup(len(elements), maps, gen_names=gen_names,
-                       perms=elements)
+    return images, maps

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from zomo import catalog
+from zomo.words import ParseError
 
 
 def _declared_order(e):
@@ -79,3 +80,48 @@ def test_evaluate_property_refusals(expr, message):
     G = catalog.materialize(e)
     with pytest.raises(catalog.CatalogError, match=re.escape(message)):
         catalog.evaluate_property(G, e.presentation, expr)
+
+
+def test_entry_by_id_equals_the_loaded_entry():
+    entries = catalog.load_catalog()
+    for e in entries:
+        assert catalog.entry_by_id(e.id) == e == catalog.entry_by_id(e.id,
+                                                                      entries)
+
+
+def _fake_data(monkeypatch, tmp_path, manifest, files):
+    (tmp_path / "presentations").mkdir()
+    (tmp_path / "manifest.txt").write_text(manifest)
+    for name, text in files.items():
+        (tmp_path / "presentations" / name).write_text(text)
+    monkeypatch.setattr(catalog, "_data_root", lambda: tmp_path)
+
+
+GOOD_BLOCK = "id: c3\nfile: c3.pres\nexpect: order = 3 [stated]\n"
+MANIFEST_REFUSALS = [
+    (GOOD_BLOCK + "\n" + GOOD_BLOCK, "duplicate entry ids in manifest"),
+    (GOOD_BLOCK + "\nid: c9\n", "manifest block missing 'file'"),
+    (GOOD_BLOCK + "\nfile: c3.pres\n", "manifest block missing 'id'"),
+    (GOOD_BLOCK + "expect: order 3 [stated]\n", "bad expect line"),
+    (GOOD_BLOCK + "id: c9\n", "duplicate 'id' in manifest block"),
+    (GOOD_BLOCK + "kind: cyclic\n", "unknown manifest key 'kind'"),
+]
+
+
+@pytest.mark.parametrize("manifest, message", MANIFEST_REFUSALS,
+                         ids=[m for _, m in MANIFEST_REFUSALS])
+def test_manifest_refusals_hold_for_one_entry(manifest, message, monkeypatch,
+                                              tmp_path):
+    _fake_data(monkeypatch, tmp_path, manifest, {"c3.pres": "<a | a^3>\n"})
+    for load in (catalog.load_catalog, lambda: catalog.entry_by_id("c3")):
+        with pytest.raises(catalog.CatalogError, match=re.escape(message)):
+            load()
+
+
+def test_entry_by_id_parses_only_its_presentation(monkeypatch, tmp_path):
+    manifest = GOOD_BLOCK + "\nid: bad\nfile: bad.pres\n"
+    _fake_data(monkeypatch, tmp_path, manifest,
+               {"c3.pres": "<a | a^3>\n", "bad.pres": "<a | a^>\n"})
+    assert catalog.entry_by_id("c3").presentation.generators == ("a",)
+    with pytest.raises(ParseError, match="unexpected end of input"):
+        catalog.load_catalog()

@@ -39,6 +39,14 @@ def test_profiles_output(capsys):
     assert "9,27,27" in out.replace(" ", "")
 
 
+def test_profiles_negative_genus_is_usage_error(capsys):
+    code, out, err = run(capsys, "genus", "profiles", "--d", "3",
+                         "--order", "9", "--g", "-5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: genus must be nonnegative, got -5\n"
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys, "groups")
     assert code == 2

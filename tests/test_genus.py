@@ -81,6 +81,17 @@ def test_is_extremal():
     assert is_extremal(11, 81) == (False, None)
 
 
+@pytest.mark.parametrize("genus", [1, 0, -2])
+def test_is_extremal_below_genus_2(genus):
+    assert is_extremal(genus, 27) == (False, None)
+
+
+@pytest.mark.parametrize("genus", [-1, -5])
+def test_enumerate_profiles_rejects_negative_genus(genus):
+    with pytest.raises(ProfileError, match="genus must be nonnegative"):
+        enumerate_profiles(3, 9, genus)
+
+
 @given(st.integers(1, 5))
 @settings(max_examples=40, deadline=None)
 def test_profiles_sorted_and_consistent(hpow):

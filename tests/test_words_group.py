@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import enumerate_cosets_repeated
-from zomo import catalog, kummer, words
+from zomo import catalog, curves, group, kummer, words
 from zomo.coset import BudgetExceeded, enumerate_cosets
 from zomo.group import (GroupError, analyze_presentation, coset_enumerate,
                         group_from_permutations)
@@ -251,6 +251,81 @@ def test_one_pass_closure_matches_two_pass_on_curve_actions(genus28,
                                                             fermat_group):
     for G in (genus28[0], fermat_group[0]):
         _assert_matches_two_pass([G.perms[g] for g in G.gens])
+
+
+# -- the closure on base images and its certificate --------------------------
+
+def _closure_bases(monkeypatch, gens):
+    """(group, the bases the closure walked on, as tuples)."""
+    bases = []
+
+    def close(gens, base):
+        bases.append(tuple(base))
+        return close_on(gens, base)
+
+    close_on = group._close
+    monkeypatch.setattr(group, "_close", close)
+    return group_from_permutations(gens), bases
+
+
+@pytest.mark.parametrize("second, order", [
+    ([1, 3, 0, 2], 24),  # (0 1 3 2): S4, the stabiliser of 0 is an S3
+    ([1, 0, 3, 2], 8),   # (0 1)(2 3): D4, the stabiliser of 0 is <(1 3)>
+])
+def test_base_closure_rejects_a_non_normal_stabiliser(monkeypatch, second,
+                                                      order):
+    # with (0 1 2 3) every generator is fixed-point-free, yet the 4 images
+    # of the base point 0 are not the group: the certificate fails and the
+    # closure reruns on whole tuples
+    G, bases = _closure_bases(monkeypatch, [[1, 2, 3, 0], second])
+    assert G.order == order
+    assert bases == [(0,), (0, 1, 2, 3)]
+    assert len(set(G.perms)) == order
+
+
+def test_base_closure_takes_a_point_of_every_orbit(monkeypatch):
+    # C3 x C3, one factor on each of the orbits {0, 1, 2} and {3, 4, 5}
+    G, bases = _closure_bases(monkeypatch,
+                              [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]])
+    assert G.order == 9
+    assert bases == [(0, 3)]
+    assert G.perms[G.mult(*G.gens)] == (1, 2, 0, 4, 5, 3)
+
+
+def _intransitive_gens(rng):
+    """1-3 random permutations preserving a random partition of 0..n-1
+    into 2-4 blocks, one shuffle per block."""
+    n = rng.randint(4, 9)
+    points = list(range(n))
+    rng.shuffle(points)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, 3)))
+    blocks = [points[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        p = list(range(n))
+        for b in blocks:
+            image = b[:]
+            rng.shuffle(image)
+            for x, y in zip(b, image):
+                p[x] = y
+        gens.append(p)
+    return gens
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_base_closure_matches_two_pass_on_intransitive_perms(seed):
+    _assert_matches_two_pass(_intransitive_gens(random.Random(seed)))
+
+
+def test_base_closure_on_the_genus28_action_at_k2(monkeypatch):
+    maps = curves.genus28_maps(19)
+    S = curves.PointSet(*curves.genus28_points(19, 2), set())
+    domain = curves.stable_domain(maps, S)
+    gens = [curves.act(m, S, domain) for m in maps]
+    G, bases = _closure_bases(monkeypatch, gens)
+    assert G.order == 243
+    assert len(bases) == 1 and len(bases[0]) < len(domain) == 486
+    _assert_matches_two_pass(gens)
 
 
 def test_one_pass_closure_on_a_one_point_domain():
