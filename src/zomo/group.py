@@ -178,10 +178,12 @@ def _images(points):
 def _rows_commute(G):
     """Whether the Cayley row of each generator commutes with every
     generator map, row[m[x]] == m[row[x]] for every x: one itemgetter per
-    distinct generator and map, and r^2 |G| lookups."""
-    maps = dict(zip(G.gens, G.gen_maps))  # equal elements, equal maps
+    distinct generator and map, and r^2 |G| lookups.  Generators with the
+    same base images share an element (a coset of G_(B)) and so a row,
+    but not their maps, which are told apart by content."""
+    maps = {m.tobytes(): m for m in G.gen_maps}
     at_maps = [(itemgetter(*m), m) for m in maps.values()]
-    for e in maps:
+    for e in set(G.gens):
         row = G.row(e)
         at_row = itemgetter(*row)
         if any(at_m(row) != at_row(m) for at_m, m in at_maps):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -290,6 +291,26 @@ def test_base_closure_takes_a_point_of_every_orbit(monkeypatch):
     assert G.order == 9
     assert bases == [(0, 3)]
     assert G.perms[G.mult(*G.gens)] == (1, 2, 0, 4, 5, 3)
+
+
+def test_base_closure_checks_every_generator_map(monkeypatch):
+    # (0 1 2) and (0 1) agree on the base point 0, so they are one element
+    # of the base walk; only the map of (0 1) shows the stabiliser <(1 2)>
+    # is not normal, even with (0 1 2) repeated after it
+    G, bases = _closure_bases(monkeypatch, [[1, 2, 0], [1, 0, 2], [1, 2, 0]])
+    assert G.order == 6
+    assert bases == [(0,), (0, 1, 2)]
+    _assert_matches_two_pass([[1, 2, 0], [1, 0, 2], [1, 2, 0]])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_base_closure_matches_two_pass_on_every_pair_with_a_repeat(n):
+    # [a, b, a] for all a, b in S_n: wherever a and b agree on the base,
+    # the map of b must still be checked though a's repeat comes after it
+    perms = list(itertools.permutations(range(n)))
+    for a in perms:
+        for b in perms:
+            _assert_matches_two_pass([a, b, a])
 
 
 def _intransitive_gens(rng):
