@@ -7,7 +7,9 @@ tree.  Products, powers and inverses build only the rows of their operands.
 Groups come either from coset enumeration (regular action on cosets of the
 trivial subgroup) or from explicit permutations, closed on the images of a
 base with a certificate that the base images determine the element (see
-``group_from_permutations``).
+``group_from_permutations``).  A group keeps only its generator maps; an
+action of its elements, such as the permutations it was closed from, is
+carried over the same spanning tree by ``along_tree``.
 """
 
 from array import array
@@ -22,17 +24,12 @@ class GroupError(ZomoError, ValueError):
 
 
 class FiniteGroup:
-    def __init__(self, order, gen_maps, gen_names=None, gen_perms=None,
-                 perms=None):
-        """gen_maps[g][c] = index of c * (generator g).  gen_perms is an
-        optional faithful action, generator g as a permutation of 0..n-1;
-        perms, if the caller has it, is every element's tuple."""
+    def __init__(self, order, gen_maps, gen_names=None):
+        """gen_maps[g][c] = index of c * (generator g)."""
         self.order = order
         self.gen_names = tuple(gen_names) if gen_names else tuple(
             "g%d" % i for i in range(len(gen_maps)))
         self.gen_maps = tuple(array("i", m) for m in gen_maps)  # read only
-        self._gen_perms = gen_perms
-        self._perms = perms
         self._bfs = self._spanning_tree()
         self.gens = tuple(self.gen_maps[g][0] for g in range(len(gen_maps)))
         self._rows = [None] * order
@@ -59,17 +56,15 @@ class FiniteGroup:
             raise GroupError("generator maps do not generate a transitive action")
         return steps
 
-    @property
-    def perms(self):
-        """perms[x] = element x as a permutation tuple (None without an
-        action), composed along the spanning tree on first read."""
-        if self._perms is None and self._gen_perms is not None:
-            perms = [None] * self.order
-            perms[0] = tuple(range(len(self._gen_perms[0])))
-            for child, parent, g in self._bfs:
-                perms[child] = _images(perms[parent])(self._gen_perms[g])
-            self._perms = perms
-        return self._perms
+    def along_tree(self, start, gen_values, step):
+        """values[x] for every element x, with values[0] = start and
+        values[c * g] = step(values[c], gen_values[g]) along the spanning
+        tree, e.g. permutations composed or the labels of an action."""
+        values = [None] * self.order
+        values[0] = start
+        for child, parent, g in self._bfs:
+            values[child] = step(values[parent], gen_values[g])
+        return values
 
     def row(self, a):
         """row(a)[x] = a * x, filled on first use."""
@@ -149,21 +144,19 @@ def group_from_permutations(gens, gen_names=None) -> FiniteGroup:
     A normal G_(B) fixes every image of B, which is every point, so it is
     trivial.  When the check fails the same walk reruns with B the whole
     domain.  Either way the element numbers and ``gen_maps`` are those of
-    the whole-domain walk; ``perms`` is composed on first read.
+    the whole-domain walk.
     """
     if not gens:
         raise GroupError("need at least one generator permutation")
     n = len(gens[0])
-    for p in gens:
-        if len(p) != n or sorted(p) != list(range(n)):
+    for p in gens:  # n distinct values from 0 to n - 1, in O(n)
+        if (len(p) != n or len(set(p)) != n
+                or n and (min(p), max(p)) != (0, n - 1)):
             raise GroupError("generator is not a permutation of 0..%d" % (n - 1))
-    gens = [tuple(p) for p in gens]  # kept for perms: no caller's list
     for base in (_orbit_minima(gens, n), range(n)):
         images, maps = _close(gens, tuple(base))
-        whole = len(base) == n
-        G = FiniteGroup(len(images), maps, gen_names=gen_names,
-                        gen_perms=gens, perms=images if whole else None)
-        if whole or _rows_commute(G):
+        G = FiniteGroup(len(images), maps, gen_names=gen_names)
+        if len(base) == n or _rows_commute(G):
             return G
 
 

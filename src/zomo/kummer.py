@@ -23,13 +23,17 @@ off at P, where it is a product of values in F_q.  The builder tries every
 slope, for the least primitive cube root eps only, and compares the emitted
 equation against a stored reference, exactly first and then up to a
 multiplicative constant that is a cube in F_q.
+
+Gbar is A x| <alpha> with alpha acting on the translations A as eps, so
+theta_1 = Phi(Gbar) = G'G^3 is (1 - eps)A = {alpha(T) - T}, read off
+coordinates of the elements (see ``_translations``), with no normal closure.
 """
 
 from dataclasses import dataclass
 from math import gcd, prod
 
 from . import ZomoError
-from .analysis import _log3, frattini
+from .analysis import _log3, frattini  # noqa: F401 (bench tracer test)
 from .field import PrimeField
 from .funcfield import (Endo, FFElem, apply_endo, ffelem_str, scaled_str,
                         valuation_at)
@@ -37,7 +41,7 @@ from .group import FiniteGroup, group_from_permutations
 from .genus import RamificationProfile, rh_genus
 from .hesse import (EllipticGroup, HessePoint, cube_roots_of_unity,
                     enumerate_hesse_points, hesse_function_field, make_point,
-                    scaling_point_map, translation_endo)
+                    scaling_point_map, third_point, translation_endo)
 
 
 class KummerError(ZomoError, ValueError):
@@ -87,7 +91,7 @@ class GbarData:
     h: int
     epsilon: int
     E: EllipticGroup
-    group: FiniteGroup          # permutation action on E(F_q)
+    group: FiniteGroup          # on t1, t2, al; keeps no point action
     sylow_points: tuple
     phi_translations: tuple     # theta_1 as a point subgroup
     theta: tuple                # (theta_1, theta_2, theta_3)
@@ -104,38 +108,32 @@ def build_gbar(q, epsilon=None):
         raise KummerError("epsilon must be a primitive cube root of unity")
     g1, g2 = _sylow_generators(E, pts, invariants)
     alpha = E.map_perm(scaling_point_map(F, F.from_int(epsilon)))
-    G = group_from_permutations(
-        [E.translation_perm(g1), E.translation_perm(g2), alpha],
-        gen_names=("t1", "t2", "al"))
+    gens = [E.translation_perm(g1), E.translation_perm(g2), alpha]
+    G = group_from_permutations(gens, gen_names=("t1", "t2", "al"))
     if G.order != 3 ** (h + 1):
         raise KummerError("group closure has order %d, expected 3^%d"
                           % (G.order, h + 1))
-    S = _frattini_translations(E, G)
+    _, S = _translations(E, G, gens, (0, 0, 1))
     if len(S) != 3 ** (h - 1):
         raise KummerError("Frattini translation part has size %d" % len(S))
     theta = _theta_cosets(E, next(p for p in pts if p not in S), S)
     return GbarData(q, h, epsilon, E, G, tuple(pts), tuple(S), theta)
 
 
-def translation_point(G, E, element):
-    """The point T with element = translation-by-T, or None."""
-    perm = list(G.perms[element])
-    T = E.points[perm[E.index[E.O]]]
-    return T if perm == E.translation_perm(T) else None
-
-
-def _translations_in(G, E, elements):
-    """The points T whose translation is one of the group elements."""
-    return [T for T in (translation_point(G, E, e) for e in elements)
-            if T is not None]
-
-
-def _frattini_translations(E, G):
-    phi = frattini(G)
-    out = _translations_in(G, E, sorted(phi.members))
-    if len(out) != len(phi.members):
-        raise KummerError("Frattini subgroup is not all translations")
-    return out
+def _translations(E, G, gens, exponents):
+    """(A, S): the translations among the elements of G, in element order,
+    and S = (1 - eps)A = {alpha(T) - T} in the same order.  Each of gens is
+    a translation (exponent 0) or alpha (exponent 1), so an element is
+    P -> eps^k P + T, labelled (index of T, k mod 3) along G's spanning
+    tree: T is its image of O, and c then g maps O to g[c(O)]."""
+    labels = G.along_tree(
+        (E.iO, 0), list(zip(gens, exponents)),
+        lambda c, g: (g[0][c[0]], (c[1] + g[1]) % 3))
+    A = [E.points[i] for i, k in labels if k == 0]
+    alpha = gens[exponents.index(1)]
+    image = {E.add(E.points[alpha[E.index[T]]], third_point(E.C, T, E.O))
+             for T in A}
+    return A, [T for T in A if T in image]
 
 
 def _theta_cosets(E, U, S):
@@ -351,15 +349,17 @@ def small_gbar27(q=19):
         return make_point(F, y, z, x)
 
     delta = E.map_perm(rot)
+    if delta != E.translation_perm(rot(E.O)):
+        raise KummerError("the rotation is not a translation of E")
     G = group_from_permutations([alpha, delta], gen_names=("al", "de"))
     if G.order != 27:
         raise KummerError("rotation group closure has order %d" % G.order)
-    S = _frattini_translations(E, G)
+    A, S = _translations(E, G, [alpha, delta], (1, 0))
     if len(S) != 3:
         raise KummerError("Frattini part of the order-27 group is not C3")
     # the cosets of S in the order-9 translation group of G, with theta_2
     # the coset of points at infinity when one exists
-    rest = [p for p in _translations_in(G, E, range(G.order)) if p not in S]
+    rest = [p for p in A if p not in S]
     U = next((p for p in rest if p.coords[2] == F.zero), rest[0])
     return E, G, S, _theta_cosets(E, U, S), epsilon
 

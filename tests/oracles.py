@@ -20,7 +20,10 @@ function-field element by fraction-free (Bareiss) elimination on the matrix
 of multiplication by it; the package divides the product of the other
 conjugates under v -> zeta v by the norm.  ``scaling_endo`` is y -> eps y
 on the Hesse field as an ``Endo``; the package applies it with
-``FFElem.scale_u``.
+``FFElem.scale_u``.  ``element_perms`` composes every element of a group
+closed from permutations as a permutation tuple, and ``translation_point``
+reads a translation's point off such a tuple; the package keeps no element
+permutations and labels the Kummer group's elements in coordinates.
 """
 
 import itertools
@@ -33,8 +36,8 @@ from zomo.funcfield import (Endo, FuncFieldError, _canonical, _reduce,
                             apply_endo)
 from zomo.genus import RamificationProfile
 from zomo.group import FiniteGroup, GroupError
-from zomo.hesse import translation_endo
-from zomo.kummer import KummerError
+from zomo.hesse import scaling_point_map, translation_endo
+from zomo.kummer import KummerError, _sylow_generators
 
 
 def maximal_subgroups(G: FiniteGroup):
@@ -281,3 +284,25 @@ def map_image_by_normalize(C, forms, p, den=None):
         return None
     dinv = C.inv(d)
     return tuple(C.mul(v, dinv) for v in vals)
+
+
+def element_perms(G: FiniteGroup, gen_perms):
+    """Every element of G as a permutation tuple, for G closed from
+    gen_perms: the element c then g is x -> g[c[x]]."""
+    return G.along_tree(tuple(range(len(gen_perms[0]))), gen_perms,
+                        lambda c, g: tuple(g[x] for x in c))
+
+
+def translation_point(E, perm):
+    """The point T with perm = translation-by-T, or None."""
+    T = E.points[perm[E.iO]]
+    return T if list(perm) == E.translation_perm(T) else None
+
+
+def gbar_generator_perms(data):
+    """The point permutations t1, t2, al that ``kummer.build_gbar`` closed
+    into data.group."""
+    E = data.E
+    g1, g2 = _sylow_generators(E, *E.sylow3())
+    alpha = E.map_perm(scaling_point_map(E.C, E.C.from_int(data.epsilon)))
+    return [E.translation_perm(g1), E.translation_perm(g2), alpha]

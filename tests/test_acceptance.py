@@ -6,9 +6,11 @@ row by row in ``test_checks.py``; these tests go beyond them."""
 
 import time
 
-from oracles import maximal_subgroups
+from oracles import (element_perms, gbar_generator_perms, maximal_subgroups,
+                     translation_point)
 from zomo import analysis, catalog, curves, hesse, kummer
 from zomo.field import PrimeField
+from zomo.group import group_from_permutations
 from zomo.words import parse_word
 
 
@@ -165,8 +167,12 @@ def test_08_curve_actions(x0_scaling_group, x0_full_group, fermat_group,
     # the distinguished scaling generates the center: it commutes with all
     # generators and has order 3 on the common domain
     zperm = tuple(curves.act(curves.x0_center_map(19), S, domain))
+    maps = curves.x0_scaling_maps(19) + [curves.x0_alpha2()]
+    gens = [curves.act(m, S, domain) for m in maps]
+    assert group_from_permutations(gens).gen_maps == G81.gen_maps
+    perms = element_perms(G81, gens)
     for g in G81.gens:
-        gp = G81.perms[g]
+        gp = perms[g]
         assert _compose(zperm, gp) == _compose(gp, zperm)
     assert zperm != tuple(range(len(domain)))
     assert _compose(zperm, _compose(zperm, zperm)) == tuple(range(len(domain)))
@@ -211,10 +217,11 @@ def test_11_property_suites():
     for q in (19, 73):
         data = kummer.build_gbar(q)
         G, E = data.group, data.E
+        perms = element_perms(G, gbar_generator_perms(data))
         H = {e for e in range(G.order)
-             if kummer.translation_point(G, E, e) is not None}
+             if translation_point(E, perms[e]) is not None}
         iO = E.index[E.O]
-        stab = {e for e in range(G.order) if G.perms[e][iO] == iO}
+        stab = {e for e in range(G.order) if perms[e][iO] == iO}
         assert H & stab == {0}
         assert len(H) * len(stab) == G.order
         for g in range(G.order):

@@ -4,8 +4,9 @@ from zomo import analysis, catalog, cli, curves
 from zomo.field import PrimeField, roots_of_unity
 from zomo.funcfield import (Endo, FunctionField, _partial, apply_endo,
                             valuation_at)
+from zomo.group import group_from_permutations
 
-from oracles import map_image_by_normalize
+from oracles import element_perms, map_image_by_normalize
 
 
 def test_enumerate_points_line():
@@ -177,14 +178,26 @@ def test_base_point_in_domain_is_an_error():
         curves.automorphism_group([xy], curves.x0_curve(), 19, k_max=2)
 
 
+def _x0_full_gen_perms(x0_full_group):
+    """The maps' permutations of the domain, checked to close to the
+    fixture's group."""
+    G, S, domain, k = x0_full_group
+    maps = curves.x0_scaling_maps(19) + [curves.x0_alpha2()]
+    gens = [curves.act(m, S, domain) for m in maps]
+    assert group_from_permutations(gens).gen_maps == G.gen_maps
+    return gens
+
+
 def test_closure_matches_stable_domain_and_act(x0_full_group):
     # the closure reads its permutations from one evaluation per pair
     G, S, domain, k = x0_full_group
     maps = curves.x0_scaling_maps(19) + [curves.x0_alpha2()]
     assert k == 2
     assert domain == curves.stable_domain(maps, S)
-    assert [G.perms[g] for g in G.gens] == [tuple(curves.act(m, S, domain))
-                                            for m in maps]
+    gens = _x0_full_gen_perms(x0_full_group)
+    perms = element_perms(G, gens)
+    assert [perms[g] for g in G.gens] == [tuple(curves.act(m, S, domain))
+                                          for m in maps]
 
 
 def test_center_map_fixed_points():
@@ -211,10 +224,9 @@ def test_full_group_order_and_center(x0_full_group):
     assert len(Z.members) == 3
 
 
-def _orbit_structure(G, npoints):
-    """Sorted (orbit size, count) pairs for the action on 0..npoints-1 of a
-    group built from permutations of that domain."""
-    gen_perms = [G.perms[g] for g in G.gens]
+def _orbit_structure(gen_perms, npoints):
+    """Sorted (orbit size, count) pairs for the action on 0..npoints-1 of
+    the group the permutations generate."""
     seen = [False] * npoints
     sizes = {}
     for start in range(npoints):
@@ -237,7 +249,8 @@ def _orbit_structure(G, npoints):
 
 def test_full_group_orbits(x0_full_group):
     G, S, domain, k = x0_full_group
-    orbits = _orbit_structure(G, len(domain))
+    orbits = _orbit_structure(_x0_full_gen_perms(x0_full_group),
+                              len(domain))
     assert orbits == [(27, 2), (81, 4)]
     total = sum(size * count for size, count in orbits)
     assert total == len(domain)

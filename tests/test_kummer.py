@@ -2,13 +2,16 @@ from math import prod
 
 import pytest
 
-from zomo import kummer
+from zomo import analysis, kummer
 from zomo.field import PrimeField
 from zomo.funcfield import ffelem_str
+from zomo.group import group_from_permutations
 from zomo.hesse import (EllipticGroup, cube_roots_of_unity,
                         hesse_function_field, make_point, scaling_point_map)
 
-from oracles import pullbacks_by_translation, slope_ratios_by_specialisation
+from oracles import (element_perms, gbar_generator_perms,
+                     pullbacks_by_translation, slope_ratios_by_specialisation,
+                     translation_point)
 
 
 def test_build_gbar_structure_q19():
@@ -55,12 +58,42 @@ def test_theta_partition():
 def test_stabilizer_of_base_is_order_three():
     data = kummer.build_gbar(19)
     iO = data.E.index[data.E.O]
-    stab = [e for e in range(data.group.order)
-            if data.group.perms[e][iO] == iO]
+    perms = element_perms(data.group, gbar_generator_perms(data))
+    stab = [e for e in range(data.group.order) if perms[e][iO] == iO]
     assert len(stab) == 3
     # it consists of powers of a single element
     e = next(s for s in stab if s != 0)
     assert data.group.mult(e, data.group.mult(e, e)) == 0
+
+
+@pytest.mark.parametrize("q", [19, 73, 271, 757])
+def test_phi_translations_are_the_frattini_subgroup_in_order(q):
+    # Phi(Gbar) = G'G^3 as a normal closure, each member's permutation
+    # composed from the generators' and read as a translation point
+    data = kummer.build_gbar(q)
+    G, E = data.group, data.E
+    gens = gbar_generator_perms(data)
+    perms = element_perms(G, gens)
+    assert len(set(perms)) == G.order
+    for g, m in zip(gens, G.gen_maps):
+        assert all(perms[m[x]] == tuple(g[i] for i in perms[x])
+                   for x in range(G.order))
+    phi = sorted(analysis.frattini(G).members)
+    assert ([translation_point(E, perms[e]) for e in phi]
+            == list(data.phi_translations))
+
+
+def test_small_gbar27_translations_against_the_frattini_subgroup():
+    E, G, S, theta, epsilon = kummer.small_gbar27(19)
+    F = E.C
+    alpha = E.map_perm(scaling_point_map(F, F.from_int(epsilon)))
+    delta = E.map_perm(lambda p: make_point(F, *p.coords[1:], p.coords[0]))
+    perms = element_perms(G, [alpha, delta])
+    assert group_from_permutations([alpha, delta]).gen_maps == G.gen_maps
+    phi = sorted(analysis.frattini(G).members)
+    assert [translation_point(E, perms[e]) for e in phi] == S
+    A = [T for T in (translation_point(E, p) for p in perms) if T is not None]
+    assert len(A) == 9 and set(A) == set().union(*theta)
 
 
 def test_line_slope_degenerate():

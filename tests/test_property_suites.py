@@ -3,7 +3,8 @@ elliptic-translation groups, rather than on a single example."""
 
 import pytest
 
-from oracles import maximal_subgroups
+from oracles import (element_perms, gbar_generator_perms, maximal_subgroups,
+                     translation_point)
 from zomo import analysis, catalog, kummer
 
 
@@ -16,19 +17,23 @@ def gbar(request):
     return _gbar(request.param)
 
 
-def _translation_elements(data):
-    G, E = data.group, data.E
-    return {e for e in range(G.order)
-            if kummer.translation_point(G, E, e) is not None}
+def _element_perms(data):
+    return element_perms(data.group, gbar_generator_perms(data))
+
+
+def _translation_elements(data, perms):
+    return {e for e, perm in enumerate(perms)
+            if translation_point(data.E, perm) is not None}
 
 
 def test_semidirect_decomposition(gbar):
     """The full group splits as translations extended by the base
     stabilizer."""
     G = gbar.group
-    H = _translation_elements(gbar)
+    perms = _element_perms(gbar)
+    H = _translation_elements(gbar, perms)
     iO = gbar.E.index[gbar.E.O]
-    stab = {e for e in range(G.order) if G.perms[e][iO] == iO}
+    stab = {e for e, perm in enumerate(perms) if perm[iO] == iO}
     assert 0 in H and 0 in stab
     assert H & stab == {0}
     assert len(H) * len(stab) == G.order
@@ -43,7 +48,7 @@ def test_semidirect_decomposition(gbar):
 
 def test_complement_elements_have_order_three(gbar):
     G = gbar.group
-    H = _translation_elements(gbar)
+    H = _translation_elements(gbar, _element_perms(gbar))
     for g in range(G.order):
         if g not in H:
             assert G.element_order(g) == 3

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_cosets_repeated
+from oracles import element_perms, enumerate_cosets_repeated
 from zomo import catalog, curves, group, kummer, words
 from zomo.coset import BudgetExceeded, enumerate_cosets
 from zomo.group import (GroupError, analyze_presentation, coset_enumerate,
@@ -190,9 +190,26 @@ def test_group_from_permutations_closure():
     assert G.order == 6
 
 
-def test_group_from_permutations_rejects_non_perm():
+@pytest.mark.parametrize("gens", [
+    [[0, 0, 1]],
+    [[0, 1, -1]],           # -1 indexes a list: a mark pass needs a range check
+    [[0, 1, 3]],
+    [[1, 0], [0, 1, 2]],
+], ids=["repeat", "negative", "too_large", "lengths_differ"])
+def test_group_from_permutations_rejects_non_perm(gens):
     with pytest.raises(GroupError):
-        group_from_permutations([[0, 0, 1]])
+        group_from_permutations(gens)
+
+
+@pytest.mark.parametrize("source", ["gbar73", "catalog"])
+def test_along_tree_with_the_generator_maps_gives_the_rows(source):
+    if source == "gbar73":
+        G = kummer.build_gbar(73).group
+    else:
+        G = catalog.materialize(catalog.entry_by_id("C9_rtimes_C3"))
+    for a in range(G.order):
+        assert (G.along_tree(a, G.gen_maps, lambda x, m: m[x])
+                == list(G.row(a)))
 
 
 def test_eval_word_of_a_generator_power():
@@ -232,7 +249,7 @@ def _assert_matches_two_pass(gens):
     G = group_from_permutations(gens)
     perms, maps = _two_pass_closure(gens)
     assert G.order == len(perms)
-    assert G.perms == perms
+    assert element_perms(G, gens) == perms
     assert [list(m) for m in G.gen_maps] == maps
 
 
@@ -250,8 +267,15 @@ def test_one_pass_closure_matches_two_pass_on_random_perms(seed):
 
 def test_one_pass_closure_matches_two_pass_on_curve_actions(genus28,
                                                             fermat_group):
-    for G in (genus28[0], fermat_group[0]):
-        _assert_matches_two_pass([G.perms[g] for g in G.gens])
+    G, domain, k = genus28
+    S = curves.PointSet(*curves.genus28_points(19, k), set())
+    Gf, Sf, domainf, _ = fermat_group
+    for G, maps, S, domain in (
+            (G, curves.genus28_maps(19), S, domain),
+            (Gf, curves.fermat9_maps(19), Sf, domainf)):
+        gens = [curves.act(m, S, domain) for m in maps]
+        assert group_from_permutations(gens).gen_maps == G.gen_maps
+        _assert_matches_two_pass(gens)
 
 
 # -- the closure on base images and its certificate --------------------------
@@ -278,19 +302,20 @@ def test_base_closure_rejects_a_non_normal_stabiliser(monkeypatch, second,
     # with (0 1 2 3) every generator is fixed-point-free, yet the 4 images
     # of the base point 0 are not the group: the certificate fails and the
     # closure reruns on whole tuples
-    G, bases = _closure_bases(monkeypatch, [[1, 2, 3, 0], second])
+    gens = [[1, 2, 3, 0], second]
+    G, bases = _closure_bases(monkeypatch, gens)
     assert G.order == order
     assert bases == [(0,), (0, 1, 2, 3)]
-    assert len(set(G.perms)) == order
+    assert len(set(element_perms(G, gens))) == order
 
 
 def test_base_closure_takes_a_point_of_every_orbit(monkeypatch):
     # C3 x C3, one factor on each of the orbits {0, 1, 2} and {3, 4, 5}
-    G, bases = _closure_bases(monkeypatch,
-                              [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]])
+    gens = [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]]
+    G, bases = _closure_bases(monkeypatch, gens)
     assert G.order == 9
     assert bases == [(0, 3)]
-    assert G.perms[G.mult(*G.gens)] == (1, 2, 0, 4, 5, 3)
+    assert element_perms(G, gens)[G.mult(*G.gens)] == (1, 2, 0, 4, 5, 3)
 
 
 def test_base_closure_checks_every_generator_map(monkeypatch):
@@ -352,5 +377,5 @@ def test_base_closure_on_the_genus28_action_at_k2(monkeypatch):
 def test_one_pass_closure_on_a_one_point_domain():
     G = group_from_permutations([[0]])
     assert G.order == 1
-    assert G.perms == [(0,)]
+    assert element_perms(G, [[0]]) == [(0,)]
     _assert_matches_two_pass([[0], [0]])
