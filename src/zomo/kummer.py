@@ -11,9 +11,10 @@ theta_2 form
                                        the pullback of t,
 
 so that z^3 = w defines a cover of genus 3^h + 1.  As t = m - s for
-s = y/(x+1), the pullbacks u_T = s tau_T under the translations tau_T are
-taken one alpha-orbit at a time: alpha (x, y) -> (x, eps y) is a group
-automorphism fixing O, so tau_alpha(T) = alpha tau_T alpha^-1, and
+s = y/(x+1), w needs the pullbacks u_T = s tau_T = r1/(r0 + r2), with
+tau_T(x, y) = (r2/r0, r1/r0) as in ``translation_endo``: one division
+each, taken one alpha-orbit at a time.  alpha (x, y) -> (x, eps y) is a
+group automorphism fixing O, so tau_alpha(T) = alpha tau_T alpha^-1, and
 s alpha = eps s; hence u_alpha(T) = eps u_T(x, eps^2 y), for either
 primitive cube root eps and every T.  The line slope m is the
 only free choice, and it changes w only by a constant, since div w =
@@ -34,14 +35,15 @@ from math import gcd, prod
 
 from . import ZomoError
 from .analysis import _log3, frattini  # noqa: F401 (bench tracer test)
-from .field import PrimeField
+from .field import PrimeField, _normalize
 from .funcfield import (Endo, FFElem, apply_endo, ffelem_str, scaled_str,
                         valuation_at)
 from .group import FiniteGroup, group_from_permutations
 from .genus import RamificationProfile, rh_genus
-from .hesse import (EllipticGroup, HessePoint, cube_roots_of_unity,
-                    enumerate_hesse_points, hesse_function_field, make_point,
-                    scaling_point_map, third_point, translation_endo)
+from .hesse import (BASE_POINT, EllipticGroup, HessePoint,
+                    cube_roots_of_unity, enumerate_hesse_points,
+                    hesse_function_field, make_point, scaling_point_map,
+                    translation_endo)
 
 
 class KummerError(ZomoError, ValueError):
@@ -125,13 +127,15 @@ def _translations(E, G, gens, exponents):
     and S = (1 - eps)A = {alpha(T) - T} in the same order.  Each of gens is
     a translation (exponent 0) or alpha (exponent 1), so an element is
     P -> eps^k P + T, labelled (index of T, k mod 3) along G's spanning
-    tree: T is its image of O, and c then g maps O to g[c(O)]."""
+    tree: T is its image of O, and c then g maps O to g[c(O)].  -T is T
+    with its coordinates reversed, as O = (-1 : 0 : 1)."""
     labels = G.along_tree(
         (E.iO, 0), list(zip(gens, exponents)),
         lambda c, g: (g[0][c[0]], (c[1] + g[1]) % 3))
     A = [E.points[i] for i, k in labels if k == 0]
     alpha = gens[exponents.index(1)]
-    image = {E.add(E.points[alpha[E.index[T]]], third_point(E.C, T, E.O))
+    image = {E.add(E.points[alpha[E.index[T]]],
+                   HessePoint(_normalize(E.C, T.coords[::-1])))
              for T in A}
     return A, [T for T in A if T in image]
 
@@ -159,18 +163,28 @@ def line_slope(E, Q: HessePoint):
 
 def phi_pullbacks(field, translations):
     """The pullbacks u_T of s = y/(x+1) under the translations, in input
-    order: ``apply_endo`` for the first T of each alpha-orbit, and
+    order: r1/(r0 + r2) for the first T of each alpha-orbit, and
     u_alpha(T) = eps u_T(x, eps^2 y) (see the module docstring) for the
-    rest of its orbit, with eps the least primitive cube root."""
+    rest, with eps the least primitive cube root.  The first T != O is
+    cross-checked against ``apply_endo`` of ``translation_endo``, an
+    endomorphism checked against the field relation."""
     F = field.constants
     eps = min(cube_roots_of_unity(F))
     eps2, alpha = F.mul(eps, eps), scaling_point_map(F, eps)
     s = field.u() / (field.v() + field.one)
+    O = make_point(F, *BASE_POINT)
+    check_at = next((T for T in translations if T != O), None)
     wanted, lifts = set(translations), {}
     for T in translations:
         if T in lifts:
             continue
-        u = lifts[T] = apply_endo(translation_endo(field, T), s)
+        a, b, c = T.coords  # r1/(r0 + r2), r as in translation_endo
+        u = lifts[T] = (field.elem(((b * c, -c * c), (0, -a * a), (a * b,)))
+                        / field.elem(((a * c, -b * b, a * b + b * c),
+                                      (-a * a - c * c, -b * b), (a * c,))))
+        if T == check_at and u != apply_endo(translation_endo(field, T), s):
+            raise KummerError("closed-form pullback by %r disagrees with "
+                              "apply_endo" % (T,))
         P = alpha(T)
         while P != T:   # the orbit has length 1 or 3
             u = u.scale_u(eps2).scale(eps)

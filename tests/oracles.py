@@ -10,11 +10,13 @@ every multiset of short-orbit sizes at every quotient genus up to g.
 ``slope_ratios_by_specialisation`` reads the Kummer slope constants off the
 products of the pullbacks themselves at one y = y0; the package reads them
 off the point table at the identity.  ``pullbacks_by_translation`` pulls
-y/(x+1) back with one ``apply_endo`` per translation; the package runs one
-per alpha-orbit and scales y for the rest.  ``map_image_by_normalize``
-evaluates each form of a curve map by adding its terms' antilogs with
-``add``, then scales the image with ``inv`` and ``mul`` (``_normalize``
-when there is no denominator); the package keeps the sums as logs and
+y/(x+1) back with one ``apply_endo`` per translation; the package takes
+the closed form r1/(r0 + r2) once per alpha-orbit, scales y for the rest,
+and runs ``apply_endo`` once per call as a cross-check.
+``map_image_by_normalize`` evaluates each form of a curve map by adding its
+terms' antilogs with ``add``, then scales the image with ``inv`` and ``mul``
+(``_normalize`` when there is no denominator); the package keeps the sums
+as logs and
 divides by subtracting them.  ``inverse_by_elimination`` inverts a
 function-field element by fraction-free (Bareiss) elimination on the matrix
 of multiplication by it; the package divides the product of the other

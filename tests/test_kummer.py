@@ -1,3 +1,4 @@
+import re
 from math import prod
 
 import pytest
@@ -12,6 +13,7 @@ from zomo.hesse import (EllipticGroup, cube_roots_of_unity,
 from oracles import (element_perms, gbar_generator_perms,
                      pullbacks_by_translation, slope_ratios_by_specialisation,
                      translation_point)
+from test_hesse import _eval_ffelem
 
 
 def test_build_gbar_structure_q19():
@@ -134,6 +136,53 @@ def test_pullbacks_of_a_list_not_closed_under_alpha():
     for points in ([T], [alpha(alpha(T)), fixed, T]):
         got = kummer.phi_pullbacks(field, points)
         assert got == pullbacks_by_translation(field, points)
+
+
+@pytest.mark.parametrize("q", [19, 73])
+def test_closed_form_pullbacks_match_point_addition(q):
+    # u_T(p) = s(T + p) for s = y/(x+1), for every T (O and the points at
+    # infinity included) at every affine p where both sides are finite
+    F = PrimeField(q)
+    E = EllipticGroup(F)
+    field = hesse_function_field(F)
+    minus_one = F.neg(F.one)
+    for T, u in zip(E.points, kummer.phi_pullbacks(field, E.points)):
+        checked = 0
+        for p in E.points:
+            x, y, z = E.add(T, p).coords
+            if p.coords[2] == F.zero or z == F.zero or x == minus_one:
+                continue
+            got = _eval_ffelem(F, u, p.coords[0], p.coords[1])
+            if got is None:
+                continue
+            assert got == F.mul(y, F.inv(F.add(x, F.one)))
+            checked += 1
+        assert checked > 0
+
+
+def test_pullback_cross_check_names_the_translation(monkeypatch):
+    # apply_endo by the wrong translation: the closed form must disagree
+    F = PrimeField(19)
+    E = EllipticGroup(F)
+    field = hesse_function_field(F)
+    S = kummer.build_gbar(19).phi_translations
+    T = next(T for T in S if T != E.O)
+    real = kummer.translation_endo
+    monkeypatch.setattr(kummer, "translation_endo",
+                        lambda field, P: real(field, E.add(P, P)))
+    with pytest.raises(kummer.KummerError, match=re.escape(repr(T))):
+        kummer.phi_pullbacks(field, S)
+
+
+@pytest.mark.parametrize("q", [31, 43])
+def test_pullbacks_of_every_point_outside_the_sylow_group_too(q):
+    # |E(F_q)| = 36, so most points lie outside the 3-Sylow group A
+    F = PrimeField(q)
+    E = EllipticGroup(F)
+    field = hesse_function_field(F)
+    assert len(E.points) == 36
+    assert (kummer.phi_pullbacks(field, E.points)
+            == pullbacks_by_translation(field, E.points))
 
 
 def _slopes(data):
