@@ -8,7 +8,9 @@ and the Cayley rows of a few elements), never through the whole table, and
 no subgroup is copied into a group of its own.
 Each subgroup is derived once, as the closure of a few generators:
 Phi(G) = G'G^3 is one normal closure of the generators' commutators and
-cubes.  Element orders are counted one cyclic subgroup at a time, and
+cubes.  Element orders are counted one cyclic subgroup at a time, each
+walked by right multiplication with its generator's spanning-tree word
+(``FiniteGroup.along_tree``), so a census builds no Cayley row, and
 maximal subgroups are counted from the rank r of the abelianization
 (Burnside's basis theorem: |G:Phi(G)| = 3^r gives (3^r - 1)/2 of them), not
 listed.  Minimality is tested on generating pairs only, by Redei's criterion
@@ -219,15 +221,21 @@ def minimal_nonabelian_subgroups(G: FiniteGroup):
 
 def _cyclic_generators(G: FiniteGroup):
     """(x, order of x) for the least generator x of each nontrivial cyclic
-    subgroup of a 3-group: x covers every x^k with 3 not dividing k."""
+    subgroup of a 3-group: x covers every x^k with 3 not dividing k.  The
+    powers are walked as x^(k+1) = x^k x, by running x's spanning-tree word
+    through the generator maps, so no Cayley row is built: order(x) times
+    depth(x) steps per cyclic subgroup instead of |G|."""
+    words = G.along_tree((), G.gen_maps, lambda w, m: w + (m,))
     covered, reps = bytearray(G.order), []
     for x in range(1, G.order):
         if not covered[x]:
-            row, y, k = G.row(x), x, 1
+            word, y, k = words[x], x, 1
             while y:
                 if k % 3:
                     covered[y] = 1
-                y, k = row[y], k + 1
+                for m in word:
+                    y = m[y]
+                k += 1
             reps.append((x, k))
     return reps
 

@@ -155,6 +155,18 @@ def _canonical(field, nums, den):
     return FFElem(field, tuple(nums), den)
 
 
+def _mul_nums(field, xs, ys):
+    """The numerators of (sum xs[i] v^i)(sum ys[j] v^j), reduced mod m."""
+    F = field.constants
+    prod = [()] * (2 * field.degree - 1)
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys, i):
+                if y:
+                    prod[j] = polys.padd(F, prod[j], polys.pmul(F, x, y))
+    return _reduce(field, prod)
+
+
 @dataclass(frozen=True)
 class FFElem:
     """sum nums[i] v^i / den: n numerators in F_p[u] over one monic
@@ -185,13 +197,8 @@ class FFElem:
 
     def __mul__(self, other):
         F = self._constants(other)
-        prod = [()] * (2 * self.field.degree - 1)
-        for i, x in enumerate(self.nums):
-            if x:
-                for j, y in enumerate(other.nums, i):
-                    if y:
-                        prod[j] = polys.padd(F, prod[j], polys.pmul(F, x, y))
-        return _canonical(self.field, _reduce(self.field, prod),
+        return _canonical(self.field, _mul_nums(self.field, self.nums,
+                                                other.nums),
                           polys.pmul(F, self.den, other.den))
 
     def scale(self, c):
@@ -293,18 +300,31 @@ def apply_endo(e: Endo, f: FFElem) -> FFElem:
 
 def _substitute(e: Endo, f: FFElem):
     """(N, D) with f(u_image, v_image) = N / D and no inverse taken: N is
-    the numerators by Horner in v_image, D the denominator at u_image."""
-    num = e.field.zero
-    for poly in reversed(f.nums):
-        num = num * e.v_image + _eval_poly_at(e.field, poly, e.u_image)
-    return num, _eval_poly_at(e.field, f.den, e.u_image)
+    the numerators by Horner in v_image from the highest nonzero one, D the
+    denominator at u_image."""
+    field, nums = e.field, f.nums
+    top = max((i for i, poly in enumerate(nums) if poly), default=0)
+    num = _eval_poly_at(field, nums[top], e.u_image)
+    for poly in reversed(nums[:top]):
+        num = num * e.v_image + _eval_poly_at(field, poly, e.u_image)
+    return num, _eval_poly_at(field, f.den, e.u_image)
 
 
 def _eval_poly_at(field, poly, x):
-    acc = field.zero
-    for c in reversed(poly):
-        acc = acc * x + field.from_int(c)
-    return acc
+    """poly(x) for an F_p[u] polynomial poly and x = X/d in the field: with
+    k = deg poly, Horner's rule A <- A X + c_i d^(k-i) runs on the numerator
+    vectors alone, and A/d^k is put in canonical form once."""
+    F = field.constants
+    if not poly:
+        return field.zero
+    d = x.den
+    acc = [(poly[-1],)] + [()] * (field.degree - 1)
+    dpow = (1,)
+    for c in reversed(poly[:-1]):
+        acc = _mul_nums(field, acc, x.nums)
+        dpow = polys.pmul(F, dpow, d)
+        acc[0] = polys.padd(F, acc[0], polys.pscale(F, dpow, c))
+    return _canonical(field, acc, dpow)
 
 
 # --- power-series valuation at a nonsingular affine point ------------------

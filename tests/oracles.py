@@ -5,7 +5,17 @@ and the plain or repeated computations it replaced by one pass.
 preimages of the index-3 subgroups of its Frattini quotient; the package
 only counts them, (|G:Phi(G)| - 1)/2 by Burnside's basis theorem.
 ``enumerate_cosets_repeated`` repeats HLT passes until one leaves the coset
-table unchanged; the package runs one.  ``profiles_by_brute_force`` tries
+table unchanged; the package runs one.  It drives ``CosetTable``, a frozen
+copy of the package's coset table, so that a change to the package's scan,
+definition or coincidence code cannot change the reference too.
+``cyclic_generators_by_rows`` walks the powers of each cyclic subgroup's
+generator along its Cayley row; the package runs the generator's
+spanning-tree word through the generator maps and builds no row.
+``eval_poly_by_ffelem`` evaluates an F_p[u] polynomial at a function-field
+element by Horner's rule in ``FFElem`` arithmetic, one canonical form per
+step, and ``substitute_by_ffelem`` runs it on every numerator of f; the
+package's Horner runs on numerator vectors over a power of the denominator
+and puts the value in canonical form once.  ``profiles_by_brute_force`` tries
 every multiset of short-orbit sizes at every quotient genus up to g.
 ``slope_ratios_by_specialisation`` reads the Kummer slope constants off the
 products of the pullbacks themselves at one y = y0; the package reads them
@@ -32,7 +42,7 @@ import itertools
 
 from zomo import analysis, polys
 from zomo.analysis import Subgroup
-from zomo.coset import CosetTable, EnumerationError, _word_to_cols
+from zomo.coset import BudgetExceeded, EnumerationError
 from zomo.field import ExtField, _normalize
 from zomo.funcfield import (Endo, FuncFieldError, _canonical, _reduce,
                             apply_endo)
@@ -92,6 +102,96 @@ def _index3_subgroups_elem_abelian(Q: FiniteGroup):
     return kernels
 
 
+def _word_to_cols(word):
+    cols = []
+    for g, e in word:
+        cols.extend([2 * g if e > 0 else 2 * g + 1] * abs(e))
+    return cols
+
+
+class CosetTable:
+    """Coset table over columns 2g (generator g) and 2g+1 (its inverse),
+    with union-find representatives and a coincidence queue."""
+
+    def __init__(self, ngens, max_cosets):
+        self.ncols = 2 * ngens
+        self.max_cosets = max_cosets
+        self.table = [[None] * self.ncols]
+        self.p = [0]
+        self.dead = []
+
+    def rep(self, k):
+        p = self.p
+        while p[k] != k:
+            p[k] = p[p[k]]
+            k = p[k]
+        return k
+
+    def define(self, alpha, col):
+        if len(self.table) >= self.max_cosets:
+            raise BudgetExceeded("coset budget %d exhausted" % self.max_cosets)
+        beta = len(self.table)
+        self.table.append([None] * self.ncols)
+        self.p.append(beta)
+        self.table[alpha][col] = beta
+        self.table[beta][col ^ 1] = alpha
+        return beta
+
+    def _merge(self, k, l):
+        k, l = self.rep(k), self.rep(l)
+        if k != l:
+            if k > l:
+                k, l = l, k
+            self.p[l] = k
+            self.dead.append(l)
+
+    def coincidence(self, alpha, beta):
+        self._merge(alpha, beta)
+        table = self.table
+        while self.dead:
+            y = self.dead.pop()
+            row = table[y]
+            for col in range(self.ncols):
+                delta = row[col]
+                if delta is None:
+                    continue
+                if table[delta][col ^ 1] == y:
+                    table[delta][col ^ 1] = None
+                mu, nu = self.rep(y), self.rep(delta)
+                if table[mu][col] is not None:
+                    self._merge(nu, table[mu][col])
+                elif table[nu][col ^ 1] is not None:
+                    self._merge(mu, table[nu][col ^ 1])
+                else:
+                    table[mu][col] = nu
+                    table[nu][col ^ 1] = mu
+
+    def scan_and_fill(self, alpha, word):
+        table = self.table
+        n = len(word)
+        while True:
+            f, i = alpha, 0
+            while i < n and table[f][word[i]] is not None:
+                f = table[f][word[i]]
+                i += 1
+            if i == n:
+                if f != alpha:
+                    self.coincidence(f, alpha)
+                return
+            b, j = alpha, n - 1
+            while j >= i and table[b][word[j] ^ 1] is not None:
+                b = table[b][word[j] ^ 1]
+                j -= 1
+            if j < i:
+                self.coincidence(f, b)
+                return
+            if j == i:
+                table[f][word[i]] = b
+                table[b][word[i] ^ 1] = f
+                return
+            self.define(f, word[i])
+
+
 def _state(ct):
     live = [c for c in range(len(ct.table)) if ct.rep(c) == c]
     holes = sum(ct.table[c].count(None) for c in live)
@@ -137,6 +237,38 @@ def enumerate_cosets_repeated(pres, max_cosets=100000):
             images.append(renum[ct.rep(d)])
         maps.append(images)
     return len(live), maps
+
+
+def cyclic_generators_by_rows(G: FiniteGroup):
+    """(x, order of x) for the least generator x of each nontrivial cyclic
+    subgroup of a 3-group, walking x, x^2, ... along the Cayley row of x."""
+    covered, reps = bytearray(G.order), []
+    for x in range(1, G.order):
+        if not covered[x]:
+            row, y, k = G.row(x), x, 1
+            while y:
+                if k % 3:
+                    covered[y] = 1
+                y, k = row[y], k + 1
+            reps.append((x, k))
+    return reps
+
+
+def eval_poly_by_ffelem(field, poly, x):
+    """poly(x) by Horner's rule in ``FFElem`` arithmetic."""
+    acc = field.zero
+    for c in reversed(poly):
+        acc = acc * x + field.from_int(c)
+    return acc
+
+
+def substitute_by_ffelem(e, f):
+    """(N, D) with f(u_image, v_image) = N / D: N by Horner in v_image over
+    every numerator, D the denominator at u_image."""
+    num = e.field.zero
+    for poly in reversed(f.nums):
+        num = num * e.v_image + eval_poly_by_ffelem(e.field, poly, e.u_image)
+    return num, eval_poly_by_ffelem(e.field, f.den, e.u_image)
 
 
 def profiles_by_brute_force(d, n, genus):

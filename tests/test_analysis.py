@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from oracles import maximal_subgroups
+from oracles import cyclic_generators_by_rows, maximal_subgroups
 from zomo import analysis, catalog, kummer
 from zomo.group import (FiniteGroup, GroupError, analyze_presentation,
                         coset_enumerate, group_from_permutations)
@@ -283,6 +283,10 @@ def test_center_quotient_and_closure_build_few_rows():
     H = analysis.subgroup_closure(G, [G.order - 1, G.order // 2])
     assert len(H) > 1
     assert rows_built() - before <= budget
+    before = rows_built()
+    analysis.order_census(G)
+    analysis.order_census(G, restrict_outside=Z)
+    assert rows_built() == before
 
 
 # -- the counted invariants against the listings they replaced ---------------
@@ -316,6 +320,18 @@ def test_order_census_matches_a_count_by_element_order(eid, request):
                 o = G.element_order(x)
                 want[o] = want.get(o, 0) + 1
         assert analysis.order_census(G, H) == want
+
+
+@pytest.mark.parametrize("eid", ALL_ENTRIES + ["gbar19", "gbar73", "genus28",
+                                 "caseII1_e3_k2/Z"])
+def test_cyclic_generators_match_the_row_walk(eid, request):
+    # the same (x, order) list, in the same order, as the walk along rows
+    if eid.endswith("/Z"):
+        G = _catalog_group(eid.split("/")[0])
+        G, _ = analysis.quotient(G, analysis.center(G))
+    else:
+        G = _group(eid, request)
+    assert analysis._cyclic_generators(G) == cyclic_generators_by_rows(G)
 
 
 # the catalog groups, genus28 and Gbar all have abelianization C3 x C3, so

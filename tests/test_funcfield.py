@@ -1,15 +1,17 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zomo import polys
+from zomo import curves, hesse, polys
 from zomo.field import PrimeField, roots_of_unity
 from zomo.funcfield import (Endo, FuncFieldError, FunctionField,
-                            _expand_point, _series_inv, apply_endo,
-                            ffelem_str, lemma_factorization_check, poly_str,
-                            scaled_str, valuation_at)
+                            _eval_poly_at, _expand_point, _series_inv,
+                            _substitute, apply_endo, ffelem_str,
+                            lemma_factorization_check, poly_str, scaled_str,
+                            valuation_at)
 
-from oracles import inverse_by_elimination, scaling_endo
+from oracles import (eval_poly_by_ffelem, inverse_by_elimination,
+                     scaling_endo, substitute_by_ffelem)
 
 F19 = PrimeField(19)
 
@@ -87,6 +89,51 @@ def test_inverse_and_division(field, data):
         assert a.inverse() == inverse_by_elimination(a)
     if not b.is_zero():
         assert (a * b) / b == a
+
+
+# -- Horner on numerator vectors against Horner in FFElem steps -------------
+
+def test_horner_at_the_x0_endos():
+    field = curves.x0_function_field(19)
+    t = curves.x0_invariant_t(field)
+    f = field.v() ** 2 + field.u() * field.v() + field.one
+    for e in curves.x0_endos(field):
+        for poly in (t.nums[0], t.den, field.m0):
+            assert (_eval_poly_at(field, poly, e.u_image)
+                    == eval_poly_by_ffelem(field, poly, e.u_image))
+        for g in (t, f):
+            assert _substitute(e, g) == substitute_by_ffelem(e, g)
+
+
+def test_horner_at_the_hesse_translations():
+    field = hesse_field()
+    s = field.u() / (field.v() + field.one)
+    poly = (3, 0, 5, 1, 0, 0, 18, 2)
+    for T in hesse.EllipticGroup(F19).points:
+        e = hesse.translation_endo(field, T)
+        for x in (e.u_image, e.v_image):
+            for p in (field.m0, poly):
+                assert (_eval_poly_at(field, p, x)
+                        == eval_poly_by_ffelem(field, p, x))
+        assert _substitute(e, s) == substitute_by_ffelem(e, s)
+
+
+@pytest.mark.parametrize("field", ELEMENT_FIELDS[:2])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_horner_matches_ffelem_steps(field, data):
+    q = field.constants.q
+    nums = data.draw(st.lists(_polys(field), min_size=field.degree,
+                              max_size=field.degree))
+    den = data.draw(_polys(field, 1)) + [data.draw(st.integers(1, q - 1))]
+    x = field.elem(nums, den)
+    assume(len(x.den) > 1)
+    poly = polys.ptrim(field.constants,
+                       data.draw(st.lists(st.integers(0, q - 1),
+                                          min_size=1, max_size=13)))
+    assert (_eval_poly_at(field, poly, x)
+            == eval_poly_by_ffelem(field, poly, x))
+    assert _eval_poly_at(field, (), x) == field.zero
 
 
 def test_kummer_field_data():
