@@ -7,9 +7,26 @@ table entry, with immediate coincidence processing.  One pass over the cosets
 suffices (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
 2005, 5.1-5.2): a coincidence only merges cosets and moves every entry of the
 dead row to the surviving one, so once every live coset has been processed
-the table is complete and every relator closes at every coset.  Coset
-numbering is deterministic (definition order), so element indices are
-reproducible.
+the table is complete and every relator closes at every coset.
+
+The table is column-major: one list per column, 2g for generator g and 2g+1
+for its inverse, indexed by coset, with ``None`` for an empty entry.  The
+columns grow in place by doubling, never past ``max_cosets``, so each relator
+keeps the list of its letters' columns for the forward scan and of their
+inverse columns for the backward scan, and a scan step is one lookup in a
+column.
+
+Each relator is scanned as in the Handbook's SCANANDFILL: a forward scan from
+the coset, then a backward scan from its end, a deduction when they leave one
+entry between them and a coincidence when they meet.  Otherwise a new coset
+fills the first gap, and both scans resume where they stopped instead of
+starting again from the coset: a definition only adds entries, so the
+restarted scans would retrace the same steps.  The one exception is a relator
+with a letter followed by its inverse, where the resumed forward scan can run
+past the backward one; the backward scan then starts again, as before.  So
+the enumeration makes the definitions and coincidences of a scan restarted
+after each definition, in the same order, and coset numbering stays the
+definition order: element indices are reproducible.
 """
 
 from . import ZomoError
@@ -35,14 +52,16 @@ def _word_to_cols(word):
 
 
 class CosetTable:
-    """Coset table over columns 2g (generator g) and 2g+1 (its inverse)."""
+    """Coset table over columns 2g (generator g) and 2g+1 (its inverse).
+
+    ``cols[c][k]`` is the coset k.c, or ``None``; ``p`` holds the
+    union-find representatives of the cosets defined so far, 0 first.
+    """
 
     def __init__(self, ngens, max_cosets):
-        self.ncols = 2 * ngens
         self.max_cosets = max_cosets
-        self.table = [[None] * self.ncols]
-        self.p = [0]          # union-find representatives
-        self.dead = []        # coincidence queue
+        self.cols = [[None] for _ in range(2 * ngens)]
+        self.p = [0]
 
     def rep(self, k):
         p = self.p
@@ -52,81 +71,60 @@ class CosetTable:
         return k
 
     def define(self, alpha, col):
-        if len(self.table) >= self.max_cosets:
+        beta = len(self.p)
+        if beta >= self.max_cosets:
             raise BudgetExceeded(
                 "coset budget %d exhausted (presentation too large or infinite)"
                 % self.max_cosets)
-        beta = len(self.table)
-        self.table.append([None] * self.ncols)
+        cols = self.cols
+        if beta == len(cols[0]):
+            empty = [None] * min(beta, self.max_cosets - beta)
+            for column in cols:
+                column.extend(empty)
         self.p.append(beta)
-        self.table[alpha][col] = beta
-        self.table[beta][col ^ 1] = alpha
+        cols[col][alpha] = beta
+        cols[col ^ 1][beta] = alpha
         return beta
 
-    def _merge(self, k, l):
-        k, l = self.rep(k), self.rep(l)
-        if k != l:
-            if k > l:
-                k, l = l, k
-            self.p[l] = k
-            self.dead.append(l)
-
     def coincidence(self, alpha, beta):
-        self._merge(alpha, beta)
-        table = self.table
-        while self.dead:
-            y = self.dead.pop()
-            row = table[y]
-            for col in range(self.ncols):
-                delta = row[col]
+        """Merge alpha and beta and every pair of cosets this forces."""
+        p = self.p
+        rep = self.rep
+        dead = []
+
+        def merge(k, l):
+            if p[k] != k:
+                k = rep(k)
+            if p[l] != l:
+                l = rep(l)
+            if k != l:
+                if k > l:
+                    k, l = l, k
+                p[l] = k
+                dead.append(l)
+
+        cols = self.cols
+        pairs = [(cols[c], cols[c ^ 1]) for c in range(len(cols))]
+        merge(alpha, beta)
+        while dead:
+            y = dead.pop()
+            for col, inv in pairs:
+                delta = col[y]
                 if delta is None:
                     continue
-                if table[delta][col ^ 1] == y:
-                    table[delta][col ^ 1] = None
-                mu, nu = self.rep(y), self.rep(delta)
-                if table[mu][col] is not None:
-                    self._merge(nu, table[mu][col])
-                elif table[nu][col ^ 1] is not None:
-                    self._merge(mu, table[nu][col ^ 1])
+                if inv[delta] == y:
+                    inv[delta] = None
+                mu = p[y]
+                if p[mu] != mu:
+                    mu = rep(mu)
+                nu = delta if p[delta] == delta else rep(delta)
+                if col[mu] is not None:
+                    merge(nu, col[mu])
+                elif inv[nu] is not None:
+                    merge(mu, inv[nu])
                 else:
-                    table[mu][col] = nu
-                    table[nu][col ^ 1] = mu
-
-    def scan_and_fill(self, alpha, word):
-        table = self.table
-        while True:
-            # forward scan
-            f = alpha
-            i = 0
-            n = len(word)
-            while i < n:
-                nxt = table[f][word[i]]
-                if nxt is None:
-                    break
-                f = nxt
-                i += 1
-            if i == n:
-                if f != alpha:
-                    self.coincidence(f, alpha)
-                return
-            # backward scan
-            b = alpha
-            j = n - 1
-            while j >= i:
-                prv = table[b][word[j] ^ 1]
-                if prv is None:
-                    break
-                b = prv
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
-                return
-            if j == i:
-                # deduction closes the gap
-                table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
-                return
-            self.define(f, word[i])
+                    col[mu] = nu
+                    inv[nu] = mu
 
 
 def enumerate_cosets(pres: Presentation, max_cosets=100000):
@@ -138,29 +136,66 @@ def enumerate_cosets(pres: Presentation, max_cosets=100000):
     if not pres.generators:
         raise EnumerationError("empty presentation")
     ngens = len(pres.generators)
-    relators = [_word_to_cols(w) for w in pres.relators]
     ct = CosetTable(ngens, max_cosets)
+    cols, p = ct.cols, ct.p
+    define, coincidence = ct.define, ct.coincidence
+    relators = []
+    for w in pres.relators:
+        word = _word_to_cols(w)
+        relators.append((word, len(word), [cols[c] for c in word],
+                         [cols[c ^ 1] for c in word]))
     alpha = 0
-    while alpha < len(ct.table):
-        if ct.rep(alpha) == alpha:
-            for rel in relators:
-                ct.scan_and_fill(alpha, rel)
-                if ct.rep(alpha) != alpha:
+    while alpha < len(p):
+        if p[alpha] == alpha:
+            for word, n, fwd, bwd in relators:
+                f, i, b, j = alpha, 0, alpha, n - 1
+                while True:
+                    while i < n:
+                        nxt = fwd[i][f]
+                        if nxt is None:
+                            break
+                        f = nxt
+                        i += 1
+                    if i == n:
+                        if f != alpha:
+                            coincidence(f, alpha)
+                        break
+                    if j < i - 1:
+                        # the forward scan ran past the backward one, over
+                        # a letter and its inverse: restart the backward one
+                        b, j = alpha, n - 1
+                    while j >= i:
+                        prv = bwd[j][b]
+                        if prv is None:
+                            break
+                        b = prv
+                        j -= 1
+                    if j < i:
+                        coincidence(f, b)
+                        break
+                    if j == i:
+                        # deduction closes the gap
+                        fwd[i][f] = b
+                        bwd[i][b] = f
+                        break
+                    f = define(f, word[i])
+                    i += 1
+                if p[alpha] != alpha:
                     break
             else:
-                for col in range(ct.ncols):
-                    if ct.table[alpha][col] is None:
-                        ct.define(alpha, col)
+                for c, col in enumerate(cols):
+                    if col[alpha] is None:
+                        define(alpha, c)
         alpha += 1
 
-    live = [c for c in range(len(ct.table)) if ct.rep(c) == c]
+    live = [c for c in range(len(p)) if p[c] == c]
     renum = {c: i for i, c in enumerate(live)}
     maps = []
     for g in range(ngens):
-        col = 2 * g
+        col = cols[2 * g]
         images = []
         for c in live:
-            d = ct.table[c][col]
+            d = col[c]
             if d is None:
                 raise EnumerationError("incomplete table after closure")
             images.append(renum[ct.rep(d)])

@@ -280,10 +280,21 @@ class Endo:
     v_image: FFElem
 
     def __post_init__(self):
-        field = self.field
-        rel = (self.v_image ** field.degree
-               + _eval_poly_at(field, field.m0, self.u_image))
-        if not rel.is_zero():
+        """v_image^n + m0(u_image) = 0, tested as V D + M d^n = 0 on the
+        numerators, with v_image = X/d, V the numerators of X^n (left to
+        right binary powering) and m0(u_image) = M/D: no canonical form is
+        taken for the power."""
+        field, v = self.field, self.v_image
+        F = field.constants
+        vn, dn = v.nums, v.den
+        for bit in bin(field.degree)[3:]:
+            vn, dn = _mul_nums(field, vn, vn), polys.pmul(F, dn, dn)
+            if bit == "1":
+                vn = _mul_nums(field, vn, v.nums)
+                dn = polys.pmul(F, dn, v.den)
+        m0 = _eval_poly_at(field, field.m0, self.u_image)
+        if any(polys.padd(F, polys.pmul(F, x, m0.den), polys.pmul(F, y, dn))
+               for x, y in zip(vn, m0.nums)):
             raise FuncFieldError("images do not satisfy the field relation")
 
     def compose(self, other):

@@ -6,8 +6,10 @@ preimages of the index-3 subgroups of its Frattini quotient; the package
 only counts them, (|G:Phi(G)| - 1)/2 by Burnside's basis theorem.
 ``enumerate_cosets_repeated`` repeats HLT passes until one leaves the coset
 table unchanged; the package runs one.  It drives ``CosetTable``, a frozen
-copy of the package's coset table, so that a change to the package's scan,
-definition or coincidence code cannot change the reference too.
+copy of the package's former row-major table, whose scan starts again from
+the coset after every definition where the package's resumes, so that a
+change to the package's scan, definition or coincidence code cannot change
+the reference too.
 ``cyclic_generators_by_rows`` walks the powers of each cyclic subgroup's
 generator along its Cayley row; the package runs the generator's
 spanning-tree word through the generator maps and builds no row.

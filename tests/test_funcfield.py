@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -338,6 +340,38 @@ def test_endo_validates_relation():
     Endo(f, u_image=f.from_int(7) * y, v_image=x)  # ok: scaling
     with pytest.raises(FuncFieldError):
         Endo(f, u_image=y + f.one, v_image=x)
+
+
+def _relation_by_ffelem(field, u_image, v_image):
+    """v_image^n + m0(u_image) = 0, in FFElem arithmetic step by step."""
+    return (v_image ** field.degree
+            + eval_poly_by_ffelem(field, field.m0, u_image)).is_zero()
+
+
+@pytest.mark.parametrize("source", ["x0", "hesse"])
+def test_endo_accepts_exactly_the_images_on_the_curve(source):
+    # Endo tests the relation on numerators over d^n; FFElem powers are the
+    # reference: the images of the 81 X0 endos and of the Hesse
+    # translations are accepted, and each v_image scaled by 2 (not an n-th
+    # root of unity mod 19) or shifted by 1 is rejected
+    if source == "x0":
+        field = curves.x0_function_field(19)
+        endos = curves.x0_endos(field)
+        assert len(endos) == 81
+        pairs = repr([(ffelem_str(e.u_image), ffelem_str(e.v_image))
+                      for e in endos]).encode()
+        assert hashlib.sha256(pairs).hexdigest()[:16] == "c1a3db836573b37b"
+    else:
+        field = hesse_field()
+        endos = [hesse.translation_endo(field, T)
+                 for T in hesse.EllipticGroup(F19).points]
+    for e in endos:
+        assert _relation_by_ffelem(field, e.u_image, e.v_image)
+        assert Endo(field, e.u_image, e.v_image) == e
+        for v in (e.v_image.scale(2), e.v_image + field.one):
+            assert not _relation_by_ffelem(field, e.u_image, v)
+            with pytest.raises(FuncFieldError, match="field relation"):
+                Endo(field, e.u_image, v)
 
 
 def test_endo_composition():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import element_perms, enumerate_cosets_repeated
-from zomo import catalog, curves, group, kummer, words
+from zomo import catalog, coset, curves, group, kummer, words
 from zomo.coset import BudgetExceeded, enumerate_cosets
 from zomo.group import (GroupError, analyze_presentation, coset_enumerate,
                         group_from_permutations)
@@ -110,10 +111,97 @@ def _relators_close(pres, order, maps):
     return True
 
 
+def _counted(run, table, pres, max_cosets=100000):
+    """(run's (order, maps), or BudgetExceeded when it raises that, with
+    the calls it made to table.define and to table.coincidence)."""
+    calls = {"define": 0, "coincidence": 0}
+    originals = {name: getattr(table, name) for name in calls}
+
+    def counting(name):
+        def method(self, *args):
+            calls[name] += 1
+            return originals[name](self, *args)
+        return method
+
+    for name in calls:
+        setattr(table, name, counting(name))
+    try:
+        out = run(pres, max_cosets)
+    except BudgetExceeded:
+        out = BudgetExceeded
+    finally:
+        for name, method in originals.items():
+            setattr(table, name, method)
+    return out, calls["define"], calls["coincidence"]
+
+
+def _package_and_oracle(pres, max_cosets=100000):
+    """_counted for the package's one pass and for the oracle's repeated
+    passes on the frozen table, which scans again from the coset after
+    every definition."""
+    return (_counted(enumerate_cosets, coset.CosetTable, pres, max_cosets),
+            _counted(enumerate_cosets_repeated, oracles.CosetTable, pres,
+                     max_cosets))
+
+
+@pytest.mark.parametrize("source", [
+    "caseII1_e3_k2",
+    "<a, b | a^9, b^3, b^-1*a*b*a^-4>",
+    "<a, b | a^3, b^3, [a,b]^3, [[a,b],a], [[a,b],b]>",
+], ids=["caseII1_e3_k2", "metacyclic27", "heisenberg"])
+def test_coset_budget_boundary(monkeypatch, source):
+    # d definitions make d + 1 cosets, counting coset 0: a budget of d + 1
+    # succeeds and one of d fails, in the package and the oracle alike, and
+    # the columns never grow past the budget
+    if source.startswith("<"):
+        pres = parse_presentation(source)
+    else:
+        pres = catalog.entry_by_id(source).presentation
+    want, defined, _ = _counted(enumerate_cosets, coset.CosetTable, pres)
+    if source == "caseII1_e3_k2":
+        assert defined == 30590
+    tables = []
+    init = coset.CosetTable.__init__
+
+    def capture(self, *args):
+        init(self, *args)
+        tables.append(self)
+
+    monkeypatch.setattr(coset.CosetTable, "__init__", capture)
+    assert enumerate_cosets(pres, max_cosets=defined + 1) == want
+    with pytest.raises(BudgetExceeded):
+        enumerate_cosets(pres, max_cosets=defined)
+    assert enumerate_cosets_repeated(pres, max_cosets=defined + 1) == want
+    with pytest.raises(BudgetExceeded):
+        enumerate_cosets_repeated(pres, max_cosets=defined)
+    for table, budget in zip(tables, (defined + 1, defined), strict=True):
+        assert max(len(col) for col in table.cols) <= budget
+
+
 @pytest.mark.parametrize("entry", catalog.load_catalog(), ids=lambda e: e.id)
 def test_one_hlt_pass_matches_repeated_passes_on_the_catalog(entry):
-    got = enumerate_cosets(entry.presentation)
-    assert got == enumerate_cosets_repeated(entry.presentation)
+    # the same table from the same definitions and coincidences: the
+    # resumed scans keep the strategy, not only the group
+    got, want = _package_and_oracle(entry.presentation)
+    assert got == want
+
+
+@pytest.mark.parametrize("relators", [
+    # b a a^-1 b^-1 a^-2 and b^-1 a^-1 a b^2 a^-2: a letter beside its
+    # inverse
+    (((0, 2),), ((1, 2),), ((1, 1), (0, 1), (0, -1), (1, -1), (0, -2)),
+     ((0, 2), (1, 1))),
+    (((0, 3),), ((1, 9),), ((1, -1), (0, -1), (0, 1), (1, 2), (0, -2))),
+], ids=["order2", "order3"])
+def test_one_hlt_pass_matches_on_relators_that_are_not_reduced(relators):
+    # after a definition the forward scan can pass the backward one over a
+    # letter and its inverse: the backward scan starts again from the coset,
+    # or a coincidence would join cosets at two different places of the
+    # relator (order 1, not 3); stopping the forward scan where the backward
+    # one stands makes other coincidences (4, not 2, at order 2)
+    pres = words.Presentation(("a", "b"), relators)
+    got, want = _package_and_oracle(pres, max_cosets=3000)
+    assert got == want
 
 
 def _random_relator(draw, ngens):
@@ -149,15 +237,12 @@ def small_presentations(draw):
 @settings(max_examples=100, deadline=None)
 def test_one_hlt_pass_matches_repeated_passes(pres):
     """One pass closes every relator at every coset and gives the table of
-    the passes repeated until nothing changes, or both exhaust the budget."""
-    try:
-        got = enumerate_cosets(pres, max_cosets=5000)
-    except BudgetExceeded:
-        with pytest.raises(BudgetExceeded):
-            enumerate_cosets_repeated(pres, max_cosets=5000)
-        return
-    assert got == enumerate_cosets_repeated(pres, max_cosets=5000)
-    assert _relators_close(pres, *got)
+    the passes repeated until nothing changes, or both exhaust the budget,
+    with the same calls to define and coincidence."""
+    got, want = _package_and_oracle(pres, max_cosets=5000)
+    assert got == want
+    if got[0] is not BudgetExceeded:
+        assert _relators_close(pres, *got[0])
 
 
 def test_group_ops_consistency():
