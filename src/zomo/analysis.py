@@ -94,17 +94,23 @@ def is_normal(G: FiniteGroup, H: Subgroup):
 
 
 def normal_closure(G: FiniteGroup, seeds):
-    """Smallest normal subgroup containing the seed elements."""
-    gens = list(seeds)
-    current = subgroup_closure(G, gens)
-    while True:
-        mem = current.member_set
-        extra = [c for h in current.members for c in _conjugates(G, h)
-                 if c not in mem]
-        if not extra:
-            return current
-        gens += extra
-        current = subgroup_closure(G, gens)
+    """Smallest normal subgroup containing the seed elements: one span,
+    grown by the conjugates s^g, for each generator g of G, of every
+    element s it is extended by.  A subgroup <S> is normal once every such
+    s^g lies in it, so no member outside S is conjugated."""
+    gens, seen, rows = list(seeds), {0}, []
+    for s in gens:  # gens grows while it is walked
+        if s not in seen:
+            rows.append(G.row(s))
+            _close(rows, seen, list(seen))
+            gens += _conjugates(G, s)
+    return Subgroup(G, tuple(sorted(seen)))
+
+
+def _commutator(G: FiniteGroup, A, B):
+    """[<A>, <B>] for generators A and B of normal subgroups: the normal
+    closure of the commutators [a, b]."""
+    return normal_closure(G, {G.comm(a, b) for a in A for b in B})
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -115,8 +121,7 @@ def center(G: FiniteGroup) -> Subgroup:
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
-    seeds = {G.comm(a, b) for a in G.gens for b in G.gens}
-    return normal_closure(G, seeds)
+    return _commutator(G, G.gens, G.gens)
 
 
 def is_abelian_set(G: FiniteGroup, members):
@@ -283,7 +288,7 @@ def derived_length(G: FiniteGroup):
     length, cur = 0, Subgroup(G, tuple(range(G.order)))
     while len(cur) > 1:
         gens = generators_of(G, cur.members)
-        nxt = normal_closure(G, {G.comm(a, b) for a in gens for b in gens})
+        nxt = _commutator(G, gens, gens)
         if nxt.members == cur.members:
             raise GroupError("derived series does not terminate")
         cur, length = nxt, length + 1
@@ -322,8 +327,7 @@ def lower_central_series(G: FiniteGroup):
     chain = [Subgroup(G, tuple(range(G.order)))]
     while len(chain[-1]) > 1:
         K = chain[-1]
-        seeds = {G.comm(a, g) for a in generators_of(G, K.members) for g in G.gens}
-        nxt = normal_closure(G, seeds)
+        nxt = _commutator(G, generators_of(G, K.members), G.gens)
         if nxt.members == K.members:
             raise GroupError("lower central series stabilized (not nilpotent)")
         chain.append(nxt)

@@ -143,14 +143,16 @@ def enumerate_profiles(d, group_order, genus):
 
         # multisets of short-orbit sizes whose contributions n - l sum to rem
         def rec(idx, left, acc):
-            if left == 0:
-                out.append(RamificationProfile(n, gbar, tuple(sorted(acc))))
-                return
             if idx == len(divisors):
+                if left == 0:
+                    out.append(RamificationProfile(n, gbar, tuple(acc)))
                 return
             l = divisors[idx]
             contrib = n - l
-            for cnt in range(left // contrib + 1):
+            counts = range(left // contrib + 1)
+            if idx == len(divisors) - 1:  # the last count must use up left
+                counts = counts[-1:]
+            for cnt in counts:
                 rec(idx + 1, left - cnt * contrib, acc + [l] * cnt)
 
         rec(0, rem, [])

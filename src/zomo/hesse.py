@@ -193,21 +193,24 @@ def hesse_function_field(q_field):
                          u_name="y", v_name="x")
 
 
-def translation_endo(field: FunctionField, t: HessePoint) -> Endo:
-    """Translation by t, p -> t + p, as a function-field endomorphism.
-
-    For t = (a : b : c) and the generic point p = (x : y : 1), the chord
-    formula gives t * p = (r0 : r1 : r2) with
+def translation_chord(field: FunctionField, t: HessePoint):
+    """(r0, r1, r2) with t * p = (r0 : r1 : r2), the chord through t and the
+    generic point p = (x : y : 1):
         r0 = ab y^2 + ac - (b^2 y + c^2) x,
         r1 = ab x^2 - a^2 y x + bc - c^2 y,
-        r2 = ac x^2 - a^2 x + bc y^2 - b^2 y,
-    and t + p = -(t * p) = (r2 : r1 : r0), since -(X : Y : Z) = (Z : Y : X)
-    for the identity O = (-1 : 0 : 1).  For t = O this is the identity.
-    """
+        r2 = ac x^2 - a^2 x + bc y^2 - b^2 y
+    for t = (a : b : c)."""
     a, b, c = t.coords
-    r0 = field.elem(((a * c, 0, a * b), (-c * c, -b * b)))
-    r1 = field.elem(((b * c, -c * c), (0, -a * a), (a * b,)))
-    r2 = field.elem(((0, -b * b, b * c), (-a * a,), (a * c,)))
+    return (field.elem(((a * c, 0, a * b), (-c * c, -b * b))),
+            field.elem(((b * c, -c * c), (0, -a * a), (a * b,))),
+            field.elem(((0, -b * b, b * c), (-a * a,), (a * c,))))
+
+
+def translation_endo(field: FunctionField, t: HessePoint) -> Endo:
+    """Translation by t, p -> t + p, as a function-field endomorphism:
+    t + p = -(t * p) = (r2 : r1 : r0) for the ``translation_chord``
+    (r0 : r1 : r2), since -(X : Y : Z) = (Z : Y : X) for the identity
+    O = (-1 : 0 : 1).  For t = O this is the identity."""
+    r0, r1, r2 = translation_chord(field, t)
     inv = r0.inverse()
     return Endo(field, u_image=r1 * inv, v_image=r2 * inv)
-

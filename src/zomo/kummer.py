@@ -12,22 +12,23 @@ theta_2 form
 
 so that z^3 = w defines a cover of genus 3^h + 1.  As t = m - s for
 s = y/(x+1), w needs the pullbacks u_T = s tau_T = r1/(r0 + r2), with
-tau_T(x, y) = (r2/r0, r1/r0) as in ``translation_endo``: one division
-each, taken one alpha-orbit at a time.  alpha (x, y) -> (x, eps y) is a
-group automorphism fixing O, so tau_alpha(T) = alpha tau_T alpha^-1, and
-s alpha = eps s; hence u_alpha(T) = eps u_T(x, eps^2 y), for either
-primitive cube root eps and every T.  The line slope m is the
-only free choice, and it changes w only by a constant, since div w =
-theta_2 + theta_3 - 2 theta_1 for every Q in theta_2: the product is formed
-for the first slope m0 only, and each other w is c_m w_{m0}, with c_m read
-off at P, where it is a product of values in F_q.  The builder tries every
-slope, for the least primitive cube root eps only, and compares the emitted
-equation against a stored reference, exactly first and then up to a
-multiplicative constant that is a cube in F_q.
+tau_T(x, y) = (r2/r0, r1/r0) for the ``translation_chord`` (r0, r1, r2)
+that ``translation_endo`` reads too: one division each, taken one
+alpha-orbit at a time.  alpha (x, y) -> (x, eps y) is a group automorphism
+fixing O, so tau_alpha(T) = alpha tau_T alpha^-1, and s alpha = eps s;
+hence u_alpha(T) = eps u_T(x, eps^2 y), for either primitive cube root eps
+and every T.  The line slope m is the only free choice, and it changes w
+only by a constant, since div w = theta_2 + theta_3 - 2 theta_1 for every
+Q in theta_2: the product is formed for the first slope m0 only, and each
+other w is c_m w_{m0}, with c_m read off at P, where it is a product of
+values in F_q.  The builder tries every slope, for the least primitive cube
+root eps only, and compares the emitted equation against a stored
+reference, exactly first and then up to a multiplicative constant that is
+a cube in F_q.
 
 Gbar is A x| <alpha> with alpha acting on the translations A as eps, so
 theta_1 = Phi(Gbar) = G'G^3 is (1 - eps)A = {alpha(T) - T}, read off
-coordinates of the elements (see ``_translations``), with no normal closure.
+coordinates of the elements (see ``_close_gbar``), with no normal closure.
 """
 
 from dataclasses import dataclass
@@ -36,14 +37,14 @@ from math import gcd, prod
 from . import ZomoError
 from .analysis import _log3, frattini  # noqa: F401 (bench tracer test)
 from .field import PrimeField, _normalize
-from .funcfield import (Endo, FFElem, apply_endo, ffelem_str, scaled_str,
+from .funcfield import (FFElem, apply_endo, ffelem_str, scaled_str,
                         valuation_at)
 from .group import FiniteGroup, group_from_permutations
 from .genus import RamificationProfile, rh_genus
 from .hesse import (BASE_POINT, EllipticGroup, HessePoint,
                     cube_roots_of_unity, enumerate_hesse_points,
                     hesse_function_field, make_point, scaling_point_map,
-                    translation_endo)
+                    translation_chord, translation_endo)
 
 
 class KummerError(ZomoError, ValueError):
@@ -54,13 +55,6 @@ def _base_field(q):
     if q % 3 != 1:
         raise KummerError("q = %d is not 1 mod 3" % q)
     return PrimeField(q)
-
-
-def translation_sylow3(q):
-    """The 3-Sylow subgroup of (E(F_q), +) with its invariant factors."""
-    E = EllipticGroup(_base_field(q))
-    pts, invariants = E.sylow3()
-    return E, pts, invariants
 
 
 def kummer_h(q):
@@ -101,7 +95,8 @@ class GbarData:
 
 def build_gbar(q, epsilon=None):
     """Gbar = (3-Sylow translations) x| <alpha> acting on E(F_q)."""
-    E, pts, invariants = translation_sylow3(q)
+    E = EllipticGroup(_base_field(q))
+    pts, invariants = E.sylow3()
     F = E.C
     h = sum(_log3(d) for d in invariants)
     if epsilon is None:
@@ -110,25 +105,26 @@ def build_gbar(q, epsilon=None):
         raise KummerError("epsilon must be a primitive cube root of unity")
     g1, g2 = _sylow_generators(E, pts, invariants)
     alpha = E.map_perm(scaling_point_map(F, F.from_int(epsilon)))
-    gens = [E.translation_perm(g1), E.translation_perm(g2), alpha]
-    G = group_from_permutations(gens, gen_names=("t1", "t2", "al"))
-    if G.order != 3 ** (h + 1):
-        raise KummerError("group closure has order %d, expected 3^%d"
-                          % (G.order, h + 1))
-    _, S = _translations(E, G, gens, (0, 0, 1))
-    if len(S) != 3 ** (h - 1):
-        raise KummerError("Frattini translation part has size %d" % len(S))
+    G, _, S = _close_gbar(E, h, ("t1", "t2", "al"), (0, 0, 1),
+                          [E.translation_perm(g1), E.translation_perm(g2),
+                           alpha])
     theta = _theta_cosets(E, next(p for p in pts if p not in S), S)
     return GbarData(q, h, epsilon, E, G, tuple(pts), tuple(S), theta)
 
 
-def _translations(E, G, gens, exponents):
-    """(A, S): the translations among the elements of G, in element order,
-    and S = (1 - eps)A = {alpha(T) - T} in the same order.  Each of gens is
-    a translation (exponent 0) or alpha (exponent 1), so an element is
-    P -> eps^k P + T, labelled (index of T, k mod 3) along G's spanning
-    tree: T is its image of O, and c then g maps O to g[c(O)].  -T is T
-    with its coordinates reversed, as O = (-1 : 0 : 1)."""
+def _close_gbar(E, h, names, exponents, gens):
+    """(G, A, S): the group G of order 3^(h+1) closed from the point
+    permutations gens, with those names; the translations A among its
+    elements, in element order; and S = (1 - eps)A = {alpha(T) - T} in the
+    same order, of size 3^(h-1).  Each of gens is a translation (exponent
+    0) or alpha (exponent 1), so an element is P -> eps^k P + T, labelled
+    (index of T, k mod 3) along G's spanning tree: T is its image of O, and
+    c then g maps O to g[c(O)].  -T is T with its coordinates reversed, as
+    O = (-1 : 0 : 1)."""
+    G = group_from_permutations(gens, gen_names=names)
+    if G.order != 3 ** (h + 1):
+        raise KummerError("group closure has order %d, expected 3^%d"
+                          % (G.order, h + 1))
     labels = G.along_tree(
         (E.iO, 0), list(zip(gens, exponents)),
         lambda c, g: (g[0][c[0]], (c[1] + g[1]) % 3))
@@ -137,7 +133,10 @@ def _translations(E, G, gens, exponents):
     image = {E.add(E.points[alpha[E.index[T]]],
                    HessePoint(_normalize(E.C, T.coords[::-1])))
              for T in A}
-    return A, [T for T in A if T in image]
+    S = [T for T in A if T in image]
+    if len(S) != 3 ** (h - 1):
+        raise KummerError("Frattini translation part has size %d" % len(S))
+    return G, A, S
 
 
 def _theta_cosets(E, U, S):
@@ -178,10 +177,8 @@ def phi_pullbacks(field, translations):
     for T in translations:
         if T in lifts:
             continue
-        a, b, c = T.coords  # r1/(r0 + r2), r as in translation_endo
-        u = lifts[T] = (field.elem(((b * c, -c * c), (0, -a * a), (a * b,)))
-                        / field.elem(((a * c, -b * b, a * b + b * c),
-                                      (-a * a - c * c, -b * b), (a * c,))))
+        r0, r1, r2 = translation_chord(field, T)
+        u = lifts[T] = r1 / (r0 + r2)
         if T == check_at and u != apply_endo(translation_endo(field, T), s):
             raise KummerError("closed-form pullback by %r disagrees with "
                               "apply_endo" % (T,))
@@ -365,12 +362,7 @@ def small_gbar27(q=19):
     delta = E.map_perm(rot)
     if delta != E.translation_perm(rot(E.O)):
         raise KummerError("the rotation is not a translation of E")
-    G = group_from_permutations([alpha, delta], gen_names=("al", "de"))
-    if G.order != 27:
-        raise KummerError("rotation group closure has order %d" % G.order)
-    A, S = _translations(E, G, [alpha, delta], (1, 0))
-    if len(S) != 3:
-        raise KummerError("Frattini part of the order-27 group is not C3")
+    G, A, S = _close_gbar(E, 2, ("al", "de"), (1, 0), [alpha, delta])
     # the cosets of S in the order-9 translation group of G, with theta_2
     # the coset of points at infinity when one exists
     rest = [p for p in A if p not in S]
@@ -385,7 +377,8 @@ def small_construction(q=19):
     The line through P = (-1, 0, 1) and Q is X + Y + Z = 0, so m = -1.
     Rescaling t by a constant multiplies w by its cube, so w is fixed only
     up to a cube constant by the normalisation of t.  alpha (x, y) ->
-    (x, eps y) pulls w back by ``scale_u``, delta by its endomorphism."""
+    (x, eps y) pulls w back by ``scale_u``, delta by ``translation_endo``
+    of rot(O), as ``small_gbar27`` checks that delta is that translation."""
     E, G, S, theta, epsilon = small_gbar27(q)
     F = E.C
     field = hesse_function_field(F)
@@ -394,12 +387,8 @@ def small_construction(q=19):
         raise KummerError("expected (1, -1, 0) in theta_2")
     m = line_slope(E, Q)
     w = build_w(field, m, phi_pullbacks(field, S))
+    x, y, z = E.O.coords
+    delta = translation_endo(field, make_point(F, y, z, x))
     return SmallConstruction(
         epsilon, m, w, ffelem_str(w), theta,
-        w.scale_u(epsilon) / w, apply_endo(_rotation_endo(field), w) / w)
-
-
-def _rotation_endo(field):
-    """(x, y) -> (y/x, 1/x), the affine trace of (X,Y,Z) -> (Y,Z,X)."""
-    x, y = field.v(), field.u()
-    return Endo(field, u_image=field.one / x, v_image=y / x)
+        w.scale_u(epsilon) / w, apply_endo(delta, w) / w)

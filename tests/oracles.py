@@ -18,7 +18,9 @@ element by Horner's rule in ``FFElem`` arithmetic, one canonical form per
 step, and ``substitute_by_ffelem`` runs it on every numerator of f; the
 package's Horner runs on numerator vectors over a power of the denominator
 and puts the value in canonical form once.  ``profiles_by_brute_force`` tries
-every multiset of short-orbit sizes at every quotient genus up to g.
+every multiset of short-orbit sizes at every quotient genus up to g, and
+``profiles_by_search`` tries every count of every size, the last one's
+included; the package solves for the last count.
 ``slope_ratios_by_specialisation`` reads the Kummer slope constants off the
 products of the pullbacks themselves at one y = y0; the package reads them
 off the point table at the identity.  ``pullbacks_by_translation`` pulls
@@ -290,6 +292,38 @@ def profiles_by_brute_force(d, n, genus):
                 if (n * (2 * gbar - 2) + sum(n - l for l in sizes)
                         == 2 * genus - 2):
                     out.append(RamificationProfile(n, gbar, sizes))
+    out.sort(key=lambda p: (p.quotient_genus, p.orbit_sizes))
+    return out
+
+
+def profiles_by_search(d, n, genus):
+    """The package's former enumerator: at each quotient genus, every count
+    of every short-orbit size is tried in turn, the last size's included,
+    so that its search costs one factor of the genus more than the
+    package's, which takes only the last count that uses up the rest."""
+    divisors, l = [], 1
+    while l < n:
+        divisors.append(l)
+        l *= d
+    target = 2 * genus - 2
+    out = []
+    gbar = 0
+    while n * (2 * gbar - 2) <= target:
+        rem = target - n * (2 * gbar - 2)
+
+        def rec(idx, left, acc):
+            if left == 0:
+                out.append(RamificationProfile(n, gbar, tuple(sorted(acc))))
+                return
+            if idx == len(divisors):
+                return
+            l = divisors[idx]
+            contrib = n - l
+            for cnt in range(left // contrib + 1):
+                rec(idx + 1, left - cnt * contrib, acc + [l] * cnt)
+
+        rec(0, rem, [])
+        gbar += 1
     out.sort(key=lambda p: (p.quotient_genus, p.orbit_sizes))
     return out
 

@@ -352,6 +352,30 @@ def test_frattini_is_the_closure_of_derived_and_cubes(eid, request):
     assert analysis.frattini(G).members == _closure_by_mult(G, seeds)
 
 
+def _normal_closure_by_definition(G, seeds):
+    """<seeds> conjugated by every element and closed again, until the
+    conjugates add nothing."""
+    members = set(_closure_by_mult(G, seeds))
+    while True:
+        conj = {G.mult(G.inv(g), G.mult(x, g))
+                for x in members for g in range(G.order)}
+        if conj <= members:
+            return tuple(sorted(members))
+        members = set(_closure_by_mult(G, members | conj))
+
+
+@pytest.mark.parametrize("eid", SMALL_ENTRIES + ["gbar19"])
+def test_normal_and_derived_closures_match_their_definitions(eid, request):
+    G = _group(eid, request)
+    for seeds in [[g] for g in G.gens] + [[G.order - 1]]:
+        assert (analysis.normal_closure(G, seeds).members
+                == _normal_closure_by_definition(G, seeds))
+    commutators = {G.comm(x, y) for x in range(G.order)
+                   for y in range(G.order)}
+    assert (analysis.derived_subgroup(G).members
+            == _closure_by_mult(G, commutators))
+
+
 def _fundamental_by_members(G):
     """C_G(K_2/K_4) with [k, g] tested for every member k of K_2."""
     K = analysis.lower_central_series(G)

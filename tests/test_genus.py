@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import profiles_by_brute_force
+from oracles import profiles_by_brute_force, profiles_by_search
 from zomo.genus import (BoundQuery, ProfileError, RamificationProfile,
                         enumerate_profiles, is_extremal, rh_genus,
                         zomorrodian_bound)
@@ -71,6 +71,24 @@ def test_enumerate_profiles_matches_brute_force(d):
         for genus in range(13):
             assert (enumerate_profiles(d, d ** k, genus)
                     == profiles_by_brute_force(d, d ** k, genus))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_enumerate_profiles_matches_the_search_of_every_count(d):
+    """The same profiles in the same order as trying every count of the
+    last orbit size, for the orders d^k up to 3^6 and genus 0..60."""
+    k = 0
+    while d ** k <= 3 ** 6:
+        for genus in range(61):
+            assert (enumerate_profiles(d, d ** k, genus)
+                    == profiles_by_search(d, d ** k, genus))
+        k += 1
+
+
+def test_enumerate_profiles_matches_the_search_at_genus_1000():
+    got = enumerate_profiles(3, 9, 1000)
+    assert len(got) == 4817
+    assert got == profiles_by_search(3, 9, 1000)
 
 
 def test_is_extremal():

@@ -1,7 +1,7 @@
 import pytest
 
 from zomo import hesse, kummer
-from zomo.field import PrimeField
+from zomo.field import PrimeField, _normalize
 from zomo.funcfield import apply_endo
 
 from oracles import scaling_endo
@@ -78,7 +78,8 @@ def test_sylow_generators_pinned(q, g1, g2):
     # the generators the span search over every point pair chose; the
     # one-pass choice must pick the same ones, or Gbar's element order
     # changes
-    E, pts, invariants = kummer.translation_sylow3(q)
+    E = hesse.EllipticGroup(PrimeField(q))
+    pts, invariants = E.sylow3()
     got = kummer._sylow_generators(E, pts, invariants)
     assert tuple(p.coords for p in got) == (g1, g2)
 
@@ -159,6 +160,25 @@ def test_translation_endo_matches_point_addition():
                 assert (got_x, got_y) == (s.coords[0], s.coords[1])
                 checked += 1
             assert checked > 0
+
+
+@pytest.mark.parametrize("F", [F19, F73], ids=["F19", "F73"])
+def test_translation_chord_is_the_third_point(F):
+    # (r0 : r1 : r2) at an affine p is t * p for every p != t; at p = t the
+    # chord through t and p degenerates and all three vanish
+    E = hesse.EllipticGroup(F)
+    field = hesse.hesse_function_field(F)
+    for T in E.points:
+        chord = hesse.translation_chord(field, T)
+        for p in E.points:
+            if p.coords[2] != F.one:
+                continue
+            x, y = p.coords[0], p.coords[1]
+            r = tuple(_eval_ffelem(F, f, x, y) for f in chord)
+            if p == T:
+                assert r == (F.zero,) * 3
+            else:
+                assert _normalize(F, r) == hesse.third_point(F, T, p).coords
 
 
 def _eval_ffelem(C, f, x_val, y_val):

@@ -36,7 +36,7 @@ def test_build_gbar_structure_q73():
 
 @pytest.mark.parametrize("q", [7, 13, 19, 73, 271])
 def test_kummer_h_is_the_rank_of_the_sylow_group(q):
-    _, pts, invariants = kummer.translation_sylow3(q)
+    pts, invariants = EllipticGroup(PrimeField(q)).sylow3()
     assert 3 ** kummer.kummer_h(q) == len(pts) == prod(invariants)
 
 
