@@ -22,6 +22,7 @@ which is the only case exercised here.
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .genus import split_power
 from .group import FiniteGroup, GroupError
 
 
@@ -362,11 +363,8 @@ def is_metacyclic(G: FiniteGroup):
 
 
 def _log3(n):
-    k = 0
-    while n % 3 == 0:
-        n //= 3
-        k += 1
-    if n != 1:
+    k, m = split_power(n, 3)
+    if m != 1:
         raise GroupError("order is not a power of 3")
     return k
 

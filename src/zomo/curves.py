@@ -22,6 +22,7 @@ from . import ZomoError
 from .field import ExtField, PrimeField, _power_table, roots_of_unity
 from .funcfield import Endo, FunctionField, _partial, _substitute
 from .group import group_from_permutations
+from .hesse import cube_roots_of_unity
 
 
 class CurveError(ZomoError, ValueError):
@@ -193,6 +194,17 @@ class RationalMap:
         return self.images(C, [p])[0]
 
 
+def diagonal_map(name, a, b):
+    """(X : Y : Z) -> (a X : b Y : Z)."""
+    return RationalMap.make(name, {(1, 0, 0): a}, {(0, 1, 0): b},
+                            {(0, 0, 1): 1})
+
+
+# (X : Y : Z) -> (Y : Z : X)
+ROTATION = RationalMap.make("rot", {(0, 1, 0): 1}, {(0, 0, 1): 1},
+                            {(1, 0, 0): 1})
+
+
 def act(m: RationalMap, S: PointSet, domain=None, images=None):
     """The map as a permutation (index list) of the nonsingular points,
     or of an explicitly restricted domain.  ``images`` is an optional
@@ -307,9 +319,7 @@ def x0_scaling_maps(q):
     mus = sorted(roots_of_unity(C, 9))
     if len(lams) != 3 or len(mus) != 9:
         raise CurveError("F_%d lacks the needed roots of unity" % q)
-    return [RationalMap.make("s_%d_%d" % (l, m), {(1, 0, 0): l},
-                             {(0, 1, 0): m}, {(0, 0, 1): 1})
-            for l in lams for m in mus]
+    return [diagonal_map("s_%d_%d" % (l, m), l, m) for l in lams for m in mus]
 
 
 def x0_alpha2():
@@ -320,10 +330,8 @@ def x0_alpha2():
 
 def x0_center_map(q):
     """(x, y) -> (x, eps y) with eps the smaller primitive cube root."""
-    C = PrimeField(q)
-    eps = min(e for e in roots_of_unity(C, 3) if e != C.one)
-    return RationalMap.make("s_1_%d" % eps, {(1, 0, 0): 1},
-                            {(0, 1, 0): eps}, {(0, 0, 1): 1})
+    eps = min(cube_roots_of_unity(PrimeField(q)))
+    return diagonal_map("s_1_%d" % eps, 1, eps)
 
 
 def fermat9_maps(q):
@@ -332,12 +340,8 @@ def fermat9_maps(q):
     mus = sorted(roots_of_unity(C, 9))
     if len(mus) != 9:
         raise CurveError("F_%d lacks ninth roots of unity" % q)
-    maps = [RationalMap.make("d_%d_%d" % (a, b), {(1, 0, 0): a},
-                             {(0, 1, 0): b}, {(0, 0, 1): 1})
-            for a in mus for b in mus]
-    rot = RationalMap.make("rot", {(0, 1, 0): 1}, {(0, 0, 1): 1},
-                           {(1, 0, 0): 1})
-    return maps + [rot]
+    return [diagonal_map("d_%d_%d" % (a, b), a, b)
+            for a in mus for b in mus] + [ROTATION]
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +439,9 @@ def genus28_points(q=19, k=1):
     return C, pts
 
 
-def genus28_maps(q=19):
-    """The two generating maps of the order-243 action on the space model."""
+def genus28_maps():
+    """The two generating maps of the order-243 action on the space model;
+    their coefficients are residues mod 19."""
     f = AffineRationalMap.make(
         "f",
         ({(2, 1, 0): 4, (1, 0, 0): 6, (0, 2, 0): 4},
@@ -451,9 +456,12 @@ def genus28_maps(q=19):
 def genus28_group(q=19):
     """Group generated by the two maps on the space-model point set, grown
     over the extension degrees like ``automorphism_group``; returns
-    (group, domain, k)."""
+    (group, domain, k).  The maps are defined over F_19 only."""
+    if q != 19:
+        raise CurveError("the genus-28 maps are defined over F_19 only")
+
     def point_set(k):
         C, pts = genus28_points(q, k)
         return PointSet(C, pts, set())
-    G, _, domain, k = _closure(genus28_maps(q), point_set, k_max=4)
+    G, _, domain, k = _closure(genus28_maps(), point_set, k_max=4)
     return G, domain, k

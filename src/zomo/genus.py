@@ -8,7 +8,7 @@ curve of genus g with quotient genus gbar and short orbits of sizes l_i:
 Everything is integer or Fraction arithmetic; no floats.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ZomoError
@@ -29,14 +29,15 @@ def _is_prime(n):
     return True
 
 
-def _dpower_divisors(n, d):
-    """Powers of d properly dividing n, ascending (1, d, ..., n/d)."""
-    out = []
-    k = 1
-    while k < n:
-        out.append(k)
-        k *= d
-    return out
+def split_power(n, d):
+    """(k, m) with n = d^k m and m prime to d, for n >= 1 and d >= 2."""
+    if n < 1 or d < 2:
+        raise ProfileError("cannot split %d by powers of %d" % (n, d))
+    k = 0
+    while n % d == 0:
+        n //= d
+        k += 1
+    return k, n
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class RamificationProfile:
         sizes = tuple(self.orbit_sizes)
         if list(sizes) != sorted(sizes):
             raise ProfileError("orbit sizes must be sorted ascending")
-        for l in sizes:
+        for l in dict.fromkeys(sizes):  # each distinct size, in order
             if l < 1 or l >= self.group_order or self.group_order % l != 0:
                 raise ProfileError(
                     "short-orbit size %d must properly divide %d"
@@ -127,15 +128,13 @@ def enumerate_profiles(d, group_order, genus):
     n = group_order
     if n < 1 or not _is_prime(d):
         raise ProfileError("need a prime d and positive group order")
-    m = n
-    while m % d == 0:
-        m //= d
+    k, m = split_power(n, d)
     if m != 1:
         raise ProfileError("group order must be a power of %d" % d)
     if genus < 0:
         raise ProfileError("genus must be nonnegative, got %d" % genus)
     target = 2 * genus - 2
-    divisors = _dpower_divisors(n, d)
+    divisors = [d ** i for i in range(k)]  # 1, d, ..., n/d
     out = []
     gbar = 0
     while n * (2 * gbar - 2) <= target:
@@ -163,13 +162,9 @@ def enumerate_profiles(d, group_order, genus):
 
 def is_extremal(genus, order):
     """(flag, h): genus = 3^h + 1 and order = 3^(h+2) for some h >= 1."""
-    if genus < 2:  # g - 1 = 0 would divide by 3 forever
+    if genus < 2:  # g - 1 = 0 has no split by powers of 3
         return False, None
-    g1 = genus - 1
-    h = 0
-    while g1 % 3 == 0:
-        g1 //= 3
-        h += 1
-    if g1 != 1 or h < 1 or order != 3 ** (h + 2):
+    h, m = split_power(genus - 1, 3)
+    if m != 1 or h < 1 or order != 3 ** (h + 2):
         return False, None
     return True, h

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from . import ZomoError
 from .field import _normalize, _power_table, roots_of_unity
 from .funcfield import Endo, FunctionField
+from .genus import split_power
 
 
 class HesseError(ZomoError, ValueError):
@@ -152,23 +153,15 @@ class EllipticGroup:
 
     def sylow3(self):
         """Points of 3-power order, with invariant factors (d1 >= d2)."""
-        n3 = 1      # the 3-part of #E, which every 3-power order divides
-        while len(self.points) % (3 * n3) == 0:
-            n3 *= 3
-        pts = [p for p in self.points if n3 % self.order_of(p) == 0]
-        d1 = max(self.order_of(p) for p in pts)
+        n3 = 3 ** split_power(len(self.points), 3)[0]  # the 3-part of #E
+        orders = {p: self.order_of(p) for p in self.points}
+        pts = [p for p in self.points if n3 % orders[p] == 0]
+        d1 = max(orders[p] for p in pts)
         return pts, (d1, n3 // d1) if n3 > d1 else (d1,)
 
     def translation_perm(self, t):
         """Translation by t as a permutation (list of point indices)."""
         return list(self.table[self.index[t]])
-
-    def map_perm(self, fn):
-        """A coordinate map as a permutation; raises if not a bijection."""
-        images = [self.index[fn(p)] for p in self.points]
-        if sorted(images) != list(range(len(self.points))):
-            raise HesseError("map is not a bijection of the point set")
-        return images
 
 
 def cube_roots_of_unity(C):

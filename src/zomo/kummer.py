@@ -2,10 +2,11 @@
 
 Pipeline: take the rational 3-torsion translations of E: X^3+Y^3+Z^3 = 0
 over F_q (q = 1 mod 3), adjoin the scaling (X : eps Y : Z) to get a group
-Gbar of order 3^(h+1) acting on E(F_q), split the translation orbit of the
-base inflection P = (-1, 0, 1) into the three Frattini orbits theta_1,
-theta_2, theta_3, and for a line m X - Y + m Z = 0 through P and a point of
-theta_2 form
+Gbar of order 3^(h+1) acting on E(F_q) (the scaling is a
+``curves.diagonal_map``, made a permutation of the points by
+``curves.act``), split the translation orbit of the base inflection
+P = (-1, 0, 1) into the three Frattini orbits theta_1, theta_2, theta_3,
+and for a line m X - Y + m Z = 0 through P and a point of theta_2 form
 
     t = (m x - y + m)/(x + 1),     w = prod over Frattini translations of
                                        the pullback of t,
@@ -32,15 +33,16 @@ coordinates of the elements (see ``_close_gbar``), with no normal closure.
 """
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 
 from . import ZomoError
 from .analysis import _log3, frattini  # noqa: F401 (bench tracer test)
+from .curves import ROTATION, PointSet, act, diagonal_map
 from .field import PrimeField, _normalize
 from .funcfield import (FFElem, apply_endo, ffelem_str, scaled_str,
                         valuation_at)
 from .group import FiniteGroup, group_from_permutations
-from .genus import RamificationProfile, rh_genus
+from .genus import RamificationProfile, rh_genus, split_power
 from .hesse import (BASE_POINT, EllipticGroup, HessePoint,
                     cube_roots_of_unity, enumerate_hesse_points,
                     hesse_function_field, make_point, scaling_point_map,
@@ -60,8 +62,7 @@ def _base_field(q):
 def kummer_h(q):
     """h with 3^h = |A|, the 3-part of #E(F_q), from the points alone: no
     addition table, so a large q costs O(q), not O(q^2)."""
-    n = len(enumerate_hesse_points(_base_field(q)))
-    return _log3(gcd(n, 3 ** n.bit_length()))
+    return split_power(len(enumerate_hesse_points(_base_field(q))), 3)[0]
 
 
 def _sylow_generators(E, pts, invariants):
@@ -94,22 +95,27 @@ class GbarData:
 
 
 def build_gbar(q, epsilon=None):
-    """Gbar = (3-Sylow translations) x| <alpha> acting on E(F_q)."""
+    """Gbar = (3-Sylow translations) x| <alpha> acting on E(F_q), alpha
+    the diagonal map (X : eps Y : Z)."""
     E = EllipticGroup(_base_field(q))
     pts, invariants = E.sylow3()
-    F = E.C
-    h = sum(_log3(d) for d in invariants)
+    h = _log3(len(pts))
     if epsilon is None:
-        epsilon = min(cube_roots_of_unity(F))
+        epsilon = min(cube_roots_of_unity(E.C))
     elif pow(epsilon, 3, q) != 1 or epsilon % q == 1:
         raise KummerError("epsilon must be a primitive cube root of unity")
     g1, g2 = _sylow_generators(E, pts, invariants)
-    alpha = E.map_perm(scaling_point_map(F, F.from_int(epsilon)))
+    alpha = _point_perm(E, diagonal_map("al", 1, epsilon))
     G, _, S = _close_gbar(E, h, ("t1", "t2", "al"), (0, 0, 1),
                           [E.translation_perm(g1), E.translation_perm(g2),
                            alpha])
     theta = _theta_cosets(E, next(p for p in pts if p not in S), S)
     return GbarData(q, h, epsilon, E, G, tuple(pts), tuple(S), theta)
+
+
+def _point_perm(E, m):
+    """The curve map m as a permutation of E.points."""
+    return act(m, PointSet(E.C, [p.coords for p in E.points], set()))
 
 
 def _close_gbar(E, h, names, exponents, gens):
@@ -348,19 +354,15 @@ class SmallConstruction:
 
 def small_gbar27(q=19):
     """The order-27 group generated by the scaling alpha, for the smaller
-    primitive cube root epsilon, and the coordinate rotation
-    (X, Y, Z) -> (Y, Z, X), with its theta orbits."""
+    primitive cube root epsilon, and the coordinate rotation delta,
+    ``curves.ROTATION`` (X : Y : Z) -> (Y : Z : X), with its theta
+    orbits."""
     E = EllipticGroup(PrimeField(q))
     F = E.C
     epsilon = min(cube_roots_of_unity(F))
-    alpha = E.map_perm(scaling_point_map(F, F.from_int(epsilon)))
-
-    def rot(p):
-        x, y, z = p.coords
-        return make_point(F, y, z, x)
-
-    delta = E.map_perm(rot)
-    if delta != E.translation_perm(rot(E.O)):
+    alpha = _point_perm(E, diagonal_map("al", 1, epsilon))
+    delta = _point_perm(E, ROTATION)
+    if delta != E.translation_perm(E.points[delta[E.iO]]):
         raise KummerError("the rotation is not a translation of E")
     G, A, S = _close_gbar(E, 2, ("al", "de"), (1, 0), [alpha, delta])
     # the cosets of S in the order-9 translation group of G, with theta_2
@@ -387,8 +389,8 @@ def small_construction(q=19):
         raise KummerError("expected (1, -1, 0) in theta_2")
     m = line_slope(E, Q)
     w = build_w(field, m, phi_pullbacks(field, S))
-    x, y, z = E.O.coords
-    delta = translation_endo(field, make_point(F, y, z, x))
+    rot_O = HessePoint(ROTATION.eval_at(F, E.O.coords))
+    delta = translation_endo(field, rot_O)
     return SmallConstruction(
         epsilon, m, w, ffelem_str(w), theta,
         w.scale_u(epsilon) / w, apply_endo(delta, w) / w)

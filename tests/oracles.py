@@ -40,6 +40,11 @@ on the Hesse field as an ``Endo``; the package applies it with
 closed from permutations as a permutation tuple, and ``translation_point``
 reads a translation's point off such a tuple; the package keeps no element
 permutations and labels the Kummer group's elements in coordinates.
+``map_perm`` makes a Hesse point map a permutation of the points, one call
+per point, and ``rotation_point_map`` is (X : Y : Z) -> (Y : Z : X) as such
+a map; the package evaluates the scaling and the rotation as
+``curves.RationalMap``s over the whole point list and takes the permutation
+from ``curves.act``.
 """
 
 import itertools
@@ -52,7 +57,8 @@ from zomo.funcfield import (Endo, FuncFieldError, _canonical, _reduce,
                             apply_endo)
 from zomo.genus import RamificationProfile
 from zomo.group import FiniteGroup, GroupError
-from zomo.hesse import scaling_point_map, translation_endo
+from zomo.hesse import (HesseError, make_point, scaling_point_map,
+                        translation_endo)
 from zomo.kummer import KummerError, _sylow_generators
 
 
@@ -469,10 +475,24 @@ def translation_point(E, perm):
     return T if list(perm) == E.translation_perm(T) else None
 
 
+def map_perm(E, fn):
+    """The point map fn of the Hesse group E as a permutation of E.points,
+    one fn call per point; raises if it is not a bijection."""
+    images = [E.index[fn(p)] for p in E.points]
+    if sorted(images) != list(range(len(E.points))):
+        raise HesseError("map is not a bijection of the point set")
+    return images
+
+
+def rotation_point_map(E):
+    """(X : Y : Z) -> (Y : Z : X) on the points of the Hesse group E."""
+    return lambda p: make_point(E.C, *p.coords[1:], p.coords[0])
+
+
 def gbar_generator_perms(data):
     """The point permutations t1, t2, al that ``kummer.build_gbar`` closed
     into data.group."""
     E = data.E
     g1, g2 = _sylow_generators(E, *E.sylow3())
-    alpha = E.map_perm(scaling_point_map(E.C, E.C.from_int(data.epsilon)))
+    alpha = map_perm(E, scaling_point_map(E.C, E.C.from_int(data.epsilon)))
     return [E.translation_perm(g1), E.translation_perm(g2), alpha]

@@ -1,6 +1,6 @@
 import pytest
 
-from zomo import analysis, catalog, cli, curves
+from zomo import ZomoError, analysis, catalog, cli, curves
 from zomo.field import PrimeField, roots_of_unity
 from zomo.funcfield import (Endo, FunctionField, _partial, apply_endo,
                             valuation_at)
@@ -118,7 +118,7 @@ def test_stable_domain_follows_a_long_chain_of_removals(q):
 def _maps_and_points(model, k):
     if model == "genus28":
         C, pts = curves.genus28_points(19, k)
-        return C, curves.genus28_maps(19), pts
+        return C, curves.genus28_maps(), pts
     if model == "x0":
         curve, maps = (curves.x0_curve(),
                        curves.x0_scaling_maps(19) + [curves.x0_alpha2()])
@@ -210,6 +210,21 @@ def test_center_map_fixed_points():
     assert fixed == [(8, 0, 1), (12, 0, 1), (18, 0, 1)]
     for x, _, _ in fixed:
         assert int(x) in curves.x0_branch_x_values(19)
+
+
+@pytest.mark.parametrize("named_maps", [
+    curves.x0_scaling_maps, curves.x0_center_map, curves.fermat9_maps])
+def test_named_maps_refuse_a_field_without_the_roots(named_maps):
+    # F_17 has no primitive cube root of unity
+    with pytest.raises(ZomoError):
+        named_maps(17)
+
+
+def test_genus28_group_refuses_other_fields_before_a_scan(monkeypatch):
+    # the maps' coefficients are residues mod 19
+    monkeypatch.setattr(curves, "genus28_points", None)
+    with pytest.raises(curves.CurveError, match="F_19"):
+        curves.genus28_group(23)
 
 
 def test_scaling_group_order(x0_scaling_group):

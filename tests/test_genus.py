@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from oracles import profiles_by_brute_force, profiles_by_search
 from zomo.genus import (BoundQuery, ProfileError, RamificationProfile,
                         enumerate_profiles, is_extremal, rh_genus,
-                        zomorrodian_bound)
+                        split_power, zomorrodian_bound)
 
 
 def test_rh_genus_oracles():
@@ -23,6 +23,28 @@ def test_rh_genus_rejects_inconsistent():
         rh_genus(RamificationProfile(3, 0, (1,)))  # genus -1/2... non-integral
     with pytest.raises(ProfileError):
         RamificationProfile(9, 0, (2,))  # 2 does not divide 9
+
+
+@pytest.mark.parametrize("bad", [5, 81])
+def test_profile_rejects_one_bad_size_among_many_repeated(bad):
+    sizes = sorted((3,) * 500 + (9,) * 500 + (27,) * 500 + (bad,))
+    with pytest.raises(ProfileError, match="size %d must properly divide"
+                       % bad):
+        RamificationProfile(81, 0, tuple(sizes))
+
+
+@given(st.sampled_from([3, 5, 7]), st.integers(0, 40),
+       st.integers(1, 10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_split_power(d, k, m):
+    m = m * d + 1 if m % d == 0 else m  # prime to d
+    assert split_power(d ** k * m, d) == (k, m)
+
+
+@pytest.mark.parametrize("n, d", [(0, 3), (-9, 3), (9, 1)])
+def test_split_power_rejects_what_has_no_split(n, d):
+    with pytest.raises(ProfileError):
+        split_power(n, d)
 
 
 def test_bound_oracles():

@@ -4,7 +4,7 @@ from zomo import hesse, kummer
 from zomo.field import PrimeField, _normalize
 from zomo.funcfield import apply_endo
 
-from oracles import scaling_endo
+from oracles import map_perm, scaling_endo
 
 F19 = PrimeField(19)
 F73 = PrimeField(73)
@@ -131,7 +131,7 @@ def test_cube_roots_and_scaling():
     roots = hesse.cube_roots_of_unity(F19)
     assert sorted(roots) == [7, 11]
     E = hesse.EllipticGroup(F19)
-    perm = E.map_perm(hesse.scaling_point_map(F19, 7))
+    perm = map_perm(E, hesse.scaling_point_map(F19, 7))
     fixed = [E.points[i] for i, j in enumerate(perm) if i == j]
     # the scaling fixes exactly the points with y = 0
     assert sorted(p.coords for p in fixed) == [(8, 0, 1), (12, 0, 1),

@@ -3,16 +3,16 @@ from math import prod
 
 import pytest
 
-from zomo import analysis, kummer
+from zomo import analysis, curves, kummer
 from zomo.field import PrimeField
 from zomo.funcfield import ffelem_str
 from zomo.group import group_from_permutations
 from zomo.hesse import (EllipticGroup, cube_roots_of_unity,
                         hesse_function_field, make_point, scaling_point_map)
 
-from oracles import (element_perms, gbar_generator_perms,
-                     pullbacks_by_translation, slope_ratios_by_specialisation,
-                     translation_point)
+from oracles import (element_perms, gbar_generator_perms, map_perm,
+                     pullbacks_by_translation, rotation_point_map,
+                     slope_ratios_by_specialisation, translation_point)
 from test_hesse import _eval_ffelem
 
 
@@ -88,14 +88,27 @@ def test_phi_translations_are_the_frattini_subgroup_in_order(q):
 def test_small_gbar27_translations_against_the_frattini_subgroup():
     E, G, S, theta, epsilon = kummer.small_gbar27(19)
     F = E.C
-    alpha = E.map_perm(scaling_point_map(F, F.from_int(epsilon)))
-    delta = E.map_perm(lambda p: make_point(F, *p.coords[1:], p.coords[0]))
+    alpha = map_perm(E, scaling_point_map(F, F.from_int(epsilon)))
+    delta = map_perm(E, rotation_point_map(E))
     perms = element_perms(G, [alpha, delta])
     assert group_from_permutations([alpha, delta]).gen_maps == G.gen_maps
     phi = sorted(analysis.frattini(G).members)
     assert [translation_point(E, perms[e]) for e in phi] == S
     A = [T for T in (translation_point(E, p) for p in perms) if T is not None]
     assert len(A) == 9 and set(A) == set().union(*theta)
+
+
+@pytest.mark.parametrize("q", [19, 73, 271])
+def test_curve_maps_act_on_the_hesse_points_as_the_point_maps(q):
+    # equal permutations pin Gbar's element order, and with it S, Q, m and
+    # the emitted equations
+    E = EllipticGroup(PrimeField(q))
+    F = E.C
+    for eps in cube_roots_of_unity(F):
+        assert (kummer._point_perm(E, curves.diagonal_map("al", 1, eps))
+                == map_perm(E, scaling_point_map(F, eps)))
+    assert (kummer._point_perm(E, curves.ROTATION)
+            == map_perm(E, rotation_point_map(E)))
 
 
 def test_line_slope_degenerate():

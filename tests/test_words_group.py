@@ -356,7 +356,7 @@ def test_one_pass_closure_matches_two_pass_on_curve_actions(genus28,
     S = curves.PointSet(*curves.genus28_points(19, k), set())
     Gf, Sf, domainf, _ = fermat_group
     for G, maps, S, domain in (
-            (G, curves.genus28_maps(19), S, domain),
+            (G, curves.genus28_maps(), S, domain),
             (Gf, curves.fermat9_maps(19), Sf, domainf)):
         gens = [curves.act(m, S, domain) for m in maps]
         assert group_from_permutations(gens).gen_maps == G.gen_maps
@@ -449,7 +449,7 @@ def test_base_closure_matches_two_pass_on_intransitive_perms(seed):
 
 
 def test_base_closure_on_the_genus28_action_at_k2(monkeypatch):
-    maps = curves.genus28_maps(19)
+    maps = curves.genus28_maps()
     S = curves.PointSet(*curves.genus28_points(19, 2), set())
     domain = curves.stable_domain(maps, S)
     gens = [curves.act(m, S, domain) for m in maps]
