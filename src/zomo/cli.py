@@ -12,8 +12,8 @@ Subcommands:
 Exit codes: 0 all executed checks pass, 1 a check failed, 2 usage or
 configuration error (a ``ZomoError``, printed as ``error: ...`` without a
 traceback), including an input file that cannot be read as text and an
-``--out`` file that cannot be written.  ZOMO_BUDGET overrides the
-enumeration budget.
+``--out`` file that cannot be written.  Output its reader cuts short ends
+quietly, with exit 0.  ZOMO_BUDGET overrides the enumeration budget.
 The report's checks are the rows of ``zomo.checks``; reports are
 deterministic apart from the elapsed fields.
 """
@@ -340,10 +340,16 @@ def main(argv=None):
         ap.print_usage(sys.stderr)
         return 2
     try:
-        return fn(args)
+        code = fn(args)
+        sys.stdout.flush()
+        return code
     except ZomoError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed early: the interpreter's last flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

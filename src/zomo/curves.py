@@ -12,6 +12,8 @@ The degree-28 cover needs a space model (two affine equations); it gets its
 own small enumerator, and its maps may be undefined at a point (image None).
 Both kinds of model share one fixpoint (``stable_domain``: the largest
 subset every map permutes) and one extension-degree loop (``_closure``).
+Per degree the points are indexed once and each map read once into a column
+of indices, which the fixpoint and ``act`` share: no point is hashed again.
 """
 
 import os
@@ -205,45 +207,49 @@ ROTATION = RationalMap.make("rot", {(0, 1, 0): 1}, {(0, 0, 1): 1},
                             {(1, 0, 0): 1})
 
 
-def act(m: RationalMap, S: PointSet, domain=None, images=None):
+def act(m: RationalMap, S: PointSet, domain=None, column=None):
     """The map as a permutation (index list) of the nonsingular points,
-    or of an explicitly restricted domain.  ``images`` is an optional
-    {point: image} memo of the map over the domain, such as
-    ``stable_domain`` fills."""
+    or of an explicitly restricted domain.  ``column`` holds the position
+    of each domain point's image, as ``stable_domain`` gives it; without
+    it the map is evaluated on the domain.  Either way it must biject."""
     domain = S.nonsingular() if domain is None else domain
-    if images is None:
-        images = dict(zip(domain, m.images(S.field, domain)))
-    index = {p: i for i, p in enumerate(domain)}
-    perm = list(map(index.get, map(images.__getitem__, domain)))
-    if None in perm:
+    if column is None:
+        index = {p: i for i, p in enumerate(domain)}
+        column = list(map(index.get, m.images(S.field, domain)))
+    if None in column:
         raise CurveError("map %s sends %r off the nonsingular point set"
-                         % (m.name, domain[perm.index(None)]))
-    if len(set(perm)) != len(domain):
+                         % (m.name, domain[column.index(None)]))
+    if len(set(column)) != len(domain):
         raise CurveError("map %s is not injective on the point set" % m.name)
-    return perm
+    return column
 
 
-def stable_domain(maps, S: PointSet, images=None):
+def stable_domain(maps, S: PointSet, columns=None):
     """Largest subset of the nonsingular points every map sends into the
-    subset.  Each map is evaluated once over all the nonsingular points,
-    into ``images`` (one {point: image} dict per map) when the caller
-    passes that list, so a base point of any map is a hard error whatever
-    the order of ``maps``.  Then a point whose image under some map is
-    undefined (None), singular or already removed drops out, round after
-    round until a round removes none; rounds only remove, so this ends."""
+    subset, sorted.  The points are indexed once and each map evaluated
+    once over all of them, as a column of indices (None where the image
+    is undefined or singular), so a base point of any map is a hard error
+    whatever the order of ``maps``.  Then a point whose image under some
+    map is None or no longer alive drops out, round after round until a
+    round removes none; rounds only remove, so this ends.  A ``columns``
+    list receives each map's column over the domain, for ``act``."""
     C, points = S.field, S.nonsingular()
-    images = [{} for _ in maps] if images is None else images
-    columns = [m.images(C, points) for m in maps]
-    for seen, column in zip(images, columns):
-        seen.update(zip(points, column))
-    alive = set(points)
+    index = {p: i for i, p in enumerate(points)}
+    full = [list(map(index.get, m.images(C, points))) for m in maps]
+    n = len(points)
+    alive = set(range(n))
     while True:
         # the points that every map sends into alive, read by membership
         kept = alive.intersection(*[
-            compress(points, map(alive.__contains__, c)) for c in columns])
+            compress(range(n), map(alive.__contains__, c)) for c in full])
         if len(kept) == len(alive):
-            return sorted(alive)
+            break
         alive = kept
+    order = sorted(alive, key=points.__getitem__)
+    if columns is not None:
+        at = dict(zip(order, range(n)))
+        columns += [[at[c[i]] for i in order] for c in full]
+    return list(map(points.__getitem__, order))
 
 
 def _closure(maps, point_set, k_max):
@@ -260,13 +266,11 @@ def _closure(maps, point_set, k_max):
     for k in range(1, k_max + 1):
         try:
             S = point_set(k)
-            images = [{} for _ in maps]
-            domain = stable_domain(maps, S, images=images)
+            columns = []
+            domain = stable_domain(maps, S, columns)
             if not domain:
                 raise CurveError("empty stable domain at k = %d" % k)
-            perms = [act(m, S, domain, seen)
-                     for m, seen in zip(maps, images)]
-            del images  # the memo lives for one degree only
+            perms = [act(m, S, domain, c) for m, c in zip(maps, columns)]
             G = group_from_permutations(perms,
                                         gen_names=[m.name for m in maps])
         except CurveError as e:
@@ -428,12 +432,14 @@ def genus28_points(q=19, k=1):
     pts = []
     for y in C.elements():
         y3 = C.mul(y, C.mul(y, y))
-        D = C.mul(C.mul(y, y), C.add(y3, C.one))
+        # most y have no x: read the cube roots before forming N/D
+        xs = cube.get(C.neg(C.add(y3, C.one)), ())
+        D = C.mul(C.mul(y, y), C.add(y3, C.one)) if xs else C.zero
         if D == C.zero:
             continue
         N = C.add(C.add(C.mul(y3, y3), y3), C.one)
         ratio = C.mul(N, C.inv(D))
-        for x in cube.get(C.neg(C.add(y3, C.one)), ()):
+        for x in xs:
             for z in cube.get(C.mul(ratio, x), ()):
                 pts.append((x, y, z))
     return C, pts

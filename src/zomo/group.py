@@ -30,31 +30,11 @@ class FiniteGroup:
         self.gen_names = tuple(gen_names) if gen_names else tuple(
             "g%d" % i for i in range(len(gen_maps)))
         self.gen_maps = tuple(array("i", m) for m in gen_maps)  # read only
-        self._bfs = self._spanning_tree()
+        self._bfs = _spanning_tree(self.gen_maps, order)
         self.gens = tuple(self.gen_maps[g][0] for g in range(len(gen_maps)))
         self._rows = [None] * order
         self._inv = {0: 0}
         self.row(0)
-
-    def _spanning_tree(self):
-        n = self.order
-        seen = [False] * n
-        seen[0] = True
-        steps = []  # (child, parent, generator)
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for g, m in enumerate(self.gen_maps):
-                    d = m[c]
-                    if not seen[d]:
-                        seen[d] = True
-                        steps.append((d, c, g))
-                        nxt.append(d)
-            frontier = nxt
-        if not all(seen):
-            raise GroupError("generator maps do not generate a transitive action")
-        return steps
 
     def along_tree(self, start, gen_values, step):
         """values[x] for every element x, with values[0] = start and
@@ -135,7 +115,7 @@ def group_from_permutations(gens, gen_names=None) -> FiniteGroup:
 
     An element p is kept as its images of the base B, the least point of
     each orbit of <gens>: the product p then g has images g[p(b)].  One
-    breadth-first walk over the growing list of base images numbers each
+    walk over the growing list of base images (``_close``) numbers each
     new product p then g and records its index in the map of g.  The walk
     numbers the cosets of the pointwise stabiliser G_(B), so it gives the
     group exactly when G_(B) is trivial.  Certificate: the Cayley row of
@@ -163,9 +143,10 @@ def group_from_permutations(gens, gen_names=None) -> FiniteGroup:
 def _images(points):
     """The function g -> (g[b] for b in points) as a tuple (itemgetter
     alone gives a bare item for one point)."""
-    if len(points) > 1:
-        return itemgetter(*points)
-    return lambda g: tuple(g[b] for b in points)
+    if len(points) != 1:
+        return itemgetter(*points) if points else lambda g: ()
+    b, = points
+    return lambda g: (g[b],)
 
 
 def _rows_commute(G):
@@ -204,18 +185,84 @@ def _orbit_minima(gens, n):
 
 
 def _close(gens, base):
-    """(images, maps): the base's images under the group, numbered in one
-    breadth-first walk, and the right action of each generator on them."""
+    """(images, maps): the base's images under the group, numbered in the
+    breadth-first walk over all generators, and each generator's right
+    action on them.  Only the generators that enlarge the group are walked
+    (Dimino; Butler, LNCS 559, 1991), each with the images found so far and
+    then on over the new ones.  A generator equal as a whole permutation,
+    not just on the base, to the product along the path to its base image
+    takes its map from theirs along that path."""
     index = {base: 0}
     images = [base]
-    maps = [[] for _ in gens]
-    for p in images:  # grows while walked
-        compose = _images(p)
-        for g, m in zip(gens, maps):
-            q = compose(g)
-            i = index.get(q)
-            if i is None:
-                i = index[q] = len(images)
-                images.append(q)
-            m.append(i)
-    return images, maps
+    up, via = [None], [None]  # each image's parent and generator
+    maps = [None] * len(gens)
+    derived = {}   # generator -> the image whose path product it equals
+    walked = []
+    whole = {0: range(len(gens[0]))}  # path products, for the test
+    for g, perm in enumerate(gens):
+        i = index.get(_images(base)(perm))
+        if i is not None and tuple(_along(up, via, i, gens,
+                                          whole)) == tuple(perm):
+            derived[g] = i
+            continue
+        maps[g] = []
+        walked.append((g, perm, maps[g]))
+        # g with the images found so far, then every walked generator
+        todo, old = walked[-1:], len(images)
+        for x, p in enumerate(images):  # grows while walked
+            if x == old:
+                todo = walked
+            compose = _images(p)
+            for h, hperm, m in todo:
+                q = compose(hperm)
+                i = index.get(q)
+                if i is None:
+                    i = index[q] = len(images)
+                    images.append(q)
+                    up.append(x)
+                    via.append(h)
+                m.append(i)
+    right = {0: range(len(images))}
+    for g, i in derived.items():
+        maps[g] = _along(up, via, i, maps, right)
+    del index, up, via, whole, right  # the walk's own bookkeeping
+    # renumber in the order of the breadth-first walk over every generator
+    order = [0] + [c for c, _, _ in _spanning_tree(maps, len(images))]
+    new = sorted(range(len(order)), key=order.__getitem__)
+    at = _images(order)
+    return at(images), [_images(at(m))(new) for m in maps]
+
+
+def _along(up, via, i, factors, known):
+    """The product of the factors along the path from the base to image i,
+    as a sequence x -> image; ``known`` {image: product} grows on the way."""
+    path = []
+    while i not in known:
+        path.append(i)
+        i = up[i]
+    for j in reversed(path):
+        known[j] = _images(known[i])(factors[via[j]])
+        i = j
+    return known[i]
+
+
+def _spanning_tree(maps, n):
+    """The breadth-first spanning tree of the maps' action on 0..n-1 from
+    0, as (child, parent, map) steps in the walk's order."""
+    seen = [False] * n
+    seen[0] = True
+    steps = []
+    walk = [0]
+    numbered = list(enumerate(maps))
+    for c in walk:
+        if len(walk) == n:  # every point reached
+            break
+        for g, m in numbered:
+            d = m[c]
+            if not seen[d]:
+                seen[d] = True
+                steps.append((d, c, g))
+                walk.append(d)
+    if len(walk) < n:
+        raise GroupError("generator maps do not generate a transitive action")
+    return steps

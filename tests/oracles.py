@@ -45,6 +45,10 @@ per point, and ``rotation_point_map`` is (X : Y : Z) -> (Y : Z : X) as such
 a map; the package evaluates the scaling and the rotation as
 ``curves.RationalMap``s over the whole point list and takes the permutation
 from ``curves.act``.
+``stable_domain_by_points`` and ``act_by_points`` are the domain fixpoint and
+the map permutation on the point tuples themselves, with a {point: image}
+memo per map filled by the one and read by the other; the package indexes
+the points once per degree and runs both on ints.
 """
 
 import itertools
@@ -52,6 +56,7 @@ import itertools
 from zomo import analysis, polys
 from zomo.analysis import Subgroup
 from zomo.coset import BudgetExceeded, EnumerationError
+from zomo.curves import CurveError
 from zomo.field import ExtField, _normalize
 from zomo.funcfield import (Endo, FuncFieldError, _canonical, _reduce,
                             apply_endo)
@@ -496,3 +501,38 @@ def gbar_generator_perms(data):
     g1, g2 = _sylow_generators(E, *E.sylow3())
     alpha = map_perm(E, scaling_point_map(E.C, E.C.from_int(data.epsilon)))
     return [E.translation_perm(g1), E.translation_perm(g2), alpha]
+
+
+def act_by_points(m, S, domain=None, images=None):
+    """The map as a permutation of the nonsingular points, or of domain,
+    read through its {point: image} memo ``images`` when given."""
+    domain = S.nonsingular() if domain is None else domain
+    if images is None:
+        images = dict(zip(domain, m.images(S.field, domain)))
+    index = {p: i for i, p in enumerate(domain)}
+    perm = list(map(index.get, map(images.__getitem__, domain)))
+    if None in perm:
+        raise CurveError("map %s sends %r off the nonsingular point set"
+                         % (m.name, domain[perm.index(None)]))
+    if len(set(perm)) != len(domain):
+        raise CurveError("map %s is not injective on the point set" % m.name)
+    return perm
+
+
+def stable_domain_by_points(maps, S, images=None):
+    """The largest subset of the nonsingular points every map sends into
+    it, sorted, as a fixpoint on point tuples; fills ``images`` (one
+    {point: image} dict per map) when given."""
+    C, points = S.field, S.nonsingular()
+    images = [{} for _ in maps] if images is None else images
+    columns = [m.images(C, points) for m in maps]
+    for seen, column in zip(images, columns):
+        seen.update(zip(points, column))
+    alive = set(points)
+    while True:
+        kept = alive.intersection(*[
+            itertools.compress(points, map(alive.__contains__, c))
+            for c in columns])
+        if len(kept) == len(alive):
+            return sorted(alive)
+        alive = kept

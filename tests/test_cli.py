@@ -286,6 +286,22 @@ def test_separated_curve_check_over_budget_fails_fast():
     assert "exceeds the budget" in done.stderr
 
 
+def test_a_reader_that_closes_early_ends_the_listing_quietly():
+    # 4,817 profiles are about 2 MB, more than a pipe holds: the listing
+    # is still being written when the reader closes after one line
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zomo", "genus", "profiles", "--d", "3",
+         "--order", "9", "--g", "1000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert first.startswith(b"gbar=0 orbits=") and err == b""
+
+
 @pytest.mark.slow
 def test_report_json_schema_and_determinism(tmp_path, capsys):
     a = tmp_path / "a.json"

@@ -6,7 +6,8 @@ from zomo.funcfield import (Endo, FunctionField, _partial, apply_endo,
                             valuation_at)
 from zomo.group import group_from_permutations
 
-from oracles import element_perms, map_image_by_normalize
+from oracles import (act_by_points, element_perms, map_image_by_normalize,
+                     stable_domain_by_points)
 
 
 def test_enumerate_points_line():
@@ -140,6 +141,52 @@ def test_map_images_match_the_normalize_oracle(model, k, n_maps):
         assert C.quotients(forms, points, den) == want
         assert m.images(C, points) == want
         assert [m.eval_at(C, p) for p in points] == want
+
+
+@pytest.mark.parametrize("model, n_maps, k", [
+    ("x0", 27, 1), ("x0", 27, 2), ("x0", 28, 1), ("x0", 28, 2),
+    ("fermat9", 82, 2), ("genus28", 2, 2), ("genus28", 2, 3)])
+def test_domain_and_permutations_match_the_point_keyed_oracle(model, n_maps,
+                                                               k):
+    C, maps, points = _maps_and_points(model, k)
+    maps = maps[:n_maps]
+    if model == "genus28":
+        S = curves.PointSet(C, points, set())
+    else:
+        S = curves.enumerate_points(
+            curves.x0_curve() if model == "x0" else curves.fermat9_curve(),
+            19, k)
+        # a diagonal scaling permutes every nonsingular point
+        assert curves.act(maps[1], S) == act_by_points(maps[1], S)
+    images = [{} for _ in maps]
+    domain = stable_domain_by_points(maps, S, images)
+    want = [act_by_points(m, S, domain, seen) for m, seen in zip(maps, images)]
+    columns = []
+    assert curves.stable_domain(maps, S, columns) == domain
+    assert [curves.act(m, S, domain, c) for m, c in zip(maps, columns)] == want
+    assert [curves.act(m, S, domain) for m in maps] == want
+
+
+def test_act_refuses_an_image_off_the_set_and_a_map_not_injective():
+    C = PrimeField(19)
+    line = curves.PointSet(C, [(0, 0, 1), (0, 1, 1), (0, 18, 1)], set())
+    # y -> y + 1 sends (0 : 18 : 1) to (0 : 0 : 1) but (0 : 1 : 1) to y = 2
+    shift = curves.RationalMap.make("shift", {(1, 0, 0): 1},
+                                    {(0, 1, 0): 1, (0, 0, 1): 1},
+                                    {(0, 0, 1): 1})
+    with pytest.raises(curves.CurveError,
+                       match=r"map shift sends \(0, 1, 1\) off the"):
+        curves.act(shift, line)
+    # y -> y^2 sends both 1 and 18 to 1
+    square = curves.RationalMap.make("square", {(1, 0, 1): 1},
+                                     {(0, 2, 0): 1}, {(0, 0, 2): 1})
+    assert square.images(C, line.points)[1:] == [(0, 1, 1)] * 2
+    with pytest.raises(curves.CurveError,
+                       match="map square is not injective"):
+        curves.act(square, line)
+    with pytest.raises(curves.CurveError,
+                       match="map square is not injective"):
+        curves.act(square, line, line.points, [0, 1, 1])
 
 
 def test_act_functoriality():

@@ -459,6 +459,40 @@ def test_base_closure_on_the_genus28_action_at_k2(monkeypatch):
     _assert_matches_two_pass(gens)
 
 
+# -- generators that do not enlarge the group --------------------------------
+
+@pytest.mark.parametrize("seed", range(16))
+def test_closure_matches_two_pass_with_repeats_and_products(seed):
+    # random generators, then repeats, the identity and products of
+    # earlier generators appended; odd seeds keep a partition into blocks
+    rng = random.Random(seed)
+    if seed % 2:
+        gens = _intransitive_gens(rng)
+    else:
+        n = rng.randint(2, 7)
+        gens = [rng.sample(range(n), n) for _ in range(rng.randint(1, 3))]
+    n = len(gens[0])
+    for _ in range(rng.randint(2, 6)):
+        p = list(range(n))
+        for g in rng.choices(gens, k=rng.randint(0, 4)):
+            p = [g[x] for x in p]
+        gens.append(p)
+    _assert_matches_two_pass(gens)
+
+
+def test_a_generator_equal_to_an_element_only_on_the_base(monkeypatch):
+    # a = (0 1 2) and b = (3 4 5) close on the base (0, 3) to C3 x C3;
+    # c = (0 1)(3 4) sends the base where ab does, yet c != ab: c must be
+    # walked.  <a, b, c> = (C3 x C3) : C2 has order 18, and the stabiliser
+    # <(1 2)(4 5)> of the base is not normal, so the closure reruns on
+    # whole permutations
+    a, b, c = [1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3], [1, 0, 2, 4, 3, 5]
+    G, bases = _closure_bases(monkeypatch, [a, b, c])
+    assert bases == [(0, 3), tuple(range(6))]
+    assert G.order == 18
+    _assert_matches_two_pass([a, b, c])
+
+
 def test_one_pass_closure_on_a_one_point_domain():
     G = group_from_permutations([[0]])
     assert G.order == 1
