@@ -118,9 +118,10 @@ def group_from_permutations(gens, gen_names=None) -> FiniteGroup:
     walk over the growing list of base images (``_close``) numbers each
     new product p then g and records its index in the map of g.  The walk
     numbers the cosets of the pointwise stabiliser G_(B), so it gives the
-    group exactly when G_(B) is trivial.  Certificate: the Cayley row of
-    every generator commutes with every generator map exactly when every
-    generator normalises G_(B), whose Schreier generators generate it.
+    group exactly when G_(B) is trivial.  Certificate: the Cayley row of a
+    generator commutes with every generator map exactly when it normalises
+    G_(B), whose Schreier generators generate it; the walked generators
+    generate the group, so checking theirs shows that G_(B) is normal.
     A normal G_(B) fixes every image of B, which is every point, so it is
     trivial.  When the check fails the same walk reruns with B the whole
     domain.  Either way the element numbers and ``gen_maps`` are those of
@@ -134,9 +135,9 @@ def group_from_permutations(gens, gen_names=None) -> FiniteGroup:
                 or n and (min(p), max(p)) != (0, n - 1)):
             raise GroupError("generator is not a permutation of 0..%d" % (n - 1))
     for base in (_orbit_minima(gens, n), range(n)):
-        images, maps = _close(gens, tuple(base))
+        images, maps, walked = _close(gens, tuple(base))
         G = FiniteGroup(len(images), maps, gen_names=gen_names)
-        if len(base) == n or _rows_commute(G):
+        if len(base) == n or _rows_commute(G, walked):
             return G
 
 
@@ -149,15 +150,16 @@ def _images(points):
     return lambda g: (g[b],)
 
 
-def _rows_commute(G):
-    """Whether the Cayley row of each generator commutes with every
-    generator map, row[m[x]] == m[row[x]] for every x: one itemgetter per
-    distinct generator and map, and r^2 |G| lookups.  Generators with the
-    same base images share an element (a coset of G_(B)) and so a row,
-    but not their maps, which are told apart by content."""
-    maps = {m.tobytes(): m for m in G.gen_maps}
+def _rows_commute(G, walked):
+    """Whether the Cayley row of each walked generator commutes with each
+    walked generator's map, row[m[x]] == m[row[x]] for every x: one
+    itemgetter per distinct row and map, and r^2 |G| lookups.  The others
+    are products of these, with maps composed from theirs.  Generators
+    with the same base images share an element (a coset of G_(B)) and so
+    a row, but not their maps, which are told apart by content."""
+    maps = {G.gen_maps[g].tobytes(): G.gen_maps[g] for g in walked}
     at_maps = [(itemgetter(*m), m) for m in maps.values()]
-    for e in set(G.gens):
+    for e in {G.gens[g] for g in walked}:
         row = G.row(e)
         at_row = itemgetter(*row)
         if any(at_m(row) != at_row(m) for at_m, m in at_maps):
@@ -185,13 +187,14 @@ def _orbit_minima(gens, n):
 
 
 def _close(gens, base):
-    """(images, maps): the base's images under the group, numbered in the
-    breadth-first walk over all generators, and each generator's right
-    action on them.  Only the generators that enlarge the group are walked
-    (Dimino; Butler, LNCS 559, 1991), each with the images found so far and
-    then on over the new ones.  A generator equal as a whole permutation,
-    not just on the base, to the product along the path to its base image
-    takes its map from theirs along that path."""
+    """(images, maps, walked): the base's images under the group, numbered
+    in the breadth-first walk over all generators, each generator's right
+    action on them, and the indices of the walked generators.  Only the
+    generators that enlarge the group are walked (Dimino; Butler, LNCS 559,
+    1991), each with the images found so far and then on over the new ones.
+    A generator equal as a whole permutation, not just on the base, to the
+    product along the path to its base image takes its map from theirs
+    along that path."""
     index = {base: 0}
     images = [base]
     up, via = [None], [None]  # each image's parent and generator
@@ -230,7 +233,8 @@ def _close(gens, base):
     order = [0] + [c for c, _, _ in _spanning_tree(maps, len(images))]
     new = sorted(range(len(order)), key=order.__getitem__)
     at = _images(order)
-    return at(images), [_images(at(m))(new) for m in maps]
+    return (at(images), [_images(at(m))(new) for m in maps],
+            [g for g, _, _ in walked])
 
 
 def _along(up, via, i, factors, known):

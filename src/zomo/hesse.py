@@ -10,9 +10,12 @@ as identity, -(X : Y : Z) = (Z : Y : X), so a + b, which is -(a * b), is
 one chord's third point with its coordinates reversed.  A translation's
 endomorphism is the same chord for a constant point and the generic point
 (x : y : 1), written out in closed form, followed by that reversal.
+E(F_q) is kept in coordinates over Z[zeta], with no addition table: one
+walk of chords maps them to the points (see ``EllipticGroup``).
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import ZomoError
 from .field import _normalize, _power_table, roots_of_unity
@@ -98,58 +101,95 @@ BASE_POINT = (-1, 0, 1)  # an inflection point, the group identity
 
 class EllipticGroup:
     """(E(F_q), +) on the Hesse cubic with the inflection BASE_POINT as
-    identity.
-
-    ``table[i][j]`` is the index of points[i] + points[j].  Only the rows of
-    a generating set come from ``hesse_add``; every other row is a
-    composition of rows, row(P + g) = row(g) after row(P), which the
-    associativity of the group law makes exact."""
+    identity.  alpha = (X : eps Y : Z), for the least primitive cube root
+    ``epsilon``, fixes O and has order 3, so it acts as a root zeta of
+    1 + zeta + zeta^2, and E(F_q) is a cyclic Z[zeta]-module (Lenstra,
+    J. Number Theory 56, 1996).  ``coords[k]`` is the (i, j) with
+    points[k] = iU + j alpha(U), for U the first point whose span is E,
+    reduced modulo the relations, whose Hermite normal form is (a, 0),
+    (b, c): a is the order of U and c the least k with k alpha(U) in <U>.
+    Sums, orders and translations are integer arithmetic, and
+    zeta (i, j) = (-j, i - j)."""
 
     def __init__(self, C):
         self.C = C
+        self.epsilon = min(cube_roots_of_unity(C))
         self.O = make_point(C, *BASE_POINT)
         self.points = enumerate_hesse_points(C)
         self.index = {p: i for i, p in enumerate(self.points)}
         self.iO = self.index[self.O]
-        self.table = self._add_table()
+        skip = set()   # the spans of the points that do not generate
+        for U in self.points:
+            if U not in skip:
+                self.a, self.b, self.c, self._cells = self._span(U)
+                if len(self._cells) == len(self.points):
+                    break
+                skip.update(self.points[k] for k in self._cells)
+        else:
+            raise HesseError("no point of the cubic generates it over Z[zeta]")
+        self.coords = [None] * len(self.points)
+        for k, p in enumerate(self._cells):
+            self.coords[p] = (k % self.a, k // self.a)
 
-    def _add_table(self):
-        n = len(self.points)
-        rows = {self.iO: list(range(n))}
-        gens = []
-        while len(rows) < n:
-            g = self.points[next(i for i in range(n) if i not in rows)]
-            gens.append([self.index[hesse_add(self.C, g, p)]
-                         for p in self.points])
-            todo = list(rows)
-            while todo:
-                i = todo.pop()
-                for row_g in gens:
-                    j = row_g[i]
-                    if j not in rows:
-                        rows[j] = [row_g[k] for k in rows[i]]
-                        todo.append(j)
-        return [rows[i] for i in range(n)]
+    def _span(self, U):
+        """(a, b, c, cells) for the span of U, with cells[i + a j] the
+        index of iU + j alpha(U).  <U> comes from repeated ``hesse_add``
+        up to its middle, then from -P = (Z : Y : X); alpha costs no
+        addition either.  Every other point is one sum iU + alpha(jU), and
+        its orbit under <zeta, -1> is filled with it."""
+        C = self.C
+        alpha = scaling_point_map(C, self.epsilon)
 
-    def add(self, a, b):
-        return self.points[self.table[self.index[a]][self.index[b]]]
+        def neg(P):
+            return HessePoint(_normalize(C, P.coords[::-1]))
 
-    def order_of(self, a):
-        row = self.table[self.index[a]]
-        k, i = 1, row[self.iO]
-        while i != self.iO:
-            i = row[i]
-            k += 1
-        return k
+        mult = [self.O, U]   # kU until -kU is kU or (k - 1)U
+        while neg(mult[-1]) not in mult[-2:]:
+            mult.append(hesse_add(C, mult[-1], U))
+        a = 2 * len(mult) - 2 - (neg(mult[-1]) == mult[-2])
+        mult += [neg(P) for P in reversed(mult[1:a + 1 - len(mult)])]
+        at = {P: i for i, P in enumerate(mult)}
+        c = next(k for k in range(1, a + 1) if alpha(mult[k % a]) in at)
+        b = -at[alpha(mult[c % a])] % a
+        cells = [None] * (a * c)
 
-    def multiples(self, a):
-        row = self.table[self.index[a]]
-        out = [self.O]
-        i = row[self.iO]
-        while i != self.iO:
-            out.append(self.points[i])
-            i = row[i]
-        return out
+        def fill(i, j, P):
+            for _ in range(3):   # P, zeta P, zeta^2 P and their negatives
+                for s, R in ((1, P), (-1, neg(P))):
+                    q, r = divmod(s * j, c)
+                    cells[(s * i - q * b) % a + a * r] = self.index[R]
+                i, j, P = -j, i - j, alpha(P)
+
+        for i, P in enumerate(mult):
+            if cells[i] is None:
+                fill(i, 0, P)
+        for j in range(1, c):
+            for i in range(1, a):
+                if cells[i + a * j] is None:
+                    fill(i, j, hesse_add(C, mult[i], alpha(mult[j])))
+        return a, b, c, cells
+
+    def at(self, i, j):
+        """The index of iU + j alpha(U), for any integers i and j."""
+        q, j = divmod(j, self.c)
+        return self._cells[(i - q * self.b) % self.a + self.a * j]
+
+    def add(self, p, r):
+        (i, j), (k, l) = self.coords[self.index[p]], self.coords[self.index[r]]
+        return self.points[self.at(i + k, j + l)]
+
+    def order_of(self, p):
+        """The least m > 0 with m(i, j) a relation: m = m1 m2, for m1 the
+        least with m1 j = kc for some k, and m2 the least with
+        m2 (m1 i - k b) a multiple of a."""
+        i, j = self.coords[self.index[p]]
+        m1 = self.c // gcd(self.c, j)
+        return m1 * (self.a // gcd(self.a, m1 * i - m1 * j // self.c * self.b))
+
+    def multiples(self, p):
+        i, j = self.coords[self.index[p]]
+        return [self.points[self.at(m * i, m * j)]
+                for m in range(self.order_of(p))]
 
     def sylow3(self):
         """Points of 3-power order, with invariant factors (d1 >= d2)."""
@@ -161,7 +201,8 @@ class EllipticGroup:
 
     def translation_perm(self, t):
         """Translation by t as a permutation (list of point indices)."""
-        return list(self.table[self.index[t]])
+        k, l = self.coords[self.index[t]]
+        return [self.at(i + k, j + l) for i, j in self.coords]
 
 
 def cube_roots_of_unity(C):

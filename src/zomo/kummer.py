@@ -1,10 +1,9 @@
 """Degree-3 Kummer covers of the Hesse cubic.
 
-Pipeline: take the rational 3-torsion translations of E: X^3+Y^3+Z^3 = 0
-over F_q (q = 1 mod 3), adjoin the scaling (X : eps Y : Z) to get a group
-Gbar of order 3^(h+1) acting on E(F_q) (the scaling is a
-``curves.diagonal_map``, made a permutation of the points by
-``curves.act``), split the translation orbit of the base inflection
+Pipeline: take the translations by the 3-Sylow subgroup A of
+E: X^3+Y^3+Z^3 = 0 over F_q (q = 1 mod 3), adjoin the scaling
+alpha = (X : eps Y : Z) to get a group Gbar of order 3^(h+1) acting on
+E(F_q), split the translation orbit of the base inflection
 P = (-1, 0, 1) into the three Frattini orbits theta_1, theta_2, theta_3,
 and for a line m X - Y + m Z = 0 through P and a point of theta_2 form
 
@@ -27,9 +26,9 @@ root eps only, and compares the emitted equation against a stored
 reference, exactly first and then up to a multiplicative constant that is
 a cube in F_q.
 
-Gbar is A x| <alpha> with alpha acting on the translations A as eps, so
-theta_1 = Phi(Gbar) = G'G^3 is (1 - eps)A = {alpha(T) - T}, read off
-coordinates of the elements (see ``_close_gbar``), with no normal closure.
+Gbar = A x| <alpha> is closed on the labels (T, k) of its elements
+P -> alpha^k P + T, in E's coordinates over Z[zeta] (``_close_gbar``), and
+theta_1 = Phi(Gbar) = G'G^3 is (1 - zeta)A, with no normal closure.
 """
 
 from dataclasses import dataclass
@@ -37,8 +36,8 @@ from math import prod
 
 from . import ZomoError
 from .analysis import _log3, frattini  # noqa: F401 (bench tracer test)
-from .curves import ROTATION, PointSet, act, diagonal_map
-from .field import PrimeField, _normalize
+from .curves import ROTATION, PointSet, act
+from .field import PrimeField
 from .funcfield import (FFElem, apply_endo, ffelem_str, scaled_str,
                         valuation_at)
 from .group import FiniteGroup, group_from_permutations
@@ -60,8 +59,8 @@ def _base_field(q):
 
 
 def kummer_h(q):
-    """h with 3^h = |A|, the 3-part of #E(F_q), from the points alone: no
-    addition table, so a large q costs O(q), not O(q^2)."""
+    """h with 3^h = |A|, the 3-part of #E(F_q), from the point count
+    alone, with no group law."""
     return split_power(len(enumerate_hesse_points(_base_field(q))), 3)[0]
 
 
@@ -96,21 +95,19 @@ class GbarData:
 
 def build_gbar(q, epsilon=None):
     """Gbar = (3-Sylow translations) x| <alpha> acting on E(F_q), alpha
-    the diagonal map (X : eps Y : Z)."""
+    the diagonal map (X : eps Y : Z), for eps reduced mod q."""
     E = EllipticGroup(_base_field(q))
     pts, invariants = E.sylow3()
     h = _log3(len(pts))
-    if epsilon is None:
-        epsilon = min(cube_roots_of_unity(E.C))
-    elif pow(epsilon, 3, q) != 1 or epsilon % q == 1:
+    epsilon = E.epsilon if epsilon is None else epsilon % q
+    if epsilon not in cube_roots_of_unity(E.C):
         raise KummerError("epsilon must be a primitive cube root of unity")
     g1, g2 = _sylow_generators(E, pts, invariants)
-    alpha = _point_perm(E, diagonal_map("al", 1, epsilon))
-    G, _, S = _close_gbar(E, h, ("t1", "t2", "al"), (0, 0, 1),
-                          [E.translation_perm(g1), E.translation_perm(g2),
-                           alpha])
-    theta = _theta_cosets(E, next(p for p in pts if p not in S), S)
-    return GbarData(q, h, epsilon, E, G, tuple(pts), tuple(S), theta)
+    G, _, S = _close_gbar(E, h, ("t1", "t2", "al"), epsilon,
+                          [(E.index[g1], 0), (E.index[g2], 0), (E.iO, 1)])
+    U = next(E.index[p] for p in pts if E.index[p] not in S)
+    return GbarData(q, h, epsilon, E, G, tuple(pts),
+                    tuple(E.points[T] for T in S), _theta_cosets(E, U, S))
 
 
 def _point_perm(E, m):
@@ -118,27 +115,40 @@ def _point_perm(E, m):
     return act(m, PointSet(E.C, [p.coords for p in E.points], set()))
 
 
-def _close_gbar(E, h, names, exponents, gens):
-    """(G, A, S): the group G of order 3^(h+1) closed from the point
-    permutations gens, with those names; the translations A among its
-    elements, in element order; and S = (1 - eps)A = {alpha(T) - T} in the
-    same order, of size 3^(h-1).  Each of gens is a translation (exponent
-    0) or alpha (exponent 1), so an element is P -> eps^k P + T, labelled
-    (index of T, k mod 3) along G's spanning tree: T is its image of O, and
-    c then g maps O to g[c(O)].  -T is T with its coordinates reversed, as
-    O = (-1 : 0 : 1)."""
-    G = group_from_permutations(gens, gen_names=names)
+def _close_gbar(E, h, names, epsilon, gens):
+    """(G, A, S): the group G of order 3^(h+1) on the generators gens,
+    with those names; its translations A, in element order; and
+    S = (1 - zeta)A in that order, of size 3^(h-1), as point indices.
+    An element P -> alpha^k P + T, alpha = (X : eps Y : Z), is labelled
+    (T, k mod 3), as is each of gens.  alpha is zeta^e on E's coordinates,
+    e = 1 for eps = E.epsilon and 2 for the other root, so (T, l) followed
+    by (t, k) is (zeta^(e k) T + t, l + k).  A is the orbit of O, and G is
+    closed on its regular action on the labels: one base point certifies
+    it, and the breadth-first numbering depends only on the group and the
+    generator order, so it is that of the action on E's points."""
+    coords, at = E.coords, E.at
+    e = 1 if epsilon == E.epsilon else 2
+    A, pos = [E.iO], {E.iO: 0}
+    images = [[] for _ in gens]   # images[g][s]: the position of A[s] g
+    for T in A:
+        for (t, k), image in zip(gens, images):
+            i, j = coords[T]
+            for _ in range(e * k % 3):
+                i, j = -j, i - j
+            R = at(i + coords[t][0], j + coords[t][1])
+            if R not in pos:
+                pos[R] = len(A)
+                A.append(R)
+            image.append(pos[R])
+    perms = [[3 * s + (l + k) % 3 for s in image for l in range(3)]
+             for (_, k), image in zip(gens, images)]
+    G = group_from_permutations(perms, gen_names=names)
     if G.order != 3 ** (h + 1):
         raise KummerError("group closure has order %d, expected 3^%d"
                           % (G.order, h + 1))
-    labels = G.along_tree(
-        (E.iO, 0), list(zip(gens, exponents)),
-        lambda c, g: (g[0][c[0]], (c[1] + g[1]) % 3))
-    A = [E.points[i] for i, k in labels if k == 0]
-    alpha = gens[exponents.index(1)]
-    image = {E.add(E.points[alpha[E.index[T]]],
-                   HessePoint(_normalize(E.C, T.coords[::-1])))
-             for T in A}
+    A = [A[x // 3] for x in G.along_tree(0, perms, lambda c, g: g[c])
+         if x % 3 == 0]
+    image = {at(-i - j, i - 2 * j) for i, j in map(coords.__getitem__, A)}
     S = [T for T in A if T in image]
     if len(S) != 3 ** (h - 1):
         raise KummerError("Frattini translation part has size %d" % len(S))
@@ -146,14 +156,15 @@ def _close_gbar(E, h, names, exponents, gens):
 
 
 def _theta_cosets(E, U, S):
-    """theta_1 = S (contains O = P), theta_2 = U + S and theta_3 = 2U + S,
-    for a point U of the translation group outside S."""
-    Sset = set(S)
-    th2 = tuple(E.add(U, T) for T in S)
-    th3 = tuple(E.add(U, E.add(U, T)) for T in S)
-    if set(th2) & Sset or set(th3) & Sset or set(th2) & set(th3):
+    """theta_1 = S (contains O = P), theta_2 = U + S and theta_3 = 2U + S
+    as points, for the index U of a point of the translation group outside
+    the point indices S."""
+    u, v = E.coords[U]
+    th = [tuple(E.points[E.at(i + m * u, j + m * v)]
+                for i, j in map(E.coords.__getitem__, S)) for m in range(3)]
+    if len(set().union(*th)) != 3 * len(S):
         raise KummerError("Frattini cosets do not partition the orbit")
-    return (tuple(S), th2, th3)
+    return tuple(th)
 
 
 def line_slope(E, Q: HessePoint):
@@ -356,20 +367,20 @@ def small_gbar27(q=19):
     """The order-27 group generated by the scaling alpha, for the smaller
     primitive cube root epsilon, and the coordinate rotation delta,
     ``curves.ROTATION`` (X : Y : Z) -> (Y : Z : X), with its theta
-    orbits."""
+    orbits.  delta's permutation of the points is checked to be the
+    translation by rot(O), and the group is closed with that translation
+    for delta."""
     E = EllipticGroup(PrimeField(q))
-    F = E.C
-    epsilon = min(cube_roots_of_unity(F))
-    alpha = _point_perm(E, diagonal_map("al", 1, epsilon))
     delta = _point_perm(E, ROTATION)
     if delta != E.translation_perm(E.points[delta[E.iO]]):
         raise KummerError("the rotation is not a translation of E")
-    G, A, S = _close_gbar(E, 2, ("al", "de"), (1, 0), [alpha, delta])
+    G, A, S = _close_gbar(E, 2, ("al", "de"), E.epsilon,
+                          [(E.iO, 1), (delta[E.iO], 0)])
     # the cosets of S in the order-9 translation group of G, with theta_2
     # the coset of points at infinity when one exists
-    rest = [p for p in A if p not in S]
-    U = next((p for p in rest if p.coords[2] == F.zero), rest[0])
-    return E, G, S, _theta_cosets(E, U, S), epsilon
+    rest = [T for T in A if T not in S]
+    U = next((T for T in rest if E.points[T].coords[2] == E.C.zero), rest[0])
+    return E, G, [E.points[T] for T in S], _theta_cosets(E, U, S), E.epsilon
 
 
 def small_construction(q=19):

@@ -49,6 +49,11 @@ from ``curves.act``.
 the map permutation on the point tuples themselves, with a {point: image}
 memo per map filled by the one and read by the other; the package indexes
 the points once per degree and runs both on ints.
+``TableEllipticGroup`` is E(F_q) with its full addition table, each row a
+composition of ``hesse_add`` rows, and ``gbar_by_point_closure`` closes
+Kummer's Gbar on the permutations of its points and reads S = {alpha(T) - T}
+and the theta cosets off the table; the package keeps E in coordinates over
+Z[zeta] and closes Gbar on the labels (T, k) of its elements.
 """
 
 import itertools
@@ -60,11 +65,14 @@ from zomo.curves import CurveError
 from zomo.field import ExtField, _normalize
 from zomo.funcfield import (Endo, FuncFieldError, _canonical, _reduce,
                             apply_endo)
-from zomo.genus import RamificationProfile
+from zomo.genus import RamificationProfile, split_power
 from zomo.group import FiniteGroup, GroupError
-from zomo.hesse import (HesseError, make_point, scaling_point_map,
-                        translation_endo)
-from zomo.kummer import KummerError, _sylow_generators
+from zomo.group import group_from_permutations
+from zomo.hesse import (BASE_POINT, HesseError, HessePoint,
+                        enumerate_hesse_points, hesse_add, make_point,
+                        scaling_point_map, translation_endo)
+from zomo.kummer import (GbarData, KummerError, _base_field, _log3,
+                         _sylow_generators)
 
 
 def maximal_subgroups(G: FiniteGroup):
@@ -536,3 +544,93 @@ def stable_domain_by_points(maps, S, images=None):
         if len(kept) == len(alive):
             return sorted(alive)
         alive = kept
+
+
+class TableEllipticGroup:
+    """E(F_q) with the full addition table ``table[i][j]``, the index of
+    points[i] + points[j].  Only the rows of a generating set come from
+    ``hesse_add``; every other row is a composition of rows,
+    row(P + g) = row(g) after row(P), which the associativity of the group
+    law makes exact."""
+
+    def __init__(self, C):
+        self.C = C
+        self.O = make_point(C, *BASE_POINT)
+        self.points = enumerate_hesse_points(C)
+        self.index = {p: i for i, p in enumerate(self.points)}
+        self.iO = self.index[self.O]
+        self.table = self._add_table()
+
+    def _add_table(self):
+        n = len(self.points)
+        rows = {self.iO: list(range(n))}
+        gens = []
+        while len(rows) < n:
+            g = self.points[next(i for i in range(n) if i not in rows)]
+            gens.append([self.index[hesse_add(self.C, g, p)]
+                         for p in self.points])
+            todo = list(rows)
+            while todo:
+                i = todo.pop()
+                for row_g in gens:
+                    j = row_g[i]
+                    if j not in rows:
+                        rows[j] = [row_g[k] for k in rows[i]]
+                        todo.append(j)
+        return [rows[i] for i in range(n)]
+
+    def add(self, a, b):
+        return self.points[self.table[self.index[a]][self.index[b]]]
+
+    def order_of(self, a):
+        row = self.table[self.index[a]]
+        k, i = 1, row[self.iO]
+        while i != self.iO:
+            i = row[i]
+            k += 1
+        return k
+
+    def multiples(self, a):
+        row = self.table[self.index[a]]
+        out = [self.O]
+        i = row[self.iO]
+        while i != self.iO:
+            out.append(self.points[i])
+            i = row[i]
+        return out
+
+    def sylow3(self):
+        n3 = 3 ** split_power(len(self.points), 3)[0]
+        orders = {p: self.order_of(p) for p in self.points}
+        pts = [p for p in self.points if n3 % orders[p] == 0]
+        d1 = max(orders[p] for p in pts)
+        return pts, (d1, n3 // d1) if n3 > d1 else (d1,)
+
+    def translation_perm(self, t):
+        return list(self.table[self.index[t]])
+
+
+def gbar_by_point_closure(q, epsilon):
+    """``kummer.build_gbar(q, epsilon)`` closed on the permutations of the
+    points of a ``TableEllipticGroup``: Gbar's elements are labelled
+    (T, k) along its spanning tree from their images of O, S is
+    {alpha(T) - T} read off the table, and the theta cosets are sums from
+    the table."""
+    E = TableEllipticGroup(_base_field(q))
+    pts, invariants = E.sylow3()
+    h = _log3(len(pts))
+    g1, g2 = _sylow_generators(E, pts, invariants)
+    alpha = map_perm(E, scaling_point_map(E.C, epsilon))
+    gens = [E.translation_perm(g1), E.translation_perm(g2), alpha]
+    G = group_from_permutations(gens, gen_names=("t1", "t2", "al"))
+    labels = G.along_tree((E.iO, 0), list(zip(gens, (0, 0, 1))),
+                          lambda c, g: (g[0][c[0]], (c[1] + g[1]) % 3))
+    A = [E.points[i] for i, k in labels if k == 0]
+    image = {E.add(E.points[alpha[E.index[T]]],
+                   HessePoint(_normalize(E.C, T.coords[::-1])))
+             for T in A}
+    S = [T for T in A if T in image]
+    U = next(p for p in pts if p not in S)
+    theta = (tuple(S), tuple(E.add(U, T) for T in S),
+             tuple(E.add(U, E.add(U, T)) for T in S))
+    return GbarData(q, h, epsilon, E, G, tuple(pts), tuple(S), theta)

@@ -3,6 +3,7 @@ import pytest
 from zomo import hesse, kummer
 from zomo.field import PrimeField, _normalize
 from zomo.funcfield import apply_endo
+from zomo.genus import split_power
 
 from oracles import map_perm, scaling_endo
 
@@ -59,12 +60,70 @@ def test_points_in_double_scan_order(q):
 
 @pytest.mark.parametrize("F", [F19, F73], ids=["F19", "F73"])
 def test_table_matches_chord_tangent_law(F):
+    # the sums in coordinates against the two-chord law and hesse_add,
+    # pair by pair
     E = hesse.EllipticGroup(F)
-    assert E.table == _add_table(E)
+    table = _add_table(E)
+    assert [[E.index[E.add(a, b)] for b in E.points]
+            for a in E.points] == table
     assert [[E.index[hesse.hesse_add(F, a, b)] for b in E.points]
-            for a in E.points] == E.table
+            for a in E.points] == table
     for p in E.points:
         assert E.order_of(p) == len(E.multiples(p))
+
+
+def _by_repeated_addition(E):
+    """The points at which order_of or multiples disagree with repeated
+    ``hesse_add``, and whether sylow3 agrees with the orders so found."""
+    wrong, orders = [], {}
+    for p in E.points:
+        mult = [E.O]
+        while len(mult) == 1 or mult[-1] != E.O:
+            mult.append(hesse.hesse_add(E.C, mult[-1], p))
+        orders[p] = len(mult) - 1
+        if E.order_of(p) != orders[p] or E.multiples(p) != mult[:-1]:
+            wrong.append(p)
+    n3 = 3 ** split_power(len(E.points), 3)[0]
+    pts = [p for p in E.points if n3 % orders[p] == 0]
+    d1 = max(orders[p] for p in pts)
+    sylow = (pts, (d1, n3 // d1) if n3 > d1 else (d1,))
+    return wrong, E.sylow3() == sylow
+
+
+@pytest.mark.parametrize("q, n", [(31, 36), (43, 36), (61, 63), (97, 117)])
+def test_coordinates_match_repeated_addition_off_the_3_part(q, n):
+    # #E has a part prime to 3: U has order 6, 21 or 39, not a power of 3
+    F = PrimeField(q)
+    E = hesse.EllipticGroup(F)
+    assert len(E.points) == n == E.a * E.c
+    assert _by_repeated_addition(E) == ([], True)
+    assert [[E.add(a, b) for b in E.points] for a in E.points] == [
+        [hesse.hesse_add(F, a, b) for b in E.points] for a in E.points]
+
+
+@pytest.mark.parametrize("q", [19, 61])
+def test_a_wrong_hnf_offset_fails_the_comparison(q):
+    E = hesse.EllipticGroup(PrimeField(q))
+    assert E.c > 1 and _by_repeated_addition(E) == ([], True)
+    E.b = (E.b + 1) % E.a
+    assert _by_repeated_addition(E)[0]
+
+
+def test_no_group_without_a_primitive_cube_root_of_unity():
+    with pytest.raises(hesse.HesseError):
+        hesse.EllipticGroup(PrimeField(17))
+
+
+@pytest.mark.parametrize("q, most", [(19, 7), (73, 21), (271, 57)])
+def test_the_walk_adds_once_per_orbit(monkeypatch, q, most):
+    # <U> to its middle, then one sum per orbit of <zeta, -1>: far fewer
+    # chords than the |E| of a single row of an addition table
+    calls = []
+    add = hesse.hesse_add
+    monkeypatch.setattr(hesse, "hesse_add",
+                        lambda *args: calls.append(1) or add(*args))
+    E = hesse.EllipticGroup(PrimeField(q))
+    assert 0 < len(calls) <= most < len(E.points) / 3
 
 
 @pytest.mark.parametrize("q, g1, g2", [

@@ -10,9 +10,10 @@ from zomo.group import group_from_permutations
 from zomo.hesse import (EllipticGroup, cube_roots_of_unity,
                         hesse_function_field, make_point, scaling_point_map)
 
-from oracles import (element_perms, gbar_generator_perms, map_perm,
-                     pullbacks_by_translation, rotation_point_map,
-                     slope_ratios_by_specialisation, translation_point)
+from oracles import (element_perms, gbar_by_point_closure,
+                     gbar_generator_perms, map_perm, pullbacks_by_translation,
+                     rotation_point_map, slope_ratios_by_specialisation,
+                     translation_point)
 from test_hesse import _eval_ffelem
 
 
@@ -45,6 +46,34 @@ def test_gbar_rejects_bad_epsilon():
         kummer.build_gbar(19, epsilon=2)
     with pytest.raises(kummer.KummerError):
         kummer.build_gbar(19, epsilon=1)
+    with pytest.raises(kummer.KummerError):
+        kummer.build_gbar(19, epsilon=20)
+
+
+GBAR_FIELDS = ("q", "h", "epsilon", "sylow_points", "phi_translations",
+               "theta")
+
+
+def _fields(data):
+    return ([getattr(data, f) for f in GBAR_FIELDS]
+            + [data.group.gen_names, data.group.gen_maps])
+
+
+@pytest.mark.parametrize("epsilon, root", [(26, 7), (-8, 11), (11 + 38, 11)])
+def test_epsilon_is_reduced_mod_q(epsilon, root):
+    # 26 = 7 mod 19 is E's own root, though 26 > 11, the other one
+    data = kummer.build_gbar(19, epsilon)
+    assert data.epsilon == root
+    assert _fields(data) == _fields(kummer.build_gbar(19, root))
+
+
+@pytest.mark.parametrize("q, both", [(19, True), (73, True), (271, False),
+                                     (757, False)])
+def test_gbar_matches_the_point_closure_on_the_addition_table(q, both):
+    roots = sorted(cube_roots_of_unity(PrimeField(q)))
+    for epsilon in roots if both else roots[:1]:
+        assert (_fields(kummer.build_gbar(q, epsilon))
+                == _fields(gbar_by_point_closure(q, epsilon)))
 
 
 def test_theta_partition():

@@ -413,6 +413,19 @@ def test_base_closure_checks_every_generator_map(monkeypatch):
     _assert_matches_two_pass([[1, 2, 0], [1, 0, 2], [1, 2, 0]])
 
 
+@pytest.mark.parametrize("gens", [[[0, 2, 1], [1, 2, 0]],
+                                  [[1, 2, 0], [0, 2, 1]]])
+def test_base_closure_checks_the_row_of_each_walked_generator(monkeypatch,
+                                                              gens):
+    # both generators are walked; (1 2) fixes the base point 0, so its
+    # element is the identity and its row commutes with every map: only
+    # the row of (0 1 2), walked first or last, shows that the stabiliser
+    # <(1 2)> is not normal
+    G, bases = _closure_bases(monkeypatch, gens)
+    assert G.order == 6
+    assert bases == [(0,), (0, 1, 2)]
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_base_closure_matches_two_pass_on_every_pair_with_a_repeat(n):
     # [a, b, a] for all a, b in S_n: wherever a and b agree on the base,
