@@ -9,17 +9,19 @@ Elements are plain immutable values (ints for PrimeField, int tuples for
 ExtField), so structural equality is element equality.  ``polys`` works
 over a PrimeField only.
 
-Both fields keep log/antilog tables over their least primitive element,
-built on first use with a Zech table for addition (FLINT's ``fq_zech``;
-K. Huber, IEEE Trans. Inform. Theory 36, 1990).  values and quotients stay
-in the log domain over a whole list of points: one column of logs per
-coordinate, a term is a sum of columns, terms add through the Zech table,
-and a quotient is the antilog of a difference of logs.  An ``ExtField`` is
-F_q[t]/(modulus) for the least irreducible modulus of its degree, with
-coefficient tuples (c_0, ..., c_{k-1}) as elements; add, sub and neg map
-them coefficientwise through a table of residues mod q, and mul and inv
-are table lookups.  Polynomial arithmetic only builds the modulus and the
-tables.
+Both fields keep log/antilog tables over a generator g of the
+multiplicative group, built on first use with a Zech table for addition
+(FLINT's ``fq_zech``; K. Huber, IEEE Trans. Inform. Theory 36, 1990).
+values and quotients stay in the log domain over a whole list of points:
+one column of logs per coordinate, a term is a sum of columns, terms add
+through the Zech table, and a quotient is the antilog of a difference of
+logs.  For a ``PrimeField`` g is the least primitive root.  An
+``ExtField`` is F_q[t]/(modulus) for the least modulus of its degree
+modulo which t has order q^k - 1, so g is t and the exp table is the
+powers of t.  Its elements are coefficient tuples (c_0, ..., c_{k-1});
+add, sub and neg map them coefficientwise through a table of residues
+mod q, and mul and inv are table lookups.  Polynomial arithmetic only
+finds the modulus and builds the tables.
 """
 
 import operator
@@ -35,11 +37,12 @@ class FieldError(ZomoError, ArithmeticError):
 
 class _LogField:
     """The log-domain kernel both fields share.  ``exp[i]`` is g^i for the
-    least primitive element g of ``elements()``, ``log`` maps each element
-    back to its exponent (zero to None), ``int_log[c]`` is the log of the
-    constant c in [0, q) and ``zech[i]`` is log(1 + g^i) (None where
-    1 + g^i = 0).  All four stay None until first read, so a field that is
-    only sized (say, to refuse a point budget) never pays."""
+    generator g that ``_powers`` picks (the least primitive root of F_p,
+    and t for F_{q^k}), ``log`` maps each element back to its exponent
+    (zero to None), ``int_log[c]`` is the log of the constant c in [0, q)
+    and ``zech[i]`` is log(1 + g^i) (None where 1 + g^i = 0).  All four
+    stay None until first read, so a field that is only sized (say, to
+    refuse a point budget) never pays."""
 
     exp = log = int_log = zech = None
 
@@ -186,38 +189,22 @@ def roots_of_unity(C, n):
     return _power_table(C, n).get(C.one, [])
 
 
-def _least_irreducible(base: PrimeField, k):
-    """The monic degree-k irreducible over F_q whose low-coefficient vector
-    (c0, c1, ..., c_{k-1}) is smallest in the integer encoding sum ci q^i."""
-    q = base.q
-    for code in range(q ** k):
-        coeffs = []
-        n = code
-        for _ in range(k):
-            coeffs.append(n % q)
-            n //= q
-        poly = tuple(coeffs) + (1,)
-        if _is_irreducible(base, poly):
-            return poly
-    raise FieldError("no irreducible found (unreachable)")
-
-
-def _is_irreducible(F: PrimeField, poly):
-    k = polys.pdeg(poly)
-    if k < 1:
-        return False
-    x = (0, 1)
-    # x^(q^k) == x mod poly, and x^(q^d) != x for proper divisors d of k
-    xq = polys.ppow_mod(F, x, F.q ** k, poly)
-    if xq != polys.pmod(F, x, poly):
-        return False
-    for d in range(1, k):
-        if k % d == 0:
-            xqd = polys.ppow_mod(F, x, F.q ** d, poly)
-            g = polys.pgcd(F, polys.psub(F, xqd, x), poly)
-            if polys.pdeg(g) > 0:
-                return False
-    return True
+def _least_primitive(base: PrimeField, k):
+    """The monic degree-k f over F_q, first in the encoding sum c_i q^i of
+    its low coefficients (c_0, ..., c_{k-1}), modulo which t has order
+    q^k - 1.  Such an f is irreducible and t generates F_{q^k}^* (Lidl and
+    Niederreiter, Finite Fields, section 3.1).  f(0) = 0 makes t a zero
+    divisor, and a binomial t^k + c_0 with k > 1 gives t an order of at
+    most k(q - 1), so neither is tested."""
+    q, n, t = base.q, base.q ** k - 1, (0, 1)
+    factors = _prime_factors(n)
+    for code in range(q if k > 1 else 1, q ** k):
+        f = tuple(code // q ** i % q for i in range(k)) + (1,)
+        if (f[0] and polys.ppow_mod(base, t, n, f) == (1,)
+                and all(polys.ppow_mod(base, t, n // r, f) != (1,)
+                        for r in factors)):
+            return f
+    raise FieldError("no primitive modulus found (unreachable)")
 
 
 def _prime_factors(n):
@@ -242,7 +229,7 @@ class ExtField(_LogField):
         self.k = k
         self.q = base.q
         self.order = base.q ** k
-        self.modulus = _least_irreducible(base, k)
+        self.modulus = _least_primitive(base, k)
         self.zero = (0,) * k
         self.one = tuple([1 % base.q] + [0] * (k - 1))
         # red[i] = i mod q for -3q <= i < 3q, a C-level lookup per coefficient
@@ -261,16 +248,10 @@ class ExtField(_LogField):
         return tuple(map(self._red.__getitem__, map(operator.neg, a)))
 
     def _powers(self):
-        """(exp, the 1 + g^i) for the least primitive element g."""
+        """(exp, the 1 + t^i): t generates F_{q^k}^* modulo the modulus."""
         F, mod, n = self.base, self.modulus, self.order - 1
-        factors = _prime_factors(n)
-        for e in self.elements():
-            g = polys.ptrim(F, e)
-            if g and all(polys.ppow_mod(F, g, n // r, mod) != (F.one,)
-                         for r in factors):
-                break
-        # multiplication by g as a matrix over F_q: column j is g t^j
-        cols = [polys.pmod(F, polys.pmul(F, (0,) * j + (1,), g), mod)
+        # multiplication by t as a matrix over F_q: column j is t^(j+1)
+        cols = [polys.pmod(F, (0,) * (j + 1) + (1,), mod)
                 for j in range(self.k)]
         rows = list(zip(*(c + (0,) * (self.k - len(c)) for c in cols)))
         exp, q = [self.one], self.q
@@ -289,7 +270,7 @@ class ExtField(_LogField):
             raise self._not_element(a, b) from None
         if i is None or j is None:
             return self.zero
-        # 0 <= i + j < 2n, so the index lies in [-n, n) and names g^(i+j)
+        # 0 <= i + j < 2n, so the index lies in [-n, n) and names t^(i+j)
         return exp[i + j - len(exp)]
 
     def inv(self, a):
@@ -302,7 +283,7 @@ class ExtField(_LogField):
             raise self._not_element(a) from None
         if i is None:
             raise ZeroDivisionError("inverse of 0 in F_%d^%d" % (self.q, self.k))
-        return exp[-i]  # g^(n - i), and exp[0] = one for i = 0
+        return exp[-i]  # t^(n - i), and exp[0] = one for i = 0
 
     def elements(self):
         return product(range(self.q), repeat=self.k)

@@ -16,7 +16,7 @@ from array import array
 from operator import itemgetter
 
 from . import ZomoError, coset
-from .words import Presentation, parse_presentation  # noqa: F401 (re-export)
+from .words import Presentation, parse_presentation
 
 
 class GroupError(ZomoError, ValueError):
@@ -135,8 +135,8 @@ def group_from_permutations(gens, gen_names=None) -> FiniteGroup:
                 or n and (min(p), max(p)) != (0, n - 1)):
             raise GroupError("generator is not a permutation of 0..%d" % (n - 1))
     for base in (_orbit_minima(gens, n), range(n)):
-        images, maps, walked = _close(gens, tuple(base))
-        G = FiniteGroup(len(images), maps, gen_names=gen_names)
+        size, maps, walked = _close(gens, tuple(base))
+        G = FiniteGroup(size, maps, gen_names=gen_names)
         if len(base) == n or _rows_commute(G, walked):
             return G
 
@@ -187,14 +187,14 @@ def _orbit_minima(gens, n):
 
 
 def _close(gens, base):
-    """(images, maps, walked): the base's images under the group, numbered
-    in the breadth-first walk over all generators, each generator's right
-    action on them, and the indices of the walked generators.  Only the
-    generators that enlarge the group are walked (Dimino; Butler, LNCS 559,
-    1991), each with the images found so far and then on over the new ones.
-    A generator equal as a whole permutation, not just on the base, to the
-    product along the path to its base image takes its map from theirs
-    along that path."""
+    """(size, maps, walked): the number of the base's images under the
+    group, each generator's right action on them, numbered in the
+    breadth-first walk over all generators, and the indices of the walked
+    generators.  Only the generators that enlarge the group are walked
+    (Dimino; Butler, LNCS 559, 1991), each with the images found so far and
+    then on over the new ones.  A generator equal as a whole permutation,
+    not just on the base, to the product along the path to its base image
+    takes its map from theirs along that path."""
     index = {base: 0}
     images = [base]
     up, via = [None], [None]  # each image's parent and generator
@@ -233,7 +233,7 @@ def _close(gens, base):
     order = [0] + [c for c, _, _ in _spanning_tree(maps, len(images))]
     new = sorted(range(len(order)), key=order.__getitem__)
     at = _images(order)
-    return (at(images), [_images(at(m))(new) for m in maps],
+    return (len(images), [_images(at(m))(new) for m in maps],
             [g for g, _, _ in walked])
 
 

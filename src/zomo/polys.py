@@ -27,10 +27,6 @@ def ptrim(F, coeffs):
     return _itrim(list(coeffs))
 
 
-def pdeg(p):
-    return len(p) - 1  # -1 for the zero polynomial
-
-
 def padd(F, a, b):
     p = F.q
     if len(a) < len(b):

@@ -72,6 +72,36 @@ def test_budget_guard_counts_the_x_values_of_separated_scans(monkeypatch):
         curves.genus28_points(19, 3)
 
 
+# (points, singular points) over F_{q^k} for each (q, k) of
+# EXTENSION_FIELDS; None where the scan exceeds the default budget.  The
+# counts do not depend on the modulus that builds F_{q^k}.
+EXTENSION_FIELDS = [(2, 2), (3, 2), (5, 2), (7, 2), (13, 2), (19, 2),
+                    (19, 3), (7, 3)]
+EXTENSION_COUNTS = {
+    "hesse": [(9, 0), (10, 10), (36, 0), (63, 0), (171, 0), (351, 0),
+              (6804, 0), (324, 0)],
+    "x0": [(5, 2), (10, 10), (32, 2), (59, 2), (167, 2), (383, 2),
+           (7025, 2), (383, 2)],
+    "fermat9": [(9, 0), (10, 10), (36, 0), (63, 0), (171, 0), (27, 0),
+                (7479, 0), (513, 0)],
+    "genus10": [(5, 2), (10, 10), (32, 2), (59, 2), (167, 2), (383, 2),
+                None, (383, 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSION_COUNTS))
+def test_point_counts_over_extension_fields(monkeypatch, name):
+    monkeypatch.delenv("ZOMO_BUDGET", raising=False)
+    cu = cli._load_curve(name)
+    for (q, k), counts in zip(EXTENSION_FIELDS, EXTENSION_COUNTS[name]):
+        if counts is None:
+            with pytest.raises(curves.BudgetError):
+                curves.enumerate_points(cu, q, k)
+            continue
+        S = curves.enumerate_points(cu, q, k)
+        assert (len(S.points), len(S.singular)) == counts, (q, k)
+
+
 def test_act_identity_and_orders():
     S = curves.enumerate_points(curves.x0_curve(), 19)
     ident = curves.RationalMap.make(
