@@ -143,7 +143,10 @@ def quotient(G: FiniteGroup, N: Subgroup):
     """Quotient group G/N with the natural projection.
 
     Returns (Q, proj) where proj[x] is the element of Q holding x.  Coset
-    labels are ordered by least member index, so the trivial coset is 0.
+    labels are ordered by least member index, which is already Q's own
+    breadth-first order, so Q keeps them: G's walk first meets a coset at
+    its least member, by a step r -> rg from the least member r of a coset
+    (the walk leaves r before any other member of Nr), in Q's walk order.
     """
     if not is_normal(G, N):
         raise GroupError("subgroup is not normal")

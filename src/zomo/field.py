@@ -21,7 +21,7 @@ modulo which t has order q^k - 1, so g is t and the exp table is the
 powers of t.  Its elements are coefficient tuples (c_0, ..., c_{k-1});
 add, sub and neg map them coefficientwise through a table of residues
 mod q, and mul and inv are table lookups.  Polynomial arithmetic only
-finds the modulus and builds the tables.
+finds the modulus.
 """
 
 import operator
@@ -248,16 +248,15 @@ class ExtField(_LogField):
         return tuple(map(self._red.__getitem__, map(operator.neg, a)))
 
     def _powers(self):
-        """(exp, the 1 + t^i): t generates F_{q^k}^* modulo the modulus."""
-        F, mod, n = self.base, self.modulus, self.order - 1
-        # multiplication by t as a matrix over F_q: column j is t^(j+1)
-        cols = [polys.pmod(F, (0,) * (j + 1) + (1,), mod)
-                for j in range(self.k)]
-        rows = list(zip(*(c + (0,) * (self.k - len(c)) for c in cols)))
-        exp, q = [self.one], self.q
-        for _ in range(n - 1):
-            exp.append(tuple([sum(map(operator.mul, r, exp[-1])) % q
-                              for r in rows]))
+        """(exp, the 1 + t^i): t generates F_{q^k}^* modulo the modulus.
+        t times (e_0, ..., e_{k-1}) is the shift (0, e_0, ..., e_{k-2})
+        minus e_{k-1} times the modulus's low coefficients."""
+        low, q, exp = self.modulus[:-1], self.q, [self.one]
+        for _ in range(self.order - 2):
+            e = exp[-1]
+            top = e[-1]
+            exp.append(tuple([(a - top * c) % q
+                              for a, c in zip((0,) + e[:-1], low)]))
         return exp, [(self._red[e[0] + 1],) + e[1:] for e in exp]
 
     def mul(self, a, b):

@@ -1,9 +1,11 @@
 """Materialized finite groups.
 
-Elements are integers 0..n-1 with 0 the identity.  Right multiplication by
+Elements are integers 0..n-1 with 0 the identity, numbered in the order
+of the breadth-first walk from 0 over the generators however the group was
+built (Holt, Eick and O'Brien, section 4.1).  Right multiplication by
 generator i is the map ``gen_maps[i]``; left multiplication by a is the
-Cayley row ``row(a)``, filled on first use by a walk over a fixed spanning
-tree.  Products, powers and inverses build only the rows of their operands.
+Cayley row ``row(a)``, filled on first use by a walk over that walk's tree,
+and products, powers and inverses build only the rows of their operands.
 Groups come either from coset enumeration (regular action on cosets of the
 trivial subgroup) or from explicit permutations, closed on the images of a
 base with a certificate that the base images determine the element (see
@@ -25,12 +27,14 @@ class GroupError(ZomoError, ValueError):
 
 class FiniteGroup:
     def __init__(self, order, gen_maps, gen_names=None):
-        """gen_maps[g][c] = index of c * (generator g)."""
+        """gen_maps[g][c] = index of c * (generator g), in any numbering
+        with 0 the identity; they are kept renumbered in walk order."""
         self.order = order
         self.gen_names = tuple(gen_names) if gen_names else tuple(
             "g%d" % i for i in range(len(gen_maps)))
-        self.gen_maps = tuple(array("i", m) for m in gen_maps)  # read only
-        self._bfs = _spanning_tree(self.gen_maps, order)
+        walk, place, self._bfs = _breadth_first(gen_maps, order)
+        self.gen_maps = tuple(array("i", [place[m[x]] for x in walk])
+                              for m in gen_maps)  # read only
         self.gens = tuple(self.gen_maps[g][0] for g in range(len(gen_maps)))
         self._rows = [None] * order
         self._inv = {0: 0}
@@ -124,8 +128,8 @@ def group_from_permutations(gens, gen_names=None) -> FiniteGroup:
     generate the group, so checking theirs shows that G_(B) is normal.
     A normal G_(B) fixes every image of B, which is every point, so it is
     trivial.  When the check fails the same walk reruns with B the whole
-    domain.  Either way the element numbers and ``gen_maps`` are those of
-    the whole-domain walk.
+    domain.  Either way ``FiniteGroup`` numbers the elements breadth-first
+    over the generators, so the group does not depend on the base.
     """
     if not gens:
         raise GroupError("need at least one generator permutation")
@@ -188,13 +192,13 @@ def _orbit_minima(gens, n):
 
 def _close(gens, base):
     """(size, maps, walked): the number of the base's images under the
-    group, each generator's right action on them, numbered in the
-    breadth-first walk over all generators, and the indices of the walked
-    generators.  Only the generators that enlarge the group are walked
-    (Dimino; Butler, LNCS 559, 1991), each with the images found so far and
-    then on over the new ones.  A generator equal as a whole permutation,
-    not just on the base, to the product along the path to its base image
-    takes its map from theirs along that path."""
+    group, each generator's right action on them, numbered as found, and
+    the indices of the walked generators.  Only the generators that
+    enlarge the group are walked (Dimino; Butler, LNCS 559, 1991), each
+    with the images found so far and then on over the new ones.  A
+    generator equal as a whole permutation, not just on the base, to the
+    product along the path to its base image takes its map from theirs
+    along that path."""
     index = {base: 0}
     images = [base]
     up, via = [None], [None]  # each image's parent and generator
@@ -228,13 +232,7 @@ def _close(gens, base):
     right = {0: range(len(images))}
     for g, i in derived.items():
         maps[g] = _along(up, via, i, maps, right)
-    del index, up, via, whole, right  # the walk's own bookkeeping
-    # renumber in the order of the breadth-first walk over every generator
-    order = [0] + [c for c, _, _ in _spanning_tree(maps, len(images))]
-    new = sorted(range(len(order)), key=order.__getitem__)
-    at = _images(order)
-    return (len(images), [_images(at(m))(new) for m in maps],
-            [g for g, _, _ in walked])
+    return len(images), maps, [g for g, _, _ in walked]
 
 
 def _along(up, via, i, factors, known):
@@ -250,23 +248,22 @@ def _along(up, via, i, factors, known):
     return known[i]
 
 
-def _spanning_tree(maps, n):
-    """The breadth-first spanning tree of the maps' action on 0..n-1 from
-    0, as (child, parent, map) steps in the walk's order."""
-    seen = [False] * n
-    seen[0] = True
-    steps = []
-    walk = [0]
+def _breadth_first(maps, n):
+    """(walk, place, steps): the points of 0..n-1 in the order of the
+    maps' breadth-first walk from 0, each point's place in it, and the
+    spanning tree as (child, parent, map) steps in places, in walk order."""
+    place = [0] + [-1] * (n - 1)
+    walk, steps = [0], []
     numbered = list(enumerate(maps))
-    for c in walk:
+    for i, c in enumerate(walk):
         if len(walk) == n:  # every point reached
             break
         for g, m in numbered:
             d = m[c]
-            if not seen[d]:
-                seen[d] = True
-                steps.append((d, c, g))
+            if place[d] < 0:
+                place[d] = len(walk)
+                steps.append((len(walk), i, g))
                 walk.append(d)
     if len(walk) < n:
         raise GroupError("generator maps do not generate a transitive action")
-    return steps
+    return walk, place, steps

@@ -124,8 +124,8 @@ def _close_gbar(E, h, names, epsilon, gens):
     e = 1 for eps = E.epsilon and 2 for the other root, so (T, l) followed
     by (t, k) is (zeta^(e k) T + t, l + k).  A is the orbit of O, and G is
     closed on its regular action on the labels: one base point certifies
-    it, and the breadth-first numbering depends only on the group and the
-    generator order, so it is that of the action on E's points."""
+    it, and ``FiniteGroup``'s breadth-first numbering depends only on the
+    group and generator order, so it is that of the action on E's points."""
     coords, at = E.coords, E.at
     e = 1 if epsilon == E.epsilon else 2
     A, pos = [E.iO], {E.iO: 0}

@@ -450,10 +450,12 @@ def _derived_length_by_as_group(G):
     length, cur = 0, tuple(range(G.order))
     while len(cur) > 1:
         index = {x: i for i, x in enumerate(cur)}
-        maps = [[index[G.mult(x, g)] for x in cur]
-                for g in analysis.generators_of(G, cur)]
-        der = analysis.derived_subgroup(FiniteGroup(len(cur), maps))
-        cur = tuple(sorted(cur[i] for i in der.members))
+        gens = analysis.generators_of(G, cur)
+        maps = [[index[G.mult(x, g)] for x in cur] for g in gens]
+        H = FiniteGroup(len(cur), maps)
+        der = analysis.derived_subgroup(H)
+        in_G = H.along_tree(0, gens, G.mult)
+        cur = tuple(sorted(in_G[i] for i in der.members))
         length += 1
         if length > 20:
             raise GroupError("derived series does not terminate")

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import element_perms, enumerate_cosets_repeated
-from zomo import catalog, coset, curves, group, kummer, words
+from zomo import analysis, catalog, coset, curves, group, kummer, words
 from zomo.coset import BudgetExceeded, enumerate_cosets
-from zomo.group import (GroupError, analyze_presentation, coset_enumerate,
-                        group_from_permutations)
+from zomo.group import (FiniteGroup, GroupError, analyze_presentation,
+                        coset_enumerate, group_from_permutations)
 from zomo.words import parse_presentation, parse_word
 
 
@@ -73,7 +73,8 @@ def test_coset_enumeration_heisenberg():
 
 
 def test_coset_numbering_is_pinned():
-    # the coset indices, hence every element index, of recorded enumerations
+    # the raw coset tables of recorded enumerations: this pins the
+    # enumerator, not the group, which FiniteGroup renumbers breadth-first
     heis = parse_presentation(
         "<a, b | a^3, b^3, [a,b]^3, [[a,b],a], [[a,b],b]>")
     cases = [(heis, "9559e2db2a707265")]
@@ -511,3 +512,93 @@ def test_one_pass_closure_on_a_one_point_domain():
     assert G.order == 1
     assert element_perms(G, [[0]]) == [(0,)]
     _assert_matches_two_pass([[0], [0]])
+
+
+# -- one element numbering for every group -----------------------------------
+
+def _walk(G):
+    """The elements in the order of the breadth-first walk from 0 over
+    G's generator maps, the maps taken in order at each element."""
+    seen, walk = {0}, [0]
+    for c in walk:
+        for m in G.gen_maps:
+            if m[c] not in seen:
+                seen.add(m[c])
+                walk.append(m[c])
+    return walk
+
+
+def _relabelled_maps(G, rng):
+    """G's generator maps with 1..n-1 relabelled by a random permutation
+    s (0 stays the identity): the map x -> m[x] becomes s(x) -> s(m[x])."""
+    rest = list(range(1, G.order))
+    rng.shuffle(rest)
+    s = [0] + rest
+    maps = []
+    for m in G.gen_maps:
+        new = [0] * G.order
+        for x, y in enumerate(m):
+            new[s[x]] = s[y]
+        maps.append(new)
+    return maps
+
+
+def _random_perm_group(seed):
+    """The closure of random permutations as in the two-pass comparisons:
+    a partition into blocks for odd seeds, any permutations for even."""
+    rng = random.Random(seed)
+    if seed % 2:
+        return group_from_permutations(_intransitive_gens(rng))
+    n = rng.randint(2, 7)
+    return group_from_permutations(
+        [rng.sample(range(n), n) for _ in range(rng.randint(1, 3))])
+
+
+def _numbered_group(source, request):
+    if source.startswith("gbar"):
+        return kummer.build_gbar(int(source[4:])).group
+    if source == "genus28":
+        return request.getfixturevalue("genus28")[0]
+    if source.startswith("perms"):
+        return _random_perm_group(int(source[5:]))
+    return catalog.materialize(catalog.entry_by_id(source))
+
+
+@pytest.mark.parametrize("eid", [e.id for e in catalog.load_catalog()])
+def test_catalog_group_has_the_numbering_of_its_regular_permutations(eid):
+    # x -> x g is generator g's map, so closing the maps as permutations
+    # gives the enumerated group back with the same numbering
+    G = catalog.materialize(catalog.entry_by_id(eid))
+    assert group_from_permutations(G.gen_maps).gen_maps == G.gen_maps
+
+
+@pytest.mark.parametrize("source", ["C9_rtimes_C3", "caseII1_e3_k2", "gbar19"]
+                         + ["perms%d" % seed for seed in range(12)])
+def test_relabelled_maps_give_the_same_group(source, request):
+    G = _numbered_group(source, request)
+    for seed in range(3):
+        maps = _relabelled_maps(G, random.Random(seed))
+        assert FiniteGroup(G.order, maps).gen_maps == G.gen_maps
+
+
+@pytest.mark.parametrize("source", ["C9_rtimes_C3", "caseI1_e2_k2", "gbar73",
+                                    "genus28", "perms0", "perms9"])
+def test_elements_are_numbered_in_breadth_first_order(source, request):
+    G = _numbered_group(source, request)
+    assert _walk(G) == list(range(G.order))
+
+
+@pytest.mark.parametrize("source", ["C9_rtimes_C3", "caseI1_e2_k2",
+                                    "caseII1_e3_k2", "gbar73", "genus28"])
+def test_quotients_are_numbered_in_breadth_first_order(source, request):
+    # the coset labels by least member are already Q's walk order, so the
+    # projection is a homomorphism onto Q's own numbering
+    G = _numbered_group(source, request)
+    normals = [analysis.center(G), analysis.derived_subgroup(G),
+               analysis.frattini(G)] + analysis.lower_central_series(G)
+    for N in normals:
+        Q, proj = analysis.quotient(G, N)
+        assert _walk(Q) == list(range(Q.order))
+        for m, mq in zip(G.gen_maps, Q.gen_maps):
+            assert [proj[y] for y in m] == [mq[proj[x]]
+                                            for x in range(G.order)]
