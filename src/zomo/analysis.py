@@ -19,16 +19,15 @@ catalog.  Most routines assume (and some require) a group of 3-power order,
 which is the only case exercised here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .genus import split_power
-from .group import FiniteGroup, GroupError
+from .group import FiniteGroup, GroupError, _reach
 
 
 @dataclass(frozen=True)
 class Subgroup:
-    parent: FiniteGroup = field(compare=False)
     members: tuple  # sorted element indices
 
     def __post_init__(self):
@@ -48,7 +47,7 @@ class Subgroup:
 
 def subgroup_closure(G: FiniteGroup, gens):
     """Smallest subgroup containing the given elements."""
-    return Subgroup(G, tuple(sorted(_span(G, gens)[0])))
+    return Subgroup(tuple(sorted(_span(G, gens)[0])))
 
 
 def generators_of(G: FiniteGroup, members):
@@ -66,22 +65,8 @@ def _span(G: FiniteGroup, gens):
         if g not in seen:
             used.append(g)
             rows.append(G.row(g))
-            _close(rows, seen, list(seen))
+            _reach(rows, seen, list(seen))
     return seen, used
-
-
-def _close(rows, seen, frontier):
-    """Add to the set seen everything the rows reach from frontier."""
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for row in rows:
-                y = row[x]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
 
 
 def _conjugates(G: FiniteGroup, h):
@@ -103,9 +88,9 @@ def normal_closure(G: FiniteGroup, seeds):
     for s in gens:  # gens grows while it is walked
         if s not in seen:
             rows.append(G.row(s))
-            _close(rows, seen, list(seen))
+            _reach(rows, seen, list(seen))
             gens += _conjugates(G, s)
-    return Subgroup(G, tuple(sorted(seen)))
+    return Subgroup(tuple(sorted(seen)))
 
 
 def _commutator(G: FiniteGroup, A, B):
@@ -118,7 +103,7 @@ def center(G: FiniteGroup) -> Subgroup:
     pairs = [(m, G.row(g)) for m, g in zip(G.gen_maps, G.gens)]
     members = [x for x in range(G.order)
                if all(m[x] == row[x] for m, row in pairs)]
-    return Subgroup(G, tuple(members))
+    return Subgroup(tuple(members))
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
@@ -155,7 +140,7 @@ def quotient(G: FiniteGroup, N: Subgroup):
     reps = []
     for x in range(G.order):
         if coset_of[x] == -1:  # x is the least member of its coset Nx
-            for y in _close(rows, {x}, [x]):
+            for y in _reach(rows, {x}, [x]):
                 coset_of[y] = len(reps)
             reps.append(x)
     maps = [[coset_of[m[r]] for r in reps] for m in G.gen_maps]
@@ -289,7 +274,7 @@ def derived_length(G: FiniteGroup):
     """Length of the derived series, walked inside G: each term is
     characteristic in the one before, hence normal in G, so it is the normal
     closure in G of the commutators of the previous term's generators."""
-    length, cur = 0, Subgroup(G, tuple(range(G.order)))
+    length, cur = 0, Subgroup(tuple(range(G.order)))
     while len(cur) > 1:
         gens = generators_of(G, cur.members)
         nxt = _commutator(G, gens, gens)
@@ -312,6 +297,7 @@ class Fingerprint:
 
 
 def fingerprint(G: FiniteGroup) -> Fingerprint:
+    _require_3group(G)
     Q, _ = quotient(G, derived_subgroup(G))
     ab = tuple(abelian_invariants(Q))  # |G:Phi(G)| = 3^len(ab)
     return Fingerprint(
@@ -328,7 +314,7 @@ def fingerprint(G: FiniteGroup) -> Fingerprint:
 
 def lower_central_series(G: FiniteGroup):
     """Descending central series K_1 >= K_2 >= ... >= 1."""
-    chain = [Subgroup(G, tuple(range(G.order)))]
+    chain = [Subgroup(tuple(range(G.order)))]
     while len(chain[-1]) > 1:
         K = chain[-1]
         nxt = _commutator(G, generators_of(G, K.members), G.gens)
@@ -343,14 +329,14 @@ def fundamental_subgroup(G: FiniteGroup) -> Subgroup:
     centralizer of K_2/K_4 in G/K_4, tested on the images of K_2's
     generators, so that only rows of the quotient are built."""
     K = lower_central_series(G)
-    K2 = K[1] if len(K) > 1 else Subgroup(G, (0,))
-    K4 = K[3] if len(K) > 3 else Subgroup(G, (0,))
+    K2 = K[1] if len(K) > 1 else Subgroup((0,))
+    K4 = K[3] if len(K) > 3 else Subgroup((0,))
     Q, proj = quotient(G, K4)
     rows = [(k, Q.row(k))
             for k in {proj[x] for x in generators_of(G, K2.members)}]
     central = {y for y in range(Q.order)
                if all(Q.row(y)[k] == row[y] for k, row in rows)}
-    return Subgroup(G, tuple(x for x in range(G.order) if proj[x] in central))
+    return Subgroup(tuple(x for x in range(G.order) if proj[x] in central))
 
 
 def is_metacyclic(G: FiniteGroup):
@@ -368,7 +354,7 @@ def is_metacyclic(G: FiniteGroup):
 def _log3(n):
     k, m = split_power(n, 3)
     if m != 1:
-        raise GroupError("order is not a power of 3")
+        raise GroupError("order %d is not a power of 3" % n)
     return k
 
 

@@ -25,8 +25,9 @@ restarted scans would retrace the same steps.  The one exception is a relator
 with a letter followed by its inverse, where the resumed forward scan can run
 past the backward one; the backward scan then starts again, as before.  So
 the enumeration makes the definitions and coincidences of a scan restarted
-after each definition, in the same order, and coset numbering stays the
-definition order: element indices are reproducible.
+after each definition, in the same order.  The table numbers the cosets in
+definition order; ``group.FiniteGroup`` then renumbers them breadth-first
+over the generators.
 """
 
 from . import ZomoError

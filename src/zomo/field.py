@@ -128,7 +128,7 @@ class _LogField:
 
 class PrimeField(_LogField):
     def __init__(self, q):
-        if q < 2 or any(q % d == 0 for d in range(2, int(q ** 0.5) + 1)):
+        if _prime_factors(q) != [q]:
             raise FieldError("%d is not prime" % q)
         self.q = q
         self.order = q
@@ -208,6 +208,8 @@ def _least_primitive(base: PrimeField, k):
 
 
 def _prime_factors(n):
+    """The distinct prime factors of n, ascending, by trial division
+    ([] for n < 2, and [n] exactly when n is prime)."""
     out = []
     d = 2
     while d * d <= n:

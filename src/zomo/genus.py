@@ -12,21 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ZomoError
+from .field import _prime_factors
 
 
 class ProfileError(ZomoError, ValueError):
     pass
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def split_power(n, d):
@@ -80,7 +70,7 @@ class BoundQuery:
     elliptic_quotient: bool = False
 
     def __post_init__(self):
-        if not _is_prime(self.d) or self.d == 2:
+        if _prime_factors(self.d) != [self.d] or self.d == 2:
             raise ProfileError("d must be an odd prime")
         if self.genus < 2:
             raise ProfileError("genus must be at least 2")
@@ -126,7 +116,7 @@ def enumerate_profiles(d, group_order, genus):
     leaves a nonnegative remainder for the short orbits to fill.
     """
     n = group_order
-    if n < 1 or not _is_prime(d):
+    if n < 1 or _prime_factors(d) != [d]:
         raise ProfileError("need a prime d and positive group order")
     k, m = split_power(n, d)
     if m != 1:

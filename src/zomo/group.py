@@ -173,21 +173,28 @@ def _rows_commute(G, walked):
 
 def _orbit_minima(gens, n):
     """The least point of each orbit of <gens> on 0..n-1."""
-    seen = bytearray(n)
-    minima = []
+    seen, minima = set(), []
     for x in range(n):
-        if not seen[x]:
+        if x not in seen:
             minima.append(x)
-            seen[x] = 1
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                for g in gens:
-                    z = g[y]
-                    if not seen[z]:
-                        seen[z] = 1
-                        stack.append(z)
+            seen.add(x)
+            _reach(gens, seen, [x])
     return minima
+
+
+def _reach(maps, seen, frontier):
+    """Add to the set seen, which holds the frontier, everything the maps
+    reach from it, and return seen."""
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for m in maps:
+                y = m[x]
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
 
 
 def _close(gens, base):

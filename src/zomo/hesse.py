@@ -108,8 +108,8 @@ class EllipticGroup:
     points[k] = iU + j alpha(U), for U the first point whose span is E,
     reduced modulo the relations, whose Hermite normal form is (a, 0),
     (b, c): a is the order of U and c the least k with k alpha(U) in <U>.
-    Sums, orders and translations are integer arithmetic, and
-    zeta (i, j) = (-j, i - j)."""
+    Sums, orders and translations are integer arithmetic, and alpha acts
+    on the coordinates by ``_zeta``."""
 
     def __init__(self, C):
         self.C = C
@@ -158,7 +158,7 @@ class EllipticGroup:
                 for s, R in ((1, P), (-1, neg(P))):
                     q, r = divmod(s * j, c)
                     cells[(s * i - q * b) % a + a * r] = self.index[R]
-                i, j, P = -j, i - j, alpha(P)
+                (i, j), P = _zeta(i, j), alpha(P)
 
         for i, P in enumerate(mult):
             if cells[i] is None:
@@ -203,6 +203,12 @@ class EllipticGroup:
         """Translation by t as a permutation (list of point indices)."""
         k, l = self.coords[self.index[t]]
         return [self.at(i + k, j + l) for i, j in self.coords]
+
+
+def _zeta(i, j):
+    """alpha on E's coordinates over Z[zeta]: alpha(iU + j alpha(U)) is
+    i alpha(U) + j alpha^2(U), and alpha^2 = -1 - alpha."""
+    return -j, i - j
 
 
 def cube_roots_of_unity(C):

@@ -16,19 +16,20 @@ tau_T(x, y) = (r2/r0, r1/r0) for the ``translation_chord`` (r0, r1, r2)
 that ``translation_endo`` reads too: one division each, taken one
 alpha-orbit at a time.  alpha (x, y) -> (x, eps y) is a group automorphism
 fixing O, so tau_alpha(T) = alpha tau_T alpha^-1, and s alpha = eps s;
-hence u_alpha(T) = eps u_T(x, eps^2 y), for either primitive cube root eps
-and every T.  The line slope m is the only free choice, and it changes w
-only by a constant, since div w = theta_2 + theta_3 - 2 theta_1 for every
-Q in theta_2: the product is formed for the first slope m0 only, and each
-other w is c_m w_{m0}, with c_m read off at P, where it is a product of
-values in F_q.  The builder tries every slope, for the least primitive cube
-root eps only, and compares the emitted equation against a stored
-reference, exactly first and then up to a multiplicative constant that is
-a cube in F_q.
+hence u_alpha(T) = eps u_T(x, eps^2 y) for every T.  eps is the least
+primitive cube root, E's own: the other root gives alpha^2, the same
+<alpha> and so the same Gbar and covers.  The line slope m is the only free
+choice, and it changes w only by a constant, since div w = theta_2 +
+theta_3 - 2 theta_1 for every Q in theta_2: the product is formed for the
+first slope m0 only, and each other w is c_m w_{m0}, with c_m read off at
+P, where it is a product of values in F_q.  The builder tries every slope
+and compares the emitted equation against a stored reference, exactly
+first and then up to a multiplicative constant that is a cube in F_q.
 
 Gbar = A x| <alpha> is closed on the labels (T, k) of its elements
-P -> alpha^k P + T, in E's coordinates over Z[zeta] (``_close_gbar``), and
-theta_1 = Phi(Gbar) = G'G^3 is (1 - zeta)A, with no normal closure.
+P -> alpha^k P + T, in E's coordinates over Z[zeta], on which alpha is
+zeta (``_close_gbar``), and theta_1 = Phi(Gbar) = G'G^3 is (1 - zeta)A,
+with no normal closure.
 """
 
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from .funcfield import (FFElem, apply_endo, ffelem_str, scaled_str,
                         valuation_at)
 from .group import FiniteGroup, group_from_permutations
 from .genus import RamificationProfile, rh_genus, split_power
-from .hesse import (BASE_POINT, EllipticGroup, HessePoint,
+from .hesse import (BASE_POINT, EllipticGroup, HessePoint, _zeta,
                     cube_roots_of_unity, enumerate_hesse_points,
                     hesse_function_field, make_point, scaling_point_map,
                     translation_chord, translation_endo)
@@ -85,7 +86,6 @@ def _sylow_generators(E, pts, invariants):
 class GbarData:
     q: int
     h: int
-    epsilon: int
     E: EllipticGroup
     group: FiniteGroup          # on t1, t2, al; keeps no point action
     sylow_points: tuple
@@ -93,20 +93,17 @@ class GbarData:
     theta: tuple                # (theta_1, theta_2, theta_3)
 
 
-def build_gbar(q, epsilon=None):
+def build_gbar(q):
     """Gbar = (3-Sylow translations) x| <alpha> acting on E(F_q), alpha
-    the diagonal map (X : eps Y : Z), for eps reduced mod q."""
+    the diagonal map (X : eps Y : Z) for E's root eps = ``E.epsilon``."""
     E = EllipticGroup(_base_field(q))
     pts, invariants = E.sylow3()
     h = _log3(len(pts))
-    epsilon = E.epsilon if epsilon is None else epsilon % q
-    if epsilon not in cube_roots_of_unity(E.C):
-        raise KummerError("epsilon must be a primitive cube root of unity")
     g1, g2 = _sylow_generators(E, pts, invariants)
-    G, _, S = _close_gbar(E, h, ("t1", "t2", "al"), epsilon,
+    G, _, S = _close_gbar(E, h, ("t1", "t2", "al"),
                           [(E.index[g1], 0), (E.index[g2], 0), (E.iO, 1)])
     U = next(E.index[p] for p in pts if E.index[p] not in S)
-    return GbarData(q, h, epsilon, E, G, tuple(pts),
+    return GbarData(q, h, E, G, tuple(pts),
                     tuple(E.points[T] for T in S), _theta_cosets(E, U, S))
 
 
@@ -115,26 +112,25 @@ def _point_perm(E, m):
     return act(m, PointSet(E.C, [p.coords for p in E.points], set()))
 
 
-def _close_gbar(E, h, names, epsilon, gens):
+def _close_gbar(E, h, names, gens):
     """(G, A, S): the group G of order 3^(h+1) on the generators gens,
     with those names; its translations A, in element order; and
     S = (1 - zeta)A in that order, of size 3^(h-1), as point indices.
-    An element P -> alpha^k P + T, alpha = (X : eps Y : Z), is labelled
-    (T, k mod 3), as is each of gens.  alpha is zeta^e on E's coordinates,
-    e = 1 for eps = E.epsilon and 2 for the other root, so (T, l) followed
-    by (t, k) is (zeta^(e k) T + t, l + k).  A is the orbit of O, and G is
+    An element P -> alpha^k P + T, alpha = (X : eps Y : Z) for
+    eps = E.epsilon, is labelled (T, k mod 3), as is each of gens.  alpha
+    is zeta on E's coordinates, so (T, l) followed by (t, k) is
+    (zeta^k T + t, l + k).  A is the orbit of O, and G is
     closed on its regular action on the labels: one base point certifies
     it, and ``FiniteGroup``'s breadth-first numbering depends only on the
     group and generator order, so it is that of the action on E's points."""
     coords, at = E.coords, E.at
-    e = 1 if epsilon == E.epsilon else 2
     A, pos = [E.iO], {E.iO: 0}
     images = [[] for _ in gens]   # images[g][s]: the position of A[s] g
     for T in A:
         for (t, k), image in zip(gens, images):
             i, j = coords[T]
-            for _ in range(e * k % 3):
-                i, j = -j, i - j
+            for _ in range(k % 3):
+                i, j = _zeta(i, j)
             R = at(i + coords[t][0], j + coords[t][1])
             if R not in pos:
                 pos[R] = len(A)
@@ -148,7 +144,8 @@ def _close_gbar(E, h, names, epsilon, gens):
                           % (G.order, h + 1))
     A = [A[x // 3] for x in G.along_tree(0, perms, lambda c, g: g[c])
          if x % 3 == 0]
-    image = {at(-i - j, i - 2 * j) for i, j in map(coords.__getitem__, A)}
+    image = {at(i - zi, j - zj) for i, j in map(coords.__getitem__, A)
+             for zi, zj in [_zeta(i, j)]}   # (1 - zeta)A
     S = [T for T in A if T in image]
     if len(S) != 3 ** (h - 1):
         raise KummerError("Frattini translation part has size %d" % len(S))
@@ -291,7 +288,7 @@ def load_golden(q):
     return ref.read_text().strip()
 
 
-_GBAR_CACHE = {}  # q -> Gbar for the least primitive cube root
+_GBAR_CACHE = {}  # q -> build_gbar(q)
 _LIFT_CACHE = {}  # q -> the pullbacks of its Frattini translations
 
 
@@ -313,9 +310,7 @@ def build_kummer(q, golden_text):
     ``slope_ratios``), so all share one monic form w_{m0}/lead(w_{m0}), and
     c_m w_{m0} is that form times a cube exactly when c_m lead(w_{m0}) is a
     cube, (c_m lead)^((q-1)/3) = 1 as q = 1 mod 3; z -> z/c then leaves the
-    extension as it is.  Only the least primitive cube root is tried: the
-    other gives alpha^2, the same <alpha>, hence the same Frattini
-    translations S, theta_2 and covers."""
+    extension as it is."""
     F = PrimeField(q)
     field = hesse_function_field(F)
     best = None
@@ -346,7 +341,7 @@ def build_kummer(q, golden_text):
     # where v(w) is -2 or 1: on the three cosets theta_i of S, and
     # build_gbar checks |S| = 3^(h-1), so on 3^h points (genus 3^h + 1)
     genus = rh_genus(RamificationProfile(3, 1, (1,) * 3 ** data.h))
-    return KummerOutput(q, data.h, data.epsilon, Q, m, w, eq, genus,
+    return KummerOutput(q, data.h, data.E.epsilon, Q, m, w, eq, genus,
                         exact, up_to_cube, tuple(seen_equations))
 
 
@@ -364,8 +359,8 @@ class SmallConstruction:
 
 
 def small_gbar27(q=19):
-    """The order-27 group generated by the scaling alpha, for the smaller
-    primitive cube root epsilon, and the coordinate rotation delta,
+    """(E, G, S, theta): the order-27 group G generated by the scaling
+    alpha, for E's root ``E.epsilon``, and the coordinate rotation delta,
     ``curves.ROTATION`` (X : Y : Z) -> (Y : Z : X), with its theta
     orbits.  delta's permutation of the points is checked to be the
     translation by rot(O), and the group is closed with that translation
@@ -374,13 +369,13 @@ def small_gbar27(q=19):
     delta = _point_perm(E, ROTATION)
     if delta != E.translation_perm(E.points[delta[E.iO]]):
         raise KummerError("the rotation is not a translation of E")
-    G, A, S = _close_gbar(E, 2, ("al", "de"), E.epsilon,
+    G, A, S = _close_gbar(E, 2, ("al", "de"),
                           [(E.iO, 1), (delta[E.iO], 0)])
     # the cosets of S in the order-9 translation group of G, with theta_2
     # the coset of points at infinity when one exists
     rest = [T for T in A if T not in S]
     U = next((T for T in rest if E.points[T].coords[2] == E.C.zero), rest[0])
-    return E, G, [E.points[T] for T in S], _theta_cosets(E, U, S), E.epsilon
+    return E, G, [E.points[T] for T in S], _theta_cosets(E, U, S)
 
 
 def small_construction(q=19):
@@ -392,7 +387,7 @@ def small_construction(q=19):
     up to a cube constant by the normalisation of t.  alpha (x, y) ->
     (x, eps y) pulls w back by ``scale_u``, delta by ``translation_endo``
     of rot(O), as ``small_gbar27`` checks that delta is that translation."""
-    E, G, S, theta, epsilon = small_gbar27(q)
+    E, G, S, theta = small_gbar27(q)
     F = E.C
     field = hesse_function_field(F)
     Q = make_point(F, 1, -1, 0)
@@ -403,5 +398,5 @@ def small_construction(q=19):
     rot_O = HessePoint(ROTATION.eval_at(F, E.O.coords))
     delta = translation_endo(field, rot_O)
     return SmallConstruction(
-        epsilon, m, w, ffelem_str(w), theta,
-        w.scale_u(epsilon) / w, apply_endo(delta, w) / w)
+        E.epsilon, m, w, ffelem_str(w), theta,
+        w.scale_u(E.epsilon) / w, apply_endo(delta, w) / w)

@@ -88,7 +88,7 @@ def maximal_subgroups(G: FiniteGroup):
     out = []
     for keep in _index3_subgroups_elem_abelian(Q):
         members = tuple(sorted(x for x in range(G.order) if proj[x] in keep))
-        out.append(Subgroup(G, members))
+        out.append(Subgroup(members))
     out.sort(key=lambda s: s.members)
     return out
 
@@ -101,7 +101,7 @@ def _index3_subgroups_elem_abelian(Q: FiniteGroup):
     """
     r = analysis._log3(Q.order)
     basis = []
-    span = Subgroup(Q, (0,))
+    span = Subgroup((0,))
     for x in range(1, Q.order):
         if x not in span.member_set:
             basis.append(x)
@@ -507,7 +507,7 @@ def gbar_generator_perms(data):
     into data.group."""
     E = data.E
     g1, g2 = _sylow_generators(E, *E.sylow3())
-    alpha = map_perm(E, scaling_point_map(E.C, E.C.from_int(data.epsilon)))
+    alpha = map_perm(E, scaling_point_map(E.C, E.C.from_int(E.epsilon)))
     return [E.translation_perm(g1), E.translation_perm(g2), alpha]
 
 
@@ -611,7 +611,8 @@ class TableEllipticGroup:
 
 
 def gbar_by_point_closure(q, epsilon):
-    """``kummer.build_gbar(q, epsilon)`` closed on the permutations of the
+    """``kummer.build_gbar(q)``, with alpha = (X : epsilon Y : Z) for
+    either primitive cube root epsilon, closed on the permutations of the
     points of a ``TableEllipticGroup``: Gbar's elements are labelled
     (T, k) along its spanning tree from their images of O, S is
     {alpha(T) - T} read off the table, and the theta cosets are sums from
@@ -633,4 +634,4 @@ def gbar_by_point_closure(q, epsilon):
     U = next(p for p in pts if p not in S)
     theta = (tuple(S), tuple(E.add(U, T) for T in S),
              tuple(E.add(U, E.add(U, T)) for T in S))
-    return GbarData(q, h, epsilon, E, G, tuple(pts), tuple(S), theta)
+    return GbarData(q, h, E, G, tuple(pts), tuple(S), theta)

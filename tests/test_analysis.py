@@ -24,7 +24,7 @@ def _frattini_by_intersection(G):
     common = None
     for M in maximal_subgroups(G):
         common = M.member_set if common is None else common & M.member_set
-    return analysis.Subgroup(G, tuple(sorted(common)))
+    return analysis.Subgroup(tuple(sorted(common)))
 
 
 def test_derived_and_frattini_heisenberg():
@@ -177,7 +177,7 @@ def _pair_search_subgroups(G):
                 continue
             members = _closure_by_mult(G, [a, b])
             if members not in seen:
-                seen[members] = analysis.Subgroup(G, members)
+                seen[members] = analysis.Subgroup(members)
     return tuple(seen.values())
 
 
@@ -236,7 +236,7 @@ def test_generator_routines_match_their_mult_definitions(eid):
     Z = [x for x in range(n)
          if all(G.mult(x, g) == G.mult(g, x) for g in G.gens)]
     assert analysis.center(G).members == tuple(Z)
-    Zsub = analysis.Subgroup(G, tuple(Z))
+    Zsub = analysis.Subgroup(tuple(Z))
     Q, proj = analysis.quotient(G, Zsub)
     coset_of, reps = [-1] * n, []
     for x in range(n):

@@ -169,6 +169,15 @@ def test_analyze_non_3_group_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_analyze_names_the_order_of_a_non_3_group(tmp_path, capsys):
+    # S3, whose abelianization has order 2: the message names |G| = 6
+    p = tmp_path / "s3.pres"
+    p.write_text("<a, b | a^2, b^3, (a*b)^2>\n")
+    code, out, err = run(capsys, "groups", "analyze", str(p))
+    assert (code, out) == (2, "")
+    assert err == "error: order 6 is not a power of 3\n"
+
+
 def test_kummer_build_json(tmp_path, capsys):
     out_file = tmp_path / "k19.json"
     code, _, _ = run(capsys, "kummer", "build", "--q", "19", "--h", "3",

@@ -89,6 +89,13 @@ EXTENSION_COUNTS = {
 }
 
 
+@pytest.mark.parametrize("name, build", [("x0", curves.x0_curve),
+                                         ("fermat9", curves.fermat9_curve)])
+def test_data_file_curve_is_the_one_the_report_builds(name, build):
+    # zomo curve check reads data/curves/*.curve; the report builds in code
+    assert cli._load_curve(name) == build()
+
+
 @pytest.mark.parametrize("name", sorted(EXTENSION_COUNTS))
 def test_point_counts_over_extension_fields(monkeypatch, name):
     monkeypatch.delenv("ZOMO_BUDGET", raising=False)

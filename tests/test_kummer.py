@@ -20,7 +20,7 @@ from test_hesse import _eval_ffelem
 def test_build_gbar_structure_q19():
     data = kummer.build_gbar(19)
     assert data.h == 3
-    assert data.epsilon == 7
+    assert data.E.epsilon == 7
     assert data.group.order == 81
     # translation part: 3-Sylow of E(F_19), here all 27 points
     assert len(data.sylow_points) == 27
@@ -41,17 +41,7 @@ def test_kummer_h_is_the_rank_of_the_sylow_group(q):
     assert 3 ** kummer.kummer_h(q) == len(pts) == prod(invariants)
 
 
-def test_gbar_rejects_bad_epsilon():
-    with pytest.raises(kummer.KummerError):
-        kummer.build_gbar(19, epsilon=2)
-    with pytest.raises(kummer.KummerError):
-        kummer.build_gbar(19, epsilon=1)
-    with pytest.raises(kummer.KummerError):
-        kummer.build_gbar(19, epsilon=20)
-
-
-GBAR_FIELDS = ("q", "h", "epsilon", "sylow_points", "phi_translations",
-               "theta")
+GBAR_FIELDS = ("q", "h", "sylow_points", "phi_translations", "theta")
 
 
 def _fields(data):
@@ -59,21 +49,21 @@ def _fields(data):
             + [data.group.gen_names, data.group.gen_maps])
 
 
-@pytest.mark.parametrize("epsilon, root", [(26, 7), (-8, 11), (11 + 38, 11)])
-def test_epsilon_is_reduced_mod_q(epsilon, root):
-    # 26 = 7 mod 19 is E's own root, though 26 > 11, the other one
-    data = kummer.build_gbar(19, epsilon)
-    assert data.epsilon == root
-    assert _fields(data) == _fields(kummer.build_gbar(19, root))
+def _other_root_gbar(q):
+    """The point closure whose alpha uses the root E does not, the greater:
+    the square of build_gbar(q)'s alpha."""
+    return gbar_by_point_closure(q, max(cube_roots_of_unity(PrimeField(q))))
 
 
 @pytest.mark.parametrize("q, both", [(19, True), (73, True), (271, False),
                                      (757, False)])
 def test_gbar_matches_the_point_closure_on_the_addition_table(q, both):
-    roots = sorted(cube_roots_of_unity(PrimeField(q)))
-    for epsilon in roots if both else roots[:1]:
-        assert (_fields(kummer.build_gbar(q, epsilon))
-                == _fields(gbar_by_point_closure(q, epsilon)))
+    data = kummer.build_gbar(q)
+    assert _fields(data) == _fields(gbar_by_point_closure(q, data.E.epsilon))
+    if both:  # the other root closes the same group on other generators
+        other = _other_root_gbar(q)
+        assert other.group.order == data.group.order
+        assert other.sylow_points == data.sylow_points
 
 
 def test_theta_partition():
@@ -115,9 +105,9 @@ def test_phi_translations_are_the_frattini_subgroup_in_order(q):
 
 
 def test_small_gbar27_translations_against_the_frattini_subgroup():
-    E, G, S, theta, epsilon = kummer.small_gbar27(19)
+    E, G, S, theta = kummer.small_gbar27(19)
     F = E.C
-    alpha = map_perm(E, scaling_point_map(F, F.from_int(epsilon)))
+    alpha = map_perm(E, scaling_point_map(F, F.from_int(E.epsilon)))
     delta = map_perm(E, rotation_point_map(E))
     perms = element_perms(G, [alpha, delta])
     assert group_from_permutations([alpha, delta]).gen_maps == G.gen_maps
@@ -151,16 +141,15 @@ def test_line_slope_degenerate():
 @pytest.mark.parametrize("q", [19, 73, 271])
 def test_pullbacks_match_one_apply_endo_per_translation(q):
     # the orbit walk uses the least cube root whichever one built Gbar
-    F = PrimeField(q)
-    field = hesse_function_field(F)
-    for epsilon in sorted(cube_roots_of_unity(F)):
-        S = kummer.build_gbar(q, epsilon).phi_translations
+    field = hesse_function_field(PrimeField(q))
+    for data in kummer.build_gbar(q), _other_root_gbar(q):
+        S = data.phi_translations
         assert (kummer.phi_pullbacks(field, S)
                 == pullbacks_by_translation(field, S))
 
 
 def test_pullbacks_match_on_the_order_27_frattini_part():
-    E, _, S, _, _ = kummer.small_gbar27(19)
+    E, _, S, _ = kummer.small_gbar27(19)
     field = hesse_function_field(E.C)
     assert (kummer.phi_pullbacks(field, S)
             == pullbacks_by_translation(field, S))
@@ -238,11 +227,9 @@ SLOPES_TRIED = {271: 10}  # the first slopes only, where there are 81
 
 @pytest.mark.parametrize("q", [19, 73, 271])
 def test_every_slope_is_a_constant_multiple_of_the_first(q):
-    # w from the full product for every slope through theta_2, both epsilon
-    F = PrimeField(q)
-    field = hesse_function_field(F)
-    for epsilon in sorted(cube_roots_of_unity(F)):
-        data = kummer.build_gbar(q, epsilon)
+    # w from the full product for every slope through theta_2, both roots
+    field = hesse_function_field(PrimeField(q))
+    for data in kummer.build_gbar(q), _other_root_gbar(q):
         pullbacks = kummer.phi_pullbacks(field, data.phi_translations)
         slopes = _slopes(data)
         assert len(slopes) == 3 ** (data.h - 1)
@@ -261,11 +248,10 @@ Q_1_MOD_3 = [q for q in range(7, 200, 6)
 @pytest.mark.parametrize("q", Q_1_MOD_3)
 def test_slope_ratios_match_the_specialised_products(q):
     # the constants read at the identity against those read off the
-    # products themselves at one y0, for both epsilon
+    # products themselves at one y0, for both roots
     F = PrimeField(q)
     field = hesse_function_field(F)
-    for epsilon in sorted(cube_roots_of_unity(F)):
-        data = kummer.build_gbar(q, epsilon)
+    for data in kummer.build_gbar(q), _other_root_gbar(q):
         pullbacks = kummer.phi_pullbacks(field, data.phi_translations)
         slopes = _slopes(data)
         assert (kummer.slope_ratios(data.E, data.phi_translations, slopes)
@@ -274,12 +260,18 @@ def test_slope_ratios_match_the_specialised_products(q):
 
 @pytest.mark.parametrize("q", [19, 73])
 def test_both_cube_roots_give_the_same_translations(q):
-    # alpha for epsilon^2 is alpha^2: build_kummer tries only one root
-    first, second = (kummer.build_gbar(q, e)
-                     for e in sorted(cube_roots_of_unity(PrimeField(q))))
+    # alpha for the other root is alpha^2: build_kummer uses only E's root,
+    # which gives the same Frattini translations, theta cosets and w
+    first, second = kummer.build_gbar(q), _other_root_gbar(q)
     assert set(first.phi_translations) == set(second.phi_translations)
     for a, b in zip(first.theta, second.theta):
         assert set(a) == set(b)
+    field = hesse_function_field(PrimeField(q))
+    m = _slopes(first)[0]
+    assert (kummer.build_w(field, m, kummer.phi_pullbacks(
+                field, first.phi_translations))
+            == kummer.build_w(field, m, kummer.phi_pullbacks(
+                field, second.phi_translations)))
 
 
 def test_a_slope_off_theta_2_is_not_a_constant_multiple():
@@ -302,7 +294,7 @@ def test_a_slope_off_theta_2_is_not_a_constant_multiple():
 def test_w_divisor(kummer19):
     F = PrimeField(19)
     field = hesse_function_field(F)
-    data = kummer.build_gbar(19, epsilon=kummer19.epsilon)
+    data = kummer.build_gbar(19)
     ok, checked = kummer.verify_w_divisor(field, kummer19.w, data.theta)
     assert ok
     assert checked > 0
