@@ -5,12 +5,17 @@ for a primitive n-th root of unity zeta is an automorphism of order n.  An
 element sum_i c_i(u) v^i, i < n, is stored as n numerator polynomials in
 F_p[u] over one common monic denominator, in lowest terms, so every
 operation runs on the int kernel of ``polys``; an inverse is the product of
-the other conjugates over the norm.  The module also provides endomorphisms
-given by coordinate images, valuations at nonsingular affine points via
-power-series expansion, and canonical serialization matching the project's
-printed-equation style.  Curve equations are sorted ((i, j), c) monomial
-tuples, the form ``curves.PlaneCurve`` uses, and the power series of a
-valuation are F_p[s] polynomials of ``polys`` truncated below s^prec.
+the other conjugates over the norm.  A quotient, a Horner evaluation and a
+product tree (``kummer.build_w``) run on raw numerator vectors and take the
+canonical form once, at the end: the form is unique, so only the last one
+matters.  ``_mul_nums`` multiplies numerator vectors as one F_p[u]
+product, each row at a u-stride that keeps the product rows apart.  The
+module also provides endomorphisms given by coordinate images, valuations
+at nonsingular affine points via power-series expansion, and canonical
+serialization matching the project's printed-equation style.  Curve
+equations are sorted ((i, j), c) monomial tuples, the form
+``curves.PlaneCurve`` uses, and the power series of a valuation are F_p[s]
+polynomials of ``polys`` truncated below s^prec.
 """
 
 from dataclasses import dataclass
@@ -156,15 +161,35 @@ def _canonical(field, nums, den):
 
 
 def _mul_nums(field, xs, ys):
-    """The numerators of (sum xs[i] v^i)(sum ys[j] v^j), reduced mod m."""
+    """The numerators of (sum xs[i] v^i)(sum ys[j] v^j), reduced mod m.
+    The nonzero v-range of each side is laid out as one F_p[u] vector with
+    its rows at u-stride D = lx + ly - 1; a row product has at most D
+    coefficients, so one ``polys.pmul`` gives every product row, side by
+    side.  One nonzero row on each side, as in most X0 (n = 9) products,
+    needs no layout."""
     F = field.constants
-    prod = [()] * (2 * field.degree - 1)
-    for i, x in enumerate(xs):
-        if x:
-            for j, y in enumerate(ys, i):
-                if y:
-                    prod[j] = polys.padd(F, prod[j], polys.pmul(F, x, y))
-    return _reduce(field, prod)
+    rx = [i for i, x in enumerate(xs) if x]
+    ry = [j for j, y in enumerate(ys) if y]
+    if not rx or not ry:
+        return [()] * field.degree
+    if len(rx) == len(ry) == 1:
+        rows = [polys.pmul(F, xs[rx[0]], ys[ry[0]])]
+    else:
+        D = max(map(len, xs)) + max(map(len, ys)) - 1
+        flat = polys.pmul(F, _flatten(xs, rx, D), _flatten(ys, ry, D))
+        rows = [polys.ptrim(F, flat[k:k + D])
+                for k in range(0, len(flat), D)]
+    return _reduce(field, [()] * (rx[0] + ry[0]) + rows)
+
+
+def _flatten(nums, rows, D):
+    """Rows rows[0]..rows[-1] of nums as one vector, row i at u-offset
+    (i - rows[0]) D."""
+    flat = []
+    for i in rows:
+        flat += [0] * ((i - rows[0]) * D - len(flat))
+        flat += nums[i]
+    return flat
 
 
 @dataclass(frozen=True)
@@ -232,29 +257,29 @@ class FFElem:
         return self.field.constants
 
     def inverse(self):
-        """With P = sum nums[i] v^i, so that self = P / den, and G the
-        product of the conjugates P(u, zeta^j v), 0 < j < n: the norm
-        N = P G is fixed by v -> zeta v, so it lies in F_p[u], and the
-        inverse is den G / N.  N = 0 makes self a zero divisor, which only
-        a reducible m allows.  Over the denominator 1 no product needs a
-        gcd."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero function-field element")
-        field = self.field
-        F, zeta = field.constants, field.zeta
-        P = FFElem(field, self.nums, (1,))
-        G = field.one
-        for j in range(1, field.degree):
-            G = G * P.scale_v(pow(zeta, j, F.q))
-        norm = (P * G).nums[0]
-        if not norm:
-            raise FuncFieldError("modulus reducible: %r is a zero divisor"
-                                 % (self,))
-        return _canonical(field, [polys.pmul(F, self.den, x) for x in G.nums],
-                          norm)
+        return self.field.one / self
 
     def __truediv__(self, other):
-        return self * other.inverse()
+        """With P = sum other.nums[i] v^i, so that other = P / other.den,
+        and G the product of the conjugates P(u, zeta^j v), 0 < j < n: the
+        norm N = P G is fixed by v -> zeta v, so it lies in F_p[u], and the
+        quotient is (nums other.den G) / (den N), in one canonical form.
+        N = 0 makes other a zero divisor, which only a reducible m allows."""
+        F = self._constants(other)
+        if other.is_zero():
+            raise ZeroDivisionError("inverse of zero function-field element")
+        field = self.field
+        G = field.one.nums
+        for j in range(1, field.degree):
+            conjugate = other.scale_v(pow(field.zeta, j, F.q))
+            G = _mul_nums(field, G, conjugate.nums)
+        norm = _mul_nums(field, other.nums, G)[0]
+        if not norm:
+            raise FuncFieldError("modulus reducible: %r is a zero divisor"
+                                 % (other,))
+        return _canonical(field, [polys.pmul(F, x, other.den)
+                                  for x in _mul_nums(field, self.nums, G)],
+                          polys.pmul(F, self.den, norm))
 
     def __pow__(self, e):
         if e < 0:

@@ -35,18 +35,17 @@ with no normal closure.
 from dataclasses import dataclass
 from math import prod
 
-from . import ZomoError
+from . import ZomoError, polys
 from .analysis import _log3, frattini  # noqa: F401 (bench tracer test)
 from .curves import ROTATION, PointSet, act
 from .field import PrimeField
-from .funcfield import (FFElem, apply_endo, ffelem_str, scaled_str,
-                        valuation_at)
+from .funcfield import (FFElem, _canonical, _mul_nums, apply_endo,
+                        ffelem_str, scaled_str, valuation_at)
 from .group import FiniteGroup, group_from_permutations
 from .genus import RamificationProfile, rh_genus, split_power
 from .hesse import (BASE_POINT, EllipticGroup, HessePoint, _zeta,
-                    cube_roots_of_unity, enumerate_hesse_points,
-                    hesse_function_field, make_point, scaling_point_map,
-                    translation_chord, translation_endo)
+                    enumerate_hesse_points, hesse_function_field, make_point,
+                    scaling_point_map, translation_chord, translation_endo)
 
 
 class KummerError(ZomoError, ValueError):
@@ -174,15 +173,14 @@ def line_slope(E, Q: HessePoint):
     return F.mul(q1, F.inv(d))
 
 
-def phi_pullbacks(field, translations):
+def phi_pullbacks(field, translations, eps):
     """The pullbacks u_T of s = y/(x+1) under the translations, in input
     order: r1/(r0 + r2) for the first T of each alpha-orbit, and
     u_alpha(T) = eps u_T(x, eps^2 y) (see the module docstring) for the
-    rest, with eps the least primitive cube root.  The first T != O is
+    rest, with eps E's cube root ``E.epsilon``.  The first T != O is
     cross-checked against ``apply_endo`` of ``translation_endo``, an
     endomorphism checked against the field relation."""
     F = field.constants
-    eps = min(cube_roots_of_unity(F))
     eps2, alpha = F.mul(eps, eps), scaling_point_map(F, eps)
     s = field.u() / (field.v() + field.one)
     O = make_point(F, *BASE_POINT)
@@ -205,23 +203,25 @@ def phi_pullbacks(field, translations):
     return [lifts[T] for T in translations]
 
 
-def _product(items):
-    """The product of a nonempty list by a balanced tree: the operands of
-    each level have similar sizes, so the big products go through Kronecker
-    substitution.  The ring is commutative, so the result is the one a
-    left-to-right product gives."""
-    while len(items) > 1:
-        items = [items[i] * items[i + 1] if i + 1 < len(items) else items[i]
-                 for i in range(0, len(items), 2)]
-    return items[0]
-
-
 def build_w(field, m, pullbacks):
     """prod (m - u_T) over the Frattini pullbacks u_T that
     ``phi_pullbacks`` returns (the translations include O, so there is at
-    least one)."""
-    c = field.from_int(m)
-    return _product([c - u for u in pullbacks])
+    least one).  With u_T = (N0 + N1 v + N2 v^2)/D, the factor m - u_T is
+    (m D - N0, -N1, -N2)/D, in lowest terms as u_T is.  The factors are
+    multiplied as (numerators, denominator) pairs by a balanced tree, whose
+    operands at each level have similar sizes, so the big products go
+    through Kronecker substitution; the root alone is put in canonical
+    form, which is unique, so w is the left-to-right product."""
+    F = field.constants
+    items = [([polys.psub(F, polys.pscale(F, u.den, m), u.nums[0])]
+              + [polys.pneg(F, x) for x in u.nums[1:]], u.den)
+             for u in pullbacks]
+    while len(items) > 1:
+        items = [(_mul_nums(field, items[i][0], items[i + 1][0]),
+                  polys.pmul(F, items[i][1], items[i + 1][1]))
+                 if i + 1 < len(items) else items[i]
+                 for i in range(0, len(items), 2)]
+    return _canonical(field, *items[0])
 
 
 def slope_ratios(E, S, slopes):
@@ -300,7 +300,8 @@ def _cached_gbar(q):
 
 def _cached_pullbacks(field, data: GbarData):
     if data.q not in _LIFT_CACHE:
-        _LIFT_CACHE[data.q] = phi_pullbacks(field, data.phi_translations)
+        _LIFT_CACHE[data.q] = phi_pullbacks(field, data.phi_translations,
+                                             data.E.epsilon)
     return _LIFT_CACHE[data.q]
 
 
@@ -394,7 +395,7 @@ def small_construction(q=19):
     if Q not in theta[1]:
         raise KummerError("expected (1, -1, 0) in theta_2")
     m = line_slope(E, Q)
-    w = build_w(field, m, phi_pullbacks(field, S))
+    w = build_w(field, m, phi_pullbacks(field, S, E.epsilon))
     rot_O = HessePoint(ROTATION.eval_at(F, E.O.coords))
     delta = translation_endo(field, rot_O)
     return SmallConstruction(

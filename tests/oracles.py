@@ -36,10 +36,17 @@ function-field element by fraction-free (Bareiss) elimination on the matrix
 of multiplication by it; the package divides the product of the other
 conjugates under v -> zeta v by the norm.  ``scaling_endo`` is y -> eps y
 on the Hesse field as an ``Endo``; the package applies it with
-``FFElem.scale_u``.  ``element_perms`` composes every element of a group
-closed from permutations as a permutation tuple, and ``translation_point``
-reads a translation's point off such a tuple; the package keeps no element
-permutations and labels the Kummer group's elements in coordinates.
+``FFElem.scale_u``.  ``mul_nums_by_pairs`` multiplies two
+numerator vectors with one ``pmul`` and one ``padd`` per pair of rows; the
+package lays the rows of each side out at a u-stride that keeps the product
+rows apart and multiplies once.  ``build_w_left_to_right`` multiplies the
+factors m - u_T by ``FFElem`` arithmetic from left to right, one canonical
+form per step; the package multiplies raw numerator vectors by a balanced
+tree and takes the canonical form once.  ``element_perms`` composes every
+element of a group closed from permutations as a permutation tuple, and
+``translation_point`` reads a translation's point off such a tuple; the
+package keeps no element permutations and labels the Kummer group's elements
+in coordinates.
 ``map_perm`` makes a Hesse point map a permutation of the points, one call
 per point, and ``rotation_point_map`` is (X : Y : Z) -> (Y : Z : X) as such
 a map; the package evaluates the scaling and the rotation as
@@ -386,6 +393,27 @@ def pullbacks_by_translation(field, translations):
     per point."""
     s = field.u() / (field.v() + field.one)
     return [apply_endo(translation_endo(field, T), s) for T in translations]
+
+
+def mul_nums_by_pairs(field, xs, ys):
+    """The numerators of (sum xs[i] v^i)(sum ys[j] v^j), reduced mod m."""
+    F = field.constants
+    prod = [()] * (2 * field.degree - 1)
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys, i):
+                if y:
+                    prod[j] = polys.padd(F, prod[j], polys.pmul(F, x, y))
+    return _reduce(field, prod)
+
+
+def build_w_left_to_right(field, m, pullbacks):
+    """prod (m - u_T) over the pullbacks, in input order."""
+    c = field.from_int(m)
+    w = field.one
+    for u in pullbacks:
+        w = w * (c - u)
+    return w
 
 
 def scaling_endo(field, eps):

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from zomo import curves, hesse, polys
 from zomo.field import PrimeField, roots_of_unity
 from zomo.funcfield import (Endo, FuncFieldError, FunctionField,
-                            _eval_poly_at, _expand_point, _series_inv,
-                            _substitute, apply_endo, ffelem_str,
-                            lemma_factorization_check, poly_str, scaled_str,
-                            valuation_at)
+                            _eval_poly_at, _expand_point, _mul_nums,
+                            _series_inv, _substitute, apply_endo,
+                            ffelem_str, lemma_factorization_check, poly_str,
+                            scaled_str, valuation_at)
 
 from oracles import (eval_poly_by_ffelem, inverse_by_elimination,
-                     scaling_endo, substitute_by_ffelem)
+                     mul_nums_by_pairs, scaling_endo, substitute_by_ffelem)
 
 F19 = PrimeField(19)
 
@@ -91,6 +91,80 @@ def test_inverse_and_division(field, data):
         assert a.inverse() == inverse_by_elimination(a)
     if not b.is_zero():
         assert (a * b) / b == a
+
+
+@pytest.mark.parametrize("field", ELEMENT_FIELDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_division_is_multiplication_by_the_inverse(field, data):
+    a = field.elem(*_raw(data.draw, field))
+    b = field.elem(*_raw(data.draw, field))
+    assume(not b.is_zero())
+    assert a / b == a * b.inverse()
+    with pytest.raises(ZeroDivisionError):
+        a / field.zero
+
+
+# -- the numerator product on both sides of the Kronecker switch -----------
+# Short rows on v-row 0 alone lay out below ``polys.KRONECKER_MIN``
+# coefficients, so ``pmul`` takes the schoolbook product; long rows take
+# Kronecker's.
+
+KERNEL_FIELDS = [pytest.param(hesse_field(271), id="hesse-F271"),
+                 pytest.param(x0_field(), id="x0-F19")]
+K = polys.KRONECKER_MIN
+LENGTHS = {"short": (1, K - 1), "long": (K, 3 * K)}
+
+
+def _numerators(draw, field, lengths, rows):
+    """n numerators, nonzero on the v-rows ``rows`` only, with lengths in
+    the range ``lengths``."""
+    q = field.constants.q
+    nums = [()] * field.degree
+    for i in rows:
+        size = draw(st.integers(*lengths))
+        nums[i] = tuple(draw(st.lists(st.integers(0, q - 1),
+                                      min_size=size - 1, max_size=size - 1))
+                        + [draw(st.integers(1, q - 1))])
+    return nums
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+@pytest.mark.parametrize("sides", [("short", "short"), ("long", "long"),
+                                   ("short", "long")])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_mul_nums_matches_the_pairwise_product(field, sides, data):
+    rows = st.sets(st.integers(0, field.degree - 1), min_size=1)
+    xs, ys = (_numerators(data.draw, field, LENGTHS[side], data.draw(rows))
+              for side in sides)
+    assert _mul_nums(field, xs, ys) == mul_nums_by_pairs(field, xs, ys)
+    assert _mul_nums(field, ys, xs) == mul_nums_by_pairs(field, xs, ys)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+@pytest.mark.parametrize("side", ["short", "long"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_mul_nums_with_a_single_nonzero_row(field, side, data):
+    row = st.integers(0, field.degree - 1)
+    xs = _numerators(data.draw, field, LENGTHS[side], [data.draw(row)])
+    for rows in ([data.draw(row)], range(field.degree)):
+        ys = _numerators(data.draw, field, LENGTHS[side], rows)
+        assert _mul_nums(field, xs, ys) == mul_nums_by_pairs(field, xs, ys)
+    assert _mul_nums(field, xs, [()] * field.degree) == [()] * field.degree
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+@pytest.mark.parametrize("lx,ly", [(K - 1, 200), (K, K), (100, 100),
+                                   (64, 200), (200, 200)])
+def test_mul_nums_with_every_coefficient_p_minus_1(field, lx, ly):
+    # every row full of p - 1: the laid-out product reaches the largest
+    # coefficient sums that ``pmul``'s slot width has to hold
+    top = field.constants.q - 1
+    xs = [(top,) * lx] * field.degree
+    ys = [(top,) * ly] * field.degree
+    assert _mul_nums(field, xs, ys) == mul_nums_by_pairs(field, xs, ys)
 
 
 # -- Horner on numerator vectors against Horner in FFElem steps -------------

@@ -10,10 +10,10 @@ from zomo.group import group_from_permutations
 from zomo.hesse import (EllipticGroup, cube_roots_of_unity,
                         hesse_function_field, make_point, scaling_point_map)
 
-from oracles import (element_perms, gbar_by_point_closure,
-                     gbar_generator_perms, map_perm, pullbacks_by_translation,
-                     rotation_point_map, slope_ratios_by_specialisation,
-                     translation_point)
+from oracles import (build_w_left_to_right, element_perms,
+                     gbar_by_point_closure, gbar_generator_perms, map_perm,
+                     pullbacks_by_translation, rotation_point_map,
+                     slope_ratios_by_specialisation, translation_point)
 from test_hesse import _eval_ffelem
 
 
@@ -140,18 +140,20 @@ def test_line_slope_degenerate():
 
 @pytest.mark.parametrize("q", [19, 73, 271])
 def test_pullbacks_match_one_apply_endo_per_translation(q):
-    # the orbit walk uses the least cube root whichever one built Gbar
-    field = hesse_function_field(PrimeField(q))
+    # the orbit walk takes either cube root, whichever one built Gbar
+    F = PrimeField(q)
+    field = hesse_function_field(F)
     for data in kummer.build_gbar(q), _other_root_gbar(q):
         S = data.phi_translations
-        assert (kummer.phi_pullbacks(field, S)
-                == pullbacks_by_translation(field, S))
+        for eps in cube_roots_of_unity(F):
+            assert (kummer.phi_pullbacks(field, S, eps)
+                    == pullbacks_by_translation(field, S))
 
 
 def test_pullbacks_match_on_the_order_27_frattini_part():
     E, _, S, _ = kummer.small_gbar27(19)
     field = hesse_function_field(E.C)
-    assert (kummer.phi_pullbacks(field, S)
+    assert (kummer.phi_pullbacks(field, S, E.epsilon)
             == pullbacks_by_translation(field, S))
 
 
@@ -161,11 +163,11 @@ def test_pullbacks_of_a_list_not_closed_under_alpha():
     F = PrimeField(73)
     field = hesse_function_field(F)
     data = kummer.build_gbar(73)
-    alpha = scaling_point_map(F, min(cube_roots_of_unity(F)))
+    alpha = scaling_point_map(F, data.E.epsilon)
     T = next(T for T in data.phi_translations if alpha(T) != T)
     fixed = next(T for T in data.phi_translations if alpha(T) == T)
     for points in ([T], [alpha(alpha(T)), fixed, T]):
-        got = kummer.phi_pullbacks(field, points)
+        got = kummer.phi_pullbacks(field, points, data.E.epsilon)
         assert got == pullbacks_by_translation(field, points)
 
 
@@ -177,7 +179,8 @@ def test_closed_form_pullbacks_match_point_addition(q):
     E = EllipticGroup(F)
     field = hesse_function_field(F)
     minus_one = F.neg(F.one)
-    for T, u in zip(E.points, kummer.phi_pullbacks(field, E.points)):
+    for T, u in zip(E.points, kummer.phi_pullbacks(field, E.points,
+                                                   E.epsilon)):
         checked = 0
         for p in E.points:
             x, y, z = E.add(T, p).coords
@@ -202,7 +205,7 @@ def test_pullback_cross_check_names_the_translation(monkeypatch):
     monkeypatch.setattr(kummer, "translation_endo",
                         lambda field, P: real(field, E.add(P, P)))
     with pytest.raises(kummer.KummerError, match=re.escape(repr(T))):
-        kummer.phi_pullbacks(field, S)
+        kummer.phi_pullbacks(field, S, E.epsilon)
 
 
 @pytest.mark.parametrize("q", [31, 43])
@@ -212,7 +215,7 @@ def test_pullbacks_of_every_point_outside_the_sylow_group_too(q):
     E = EllipticGroup(F)
     field = hesse_function_field(F)
     assert len(E.points) == 36
-    assert (kummer.phi_pullbacks(field, E.points)
+    assert (kummer.phi_pullbacks(field, E.points, E.epsilon)
             == pullbacks_by_translation(field, E.points))
 
 
@@ -229,8 +232,10 @@ SLOPES_TRIED = {271: 10}  # the first slopes only, where there are 81
 def test_every_slope_is_a_constant_multiple_of_the_first(q):
     # w from the full product for every slope through theta_2, both roots
     field = hesse_function_field(PrimeField(q))
-    for data in kummer.build_gbar(q), _other_root_gbar(q):
-        pullbacks = kummer.phi_pullbacks(field, data.phi_translations)
+    first = kummer.build_gbar(q)
+    for data in first, _other_root_gbar(q):
+        pullbacks = kummer.phi_pullbacks(field, data.phi_translations,
+                                         first.E.epsilon)
         slopes = _slopes(data)
         assert len(slopes) == 3 ** (data.h - 1)
         slopes = slopes[:SLOPES_TRIED.get(q)]
@@ -239,6 +244,22 @@ def test_every_slope_is_a_constant_multiple_of_the_first(q):
         assert ratios[slopes[0]] == 1
         for m in slopes:
             assert kummer.build_w(field, m, pullbacks) == w0.scale(ratios[m])
+
+
+@pytest.mark.parametrize("q", [19, 73, 271])
+def test_w_is_the_left_to_right_product(q):
+    # one canonical form at the root of the tree against one per factor;
+    # the pullbacks in reverse order too, which pairs other factors
+    field = hesse_function_field(PrimeField(q))
+    data = kummer.build_gbar(q)
+    pullbacks = kummer.phi_pullbacks(field, data.phi_translations,
+                                     data.E.epsilon)
+    m = _slopes(data)[0]
+    w = build_w_left_to_right(field, m, pullbacks)
+    assert kummer.build_w(field, m, pullbacks) == w
+    assert kummer.build_w(field, m, pullbacks[::-1]) == w
+    assert kummer.build_w(field, m, pullbacks[:1]) == (
+        build_w_left_to_right(field, m, pullbacks[:1]))
 
 
 Q_1_MOD_3 = [q for q in range(7, 200, 6)
@@ -251,8 +272,10 @@ def test_slope_ratios_match_the_specialised_products(q):
     # products themselves at one y0, for both roots
     F = PrimeField(q)
     field = hesse_function_field(F)
-    for data in kummer.build_gbar(q), _other_root_gbar(q):
-        pullbacks = kummer.phi_pullbacks(field, data.phi_translations)
+    first = kummer.build_gbar(q)
+    for data in first, _other_root_gbar(q):
+        pullbacks = kummer.phi_pullbacks(field, data.phi_translations,
+                                         first.E.epsilon)
         slopes = _slopes(data)
         assert (kummer.slope_ratios(data.E, data.phi_translations, slopes)
                 == slope_ratios_by_specialisation(F, pullbacks, slopes))
@@ -266,12 +289,14 @@ def test_both_cube_roots_give_the_same_translations(q):
     assert set(first.phi_translations) == set(second.phi_translations)
     for a, b in zip(first.theta, second.theta):
         assert set(a) == set(b)
-    field = hesse_function_field(PrimeField(q))
+    F = PrimeField(q)
+    field = hesse_function_field(F)
     m = _slopes(first)[0]
     assert (kummer.build_w(field, m, kummer.phi_pullbacks(
-                field, first.phi_translations))
+                field, first.phi_translations, first.E.epsilon))
             == kummer.build_w(field, m, kummer.phi_pullbacks(
-                field, second.phi_translations)))
+                field, second.phi_translations,
+                max(cube_roots_of_unity(F)))))
 
 
 def test_a_slope_off_theta_2_is_not_a_constant_multiple():
@@ -281,7 +306,8 @@ def test_a_slope_off_theta_2_is_not_a_constant_multiple():
     F = PrimeField(19)
     field = hesse_function_field(F)
     data = kummer.build_gbar(19)
-    pullbacks = kummer.phi_pullbacks(field, data.phi_translations)
+    pullbacks = kummer.phi_pullbacks(field, data.phi_translations,
+                                     data.E.epsilon)
     on = _slopes(data)
     off = next(m for m in range(1, 19) if m not in on)
     w0 = kummer.build_w(field, on[0], pullbacks)
