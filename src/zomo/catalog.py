@@ -1,10 +1,10 @@
 """Catalog of presented groups with expected structural properties.
 
-The corpus lives in ``data/``: one presentation-DSL file per group plus a
-line-oriented manifest.  Manifest records are blank-line separated blocks::
+The corpus lives in ``data/``: one presentation-DSL file per group,
+``presentations/<id>.pres``, plus a line-oriented manifest.  Manifest
+records are blank-line separated blocks::
 
     id: caseI1_e2_k0
-    file: caseI1_e2_k0.pres
     expect: order = 729 [derived]
     expect: order3_outside(s1; s2) = 162 [stated]
 
@@ -44,7 +44,6 @@ class Expectation:
 @dataclass(frozen=True)
 class CatalogEntry:
     id: str
-    file: str
     presentation: Presentation
     expected: tuple  # of Expectation
 
@@ -82,24 +81,22 @@ def _parse_value(text):
 
 
 def _manifest():
-    """(id, file, expectations) per manifest block, in manifest order."""
+    """(id, expectations) per manifest block, in manifest order."""
     records = []
-    block = {}
+    eid = None
     expects = []
 
     def flush():
-        if not block:
-            return
-        for key in ("id", "file"):
-            if key not in block:
-                raise CatalogError("manifest block missing %r" % key)
-        records.append((block["id"], block["file"], tuple(expects)))
+        if eid is not None:
+            records.append((eid, tuple(expects)))
+        elif expects:
+            raise CatalogError("manifest block missing 'id'")
 
     for line in (_data_root() / "manifest.txt").read_text().splitlines():
         line = line.split("#", 1)[0].rstrip()
         if not line.strip():
             flush()
-            block, expects = {}, []
+            eid, expects = None, []
             continue
         key, _, rest = line.partition(":")
         key = key.strip()
@@ -111,10 +108,10 @@ def _manifest():
             expects.append(Expectation(m.group(1).strip(),
                                        _parse_value(m.group(2)),
                                        m.group(3)))
-        elif key in ("id", "file"):
-            if key in block:
-                raise CatalogError("duplicate %r in manifest block" % key)
-            block[key] = rest
+        elif key == "id":
+            if eid is not None:
+                raise CatalogError("duplicate 'id' in manifest block")
+            eid = rest
         else:
             raise CatalogError("unknown manifest key %r" % key)
     flush()
@@ -125,10 +122,9 @@ def _manifest():
     return records
 
 
-def _entry(eid, file, expected):
-    text = (_data_root() / "presentations" / file).read_text()
-    return CatalogEntry(id=eid, file=file,
-                        presentation=parse_presentation(text),
+def _entry(eid, expected):
+    text = (_data_root() / "presentations" / (eid + ".pres")).read_text()
+    return CatalogEntry(id=eid, presentation=parse_presentation(text),
                         expected=expected)
 
 

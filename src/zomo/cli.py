@@ -13,7 +13,9 @@ Exit codes: 0 all executed checks pass, 1 a check failed, 2 usage or
 configuration error (a ``ZomoError``, printed as ``error: ...`` without a
 traceback), including an input file that cannot be read as text and an
 ``--out`` file that cannot be written.  Output its reader cuts short ends
-quietly, with exit 0.  ZOMO_BUDGET overrides the enumeration budget.
+quietly, with exit 0.  ZOMO_BUDGET caps the field values a point scan
+visits, in ``curve check`` (exit 1 past it) and in ``kummer build``'s scan
+of E(F_q) (exit 2), before any field is built.
 The report's checks are the rows of ``zomo.checks``; reports are
 deterministic apart from the elapsed fields.
 """

@@ -21,13 +21,13 @@ the coset, then a backward scan from its end, a deduction when they leave one
 entry between them and a coincidence when they meet.  Otherwise a new coset
 fills the first gap, and both scans resume where they stopped instead of
 starting again from the coset: a definition only adds entries, so the
-restarted scans would retrace the same steps.  The one exception is a relator
-with a letter followed by its inverse, where the resumed forward scan can run
-past the backward one; the backward scan then starts again, as before.  So
-the enumeration makes the definitions and coincidences of a scan restarted
-after each definition, in the same order.  The table numbers the cosets in
-definition order; ``group.FiniteGroup`` then renumbers them breadth-first
-over the generators.
+restarted scans would retrace the same steps.  The new coset's row holds
+only the entry back to its parent, and a ``Presentation`` stores its
+relators freely reduced, so the resumed forward scan stops at the next
+letter and never passes the backward one.  So the enumeration makes the
+definitions and coincidences of a scan restarted after each definition, in
+the same order.  The table numbers the cosets in definition order;
+``group.FiniteGroup`` then renumbers them breadth-first over the generators.
 """
 
 from . import ZomoError
@@ -161,10 +161,6 @@ def enumerate_cosets(pres: Presentation, max_cosets=100000):
                         if f != alpha:
                             coincidence(f, alpha)
                         break
-                    if j < i - 1:
-                        # the forward scan ran past the backward one, over
-                        # a letter and its inverse: restart the backward one
-                        b, j = alpha, n - 1
                     while j >= i:
                         prv = bwd[j][b]
                         if prv is None:

@@ -51,6 +51,16 @@ def point_budget():
     return budget
 
 
+def _int_terms(name, terms):
+    """The nonzero terms of an {exponents: n} dict; a coefficient that is
+    not an int is a ``CurveError`` that names it."""
+    for k, v in terms.items():
+        if not isinstance(v, int):
+            raise CurveError("%s has a non-int coefficient %r at %r"
+                             % (name, v, k))
+    return {k: v for k, v in terms.items() if v}
+
+
 @dataclass(frozen=True)
 class PlaneCurve:
     name: str
@@ -58,7 +68,7 @@ class PlaneCurve:
 
     @staticmethod
     def make(name, coeff_dict):
-        coeff_dict = {k: v for k, v in coeff_dict.items() if v}
+        coeff_dict = _int_terms(name, coeff_dict)
         degs = {sum(k) for k in coeff_dict}
         if not coeff_dict or len(degs) != 1:
             raise CurveError("coefficients must be nonzero and homogeneous")
@@ -82,7 +92,14 @@ class PointSet:
         return [p for i, p in enumerate(self.points) if i not in self.singular]
 
 
-def field_for(q, k):
+def field_for(q, k, visits):
+    """F_{q^k} for a scan of ``visits`` field values, refused with
+    ``BudgetError`` when they are more than ``point_budget()`` allows,
+    before the field is built: building it factors q and q^k - 1."""
+    if visits > point_budget():
+        raise BudgetError("scan of %d values over %s exceeds the budget"
+                          % (visits, "F_%d" % q if k == 1
+                             else "F_%d^%d" % (q, k)))
     base = PrimeField(q)
     return base if k == 1 else ExtField(base, k)
 
@@ -109,13 +126,6 @@ def _separated(aff):
     return m, aff[(0, m)], {i: n for (i, j), n in aff.items() if j == 0}
 
 
-def _scan_budget(C, visits):
-    """Refuse a scan of more field values than ``point_budget()``."""
-    if visits > point_budget():
-        raise BudgetError("scan of %d values over %r exceeds the budget"
-                          % (visits, C))
-
-
 def _zeros(C, monos, points):
     """The points where the {exponents: n} form vanishes, in order."""
     values = C.values(tuple(monos.items()), points)
@@ -129,13 +139,13 @@ def enumerate_points(curve: PlaneCurve, q, k=1):
     from a precomputed m-th power table, read at the column of A(x) over
     every x.  Otherwise each x reads the column of all y.  The scan is
     refused with ``BudgetError`` when it visits more x-values (q^k) or
-    (x, y) pairs (q^2k) than ``point_budget()`` (``ZOMO_BUDGET``) allows.
+    (x, y) pairs (q^2k) than ``point_budget()`` (``ZOMO_BUDGET``) allows,
+    before any field is built.
     """
-    C = field_for(q, k)
     aff, inf = _chart_split(curve)
-    pts = []
     sep = _separated(aff)
-    _scan_budget(C, C.order if sep is not None else C.order ** 2)
+    C = field_for(q, k, q ** k if sep is not None else q ** (2 * k))
+    pts = []
     xs = [(x,) for x in C.elements()]
     if sep is not None:
         m, cm, A = sep
@@ -171,7 +181,7 @@ class RationalMap:
         forms = []
         deg = None
         for f in (f0, f1, f2):
-            f = {k: v for k, v in f.items() if v}
+            f = _int_terms(name, f)
             degs = {sum(k) for k in f}
             if len(degs) != 1:
                 raise CurveError("map forms must be homogeneous and nonzero")
@@ -409,9 +419,10 @@ class AffineRationalMap:
 
     @staticmethod
     def make(name, comps, den):
-        comps = tuple(tuple(sorted((k, v) for k, v in c.items() if v))
+        comps = tuple(tuple(sorted(_int_terms(name, c).items()))
                       for c in comps)
-        den = tuple(sorted(((0, j, 0), v) for j, v in den.items() if v))
+        den = tuple(sorted(((0, j, 0), v)
+                           for j, v in _int_terms(name, den).items()))
         return AffineRationalMap(name, comps, den)
 
     def images(self, C, points):
@@ -426,8 +437,7 @@ def genus28_points(q=19, k=1):
     """Affine F_{q^k}-points of {x^3 + y^3 + 1 = 0, D(y) z^3 = N(y) x}
     with N = y^6 + y^3 + 1, D = y^2 (y^3 + 1).  Points with D(y) = 0 are
     the indeterminate locus of the model and are left out."""
-    C = field_for(q, k)
-    _scan_budget(C, C.order)
+    C = field_for(q, k, q ** k)
     cube = _power_table(C, 3)
     pts = []
     for y in C.elements():

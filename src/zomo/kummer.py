@@ -37,7 +37,7 @@ from math import prod
 
 from . import ZomoError, polys
 from .analysis import _log3, frattini  # noqa: F401 (bench tracer test)
-from .curves import ROTATION, PointSet, act
+from .curves import ROTATION, PointSet, act, field_for
 from .field import PrimeField
 from .funcfield import (FFElem, _canonical, _mul_nums, apply_endo,
                         ffelem_str, scaled_str, valuation_at)
@@ -53,9 +53,10 @@ class KummerError(ZomoError, ValueError):
 
 
 def _base_field(q):
+    """F_q once q is 1 mod 3 and a scan of its q values fits the budget."""
     if q % 3 != 1:
         raise KummerError("q = %d is not 1 mod 3" % q)
-    return PrimeField(q)
+    return field_for(q, 1, q)
 
 
 def kummer_h(q):

@@ -66,6 +66,7 @@ def conjugate_word(u, v):
 
 @dataclass(frozen=True)
 class Presentation:
+    """Generators and relators, stored freely reduced and nonempty."""
     generators: tuple
     relators: tuple
 
@@ -75,6 +76,8 @@ class Presentation:
             for g, _ in rel:
                 if not 0 <= g < n:
                     raise ParseError("relator references unknown generator index %d" % g)
+        object.__setattr__(self, "relators", tuple(
+            filter(None, map(normalize_word, self.relators))))
 
 
 _TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|-?\d+|[<>|,*^\[\]=()])")
@@ -207,7 +210,6 @@ def parse_presentation(text):
             if parser.peek() is None:
                 break
             parser.take(",")
-    relators = [r for r in relators if r]
     return Presentation(tuple(generators), tuple(relators))
 
 

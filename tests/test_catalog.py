@@ -97,11 +97,12 @@ def _fake_data(monkeypatch, tmp_path, manifest, files):
     monkeypatch.setattr(catalog, "_data_root", lambda: tmp_path)
 
 
-GOOD_BLOCK = "id: c3\nfile: c3.pres\nexpect: order = 3 [stated]\n"
+GOOD_BLOCK = "id: c3\nexpect: order = 3 [stated]\n"
 MANIFEST_REFUSALS = [
     (GOOD_BLOCK + "\n" + GOOD_BLOCK, "duplicate entry ids in manifest"),
-    (GOOD_BLOCK + "\nid: c9\n", "manifest block missing 'file'"),
-    (GOOD_BLOCK + "\nfile: c3.pres\n", "manifest block missing 'id'"),
+    # a block of expect lines alone is refused, not skipped
+    (GOOD_BLOCK + "\nexpect: order = 3 [stated]\n",
+     "manifest block missing 'id'"),
     (GOOD_BLOCK + "expect: order 3 [stated]\n", "bad expect line"),
     (GOOD_BLOCK + "id: c9\n", "duplicate 'id' in manifest block"),
     (GOOD_BLOCK + "kind: cyclic\n", "unknown manifest key 'kind'"),
@@ -119,7 +120,7 @@ def test_manifest_refusals_hold_for_one_entry(manifest, message, monkeypatch,
 
 
 def test_entry_by_id_parses_only_its_presentation(monkeypatch, tmp_path):
-    manifest = GOOD_BLOCK + "\nid: bad\nfile: bad.pres\n"
+    manifest = GOOD_BLOCK + "\nid: bad\n"
     _fake_data(monkeypatch, tmp_path, manifest,
                {"c3.pres": "<a | a^3>\n", "bad.pres": "<a | a^>\n"})
     assert catalog.entry_by_id("c3").presentation.generators == ("a",)

@@ -295,6 +295,28 @@ def test_separated_curve_check_over_budget_fails_fast():
     assert "exceeds the budget" in done.stderr
 
 
+def test_curve_check_refuses_a_large_degree_before_building_the_field():
+    # building F_{19^40} would search for its primitive modulus, factoring
+    # 19^40 - 1 by trial division: the scan size comes from q, k and the
+    # curve's shape alone
+    done = run_fresh("curve", "check", "--name", "x0", "--q", "19",
+                     "--k", "40", timeout=10)
+    assert done.returncode == 1
+    assert "values over F_19^40 exceeds the budget" in done.stderr
+
+
+def test_kummer_build_scan_of_the_curve_is_held_to_the_budget(monkeypatch,
+                                                              capsys):
+    def no_scan(*args):
+        pytest.fail("E(F_q) was scanned past the budget")
+
+    monkeypatch.setattr(kummer, "enumerate_hesse_points", no_scan)
+    monkeypatch.setenv("ZOMO_BUDGET", "1000")
+    code, out, err = run(capsys, "kummer", "build", "--q", "1009", "--h", "1")
+    assert code == 2 and out == ""
+    assert err == "error: scan of 1009 values over F_1009 exceeds the budget\n"
+
+
 def test_a_reader_that_closes_early_ends_the_listing_quietly():
     # 4,817 profiles are about 2 MB, more than a pipe holds: the listing
     # is still being written when the reader closes after one line

@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from zomo import ZomoError, analysis, catalog, cli, curves
-from zomo.field import PrimeField, roots_of_unity
+from zomo.field import ExtField, FieldError, PrimeField, roots_of_unity
 from zomo.funcfield import (Endo, FunctionField, _partial, apply_endo,
                             valuation_at)
 from zomo.group import group_from_permutations
@@ -70,6 +72,33 @@ def test_budget_guard_counts_the_x_values_of_separated_scans(monkeypatch):
     assert curves.genus28_points(19, 2)[1]
     with pytest.raises(curves.BudgetError, match="6859 values"):
         curves.genus28_points(19, 3)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_a_degree_below_one_is_still_a_field_error(k):
+    with pytest.raises(FieldError, match="extension degree must be positive"):
+        curves.enumerate_points(curves.x0_curve(), 19, k)
+    with pytest.raises(FieldError, match="extension degree must be positive"):
+        curves.genus28_points(19, k)
+
+
+@pytest.mark.parametrize("make", [
+    lambda c: curves.diagonal_map("al", 1, c),
+    lambda c: curves.PlaneCurve.make("al", {(3, 0, 0): 1, (0, 3, 0): c}),
+    lambda c: curves.AffineRationalMap.make(
+        "al", ({(1, 0, 0): 1}, {(0, 1, 0): c}, {(0, 0, 1): 1}), {0: 1}),
+    lambda c: curves.AffineRationalMap.make(
+        "al", ({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}), {1: c}),
+], ids=["rational_map", "plane_curve", "affine_comp", "affine_den"])
+def test_a_coefficient_that_is_not_an_int_is_refused_by_name(make):
+    # a cube root of unity of F_{17^2} is a tuple: the int kernel would
+    # fail on it with a bare TypeError once the map acted on points
+    F = ExtField(PrimeField(17), 2)
+    eps = next(e for e in roots_of_unity(F, 3) if e != F.one)
+    with pytest.raises(curves.CurveError,
+                       match=re.escape("al has a non-int coefficient %r"
+                                       % (eps,))):
+        make(eps)
 
 
 # (points, singular points) over F_{q^k} for each (q, k) of

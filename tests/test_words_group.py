@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -187,22 +188,30 @@ def test_one_hlt_pass_matches_repeated_passes_on_the_catalog(entry):
     assert got == want
 
 
-@pytest.mark.parametrize("relators", [
+@pytest.mark.parametrize("relators, reduced, order", [
     # b a a^-1 b^-1 a^-2 and b^-1 a^-1 a b^2 a^-2: a letter beside its
     # inverse
-    (((0, 2),), ((1, 2),), ((1, 1), (0, 1), (0, -1), (1, -1), (0, -2)),
-     ((0, 2), (1, 1))),
-    (((0, 3),), ((1, 9),), ((1, -1), (0, -1), (0, 1), (1, 2), (0, -2))),
+    ((((0, 2),), ((1, 2),), ((1, 1), (0, 1), (0, -1), (1, -1), (0, -2)),
+      ((0, 2), (1, 1))),
+     (((0, 2),), ((1, 2),), ((0, -2),), ((0, 2), (1, 1))), 2),
+    ((((0, 3),), ((1, 9),), ((1, -1), (0, -1), (0, 1), (1, 2), (0, -2))),
+     (((0, 3),), ((1, 9),), ((1, 1), (0, -2))), 3),
 ], ids=["order2", "order3"])
-def test_one_hlt_pass_matches_on_relators_that_are_not_reduced(relators):
-    # after a definition the forward scan can pass the backward one over a
-    # letter and its inverse: the backward scan starts again from the coset,
-    # or a coincidence would join cosets at two different places of the
-    # relator (order 1, not 3); stopping the forward scan where the backward
-    # one stands makes other coincidences (4, not 2, at order 2)
+def test_one_hlt_pass_matches_on_relators_that_are_not_reduced(relators,
+                                                               reduced,
+                                                               order):
+    # a Presentation stores its relators freely reduced, so the one pass
+    # never scans a letter beside its inverse: there the resumed forward
+    # scan could pass the backward one, and a coincidence would join
+    # cosets at two places of the relator (order 1, not 3).  The oracle
+    # reads the raw words through a stand-in and finds the same group.
     pres = words.Presentation(("a", "b"), relators)
-    got, want = _package_and_oracle(pres, max_cosets=3000)
-    assert got == want
+    assert pres.relators == reduced
+    raw = types.SimpleNamespace(generators=pres.generators, relators=relators)
+    got = FiniteGroup(*enumerate_cosets(pres))
+    want = FiniteGroup(*enumerate_cosets_repeated(raw, max_cosets=3000))
+    assert got.order == order
+    assert got.gen_maps == want.gen_maps
 
 
 def _random_relator(draw, ngens):
@@ -231,7 +240,7 @@ def small_presentations(draw):
     extra = [_random_relator(draw, ngens)
              for _ in range(draw(st.integers(ngens - 1, 4)))]
     return words.Presentation(tuple("abc"[:ngens]),
-                              tuple(powers + [r for r in extra if r]))
+                              tuple(powers + extra))
 
 
 @given(small_presentations())
@@ -244,6 +253,43 @@ def test_one_hlt_pass_matches_repeated_passes(pres):
     assert got == want
     if got[0] is not BudgetExceeded:
         assert _relators_close(pres, *got[0])
+
+
+@st.composite
+def unreduced_presentations(draw):
+    """(a presentation, its relators with cancelling pairs g^e g^-e put in
+    at letter boundaries)."""
+    pres = draw(small_presentations())
+    raw = []
+    for rel in pres.relators:
+        letters = [(g, 1 if e > 0 else -1) for g, e in rel
+                   for _ in range(abs(e))]
+        for _ in range(draw(st.integers(1, 3))):
+            g = draw(st.integers(0, len(pres.generators) - 1))
+            e = draw(st.sampled_from([-2, -1, 1, 2]))
+            at = draw(st.integers(0, len(letters)))
+            letters[at:at] = [(g, e), (g, -e)]
+        raw.append(tuple(letters))
+    return pres, tuple(raw)
+
+
+@given(unreduced_presentations())
+@settings(max_examples=100, deadline=None)
+def test_cancelling_pairs_leave_the_presentation_and_its_group(case):
+    """Presentation reduces the padded relators to the drawn ones, and the
+    oracle's passes over the raw words give the group of the one pass over
+    the reduced ones.  The raw words can need more cosets, so the oracle
+    has ten times the budget."""
+    pres, raw = case
+    assert words.Presentation(pres.generators, raw) == pres
+    try:
+        got = enumerate_cosets(pres, max_cosets=2000)
+    except BudgetExceeded:
+        return  # budget parity on reduced words is tested above
+    stand_in = types.SimpleNamespace(generators=pres.generators,
+                                     relators=raw)
+    want = enumerate_cosets_repeated(stand_in, max_cosets=20000)
+    assert FiniteGroup(*got).gen_maps == FiniteGroup(*want).gen_maps
 
 
 def test_group_ops_consistency():
