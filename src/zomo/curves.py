@@ -95,7 +95,8 @@ class PointSet:
 def field_for(q, k, visits):
     """F_{q^k} for a scan of ``visits`` field values, refused with
     ``BudgetError`` when they are more than ``point_budget()`` allows,
-    before the field is built: building it factors q and q^k - 1."""
+    before the field is built: building it factors q and q^k - 1 and fills
+    log tables of q^k entries, which the visits (at least q^k) bound."""
     if visits > point_budget():
         raise BudgetError("scan of %d values over %s exceeds the budget"
                           % (visits, "F_%d" % q if k == 1
@@ -104,15 +105,13 @@ def field_for(q, k, visits):
     return base if k == 1 else ExtField(base, k)
 
 
-def _chart_split(curve):
-    """Affine z = 1 coefficients {(i, j): n} and the z = 0 restriction."""
-    aff = {}
-    inf = {}
-    for (a, b, c), n in curve.coeffs:
-        aff[(a, b)] = aff.get((a, b), 0) + n
-        if c == 0:
-            inf[(a, b)] = inf.get((a, b), 0) + n
-    return aff, inf
+def _chart_split(curve, q):
+    """Affine z = 1 coefficients {(i, j): n} and the z = 0 restriction,
+    each n read mod q and the zero ones dropped; the curve is homogeneous,
+    so (i, j) names one term."""
+    terms = [(a, b, c, n % q) for (a, b, c), n in curve.coeffs if n % q]
+    return ({(a, b): n for a, b, _, n in terms},
+            {(a, b): n for a, b, c, n in terms if c == 0})
 
 
 def _separated(aff):
@@ -142,7 +141,7 @@ def enumerate_points(curve: PlaneCurve, q, k=1):
     (x, y) pairs (q^2k) than ``point_budget()`` (``ZOMO_BUDGET``) allows,
     before any field is built.
     """
-    aff, inf = _chart_split(curve)
+    aff, inf = _chart_split(curve, q)
     sep = _separated(aff)
     C = field_for(q, k, q ** k if sep is not None else q ** (2 * k))
     pts = []
@@ -151,7 +150,7 @@ def enumerate_points(curve: PlaneCurve, q, k=1):
         m, cm, A = sep
         tab = _power_table(C, m)
         # y^m = -A(x)/c, with -1/c folded into the int coefficients of A
-        r = PrimeField(q).inv(-cm)
+        r = pow(-cm, -1, q)
         A = tuple(((i,), n * r) for i, n in A.items())
         for (x,), a in zip(xs, C.values(A, xs)):
             pts += [(x, y, C.one) for y in tab.get(a, ())]
@@ -159,10 +158,10 @@ def enumerate_points(curve: PlaneCurve, q, k=1):
         for (x,) in xs:
             pts += [p + (C.one,) for p in
                     _zeros(C, aff, [(x, y) for (y,) in xs])]
-    # z = 0 chart: points (x : 1 : 0), then (1 : 0 : 0)
-    if inf:
-        pts += [p + (C.zero,) for p in
-                _zeros(C, inf, [(x, C.one) for (x,) in xs])]
+    # z = 0 chart: points (x : 1 : 0), all of them where the restriction
+    # vanishes identically, then (1 : 0 : 0)
+    pts += [p + (C.zero,) for p in
+            _zeros(C, inf, [(x, C.one) for (x,) in xs])]
     origin = (C.one, C.zero, C.zero)
     if curve.eval_at(C, origin) == C.zero:
         pts.append(origin)

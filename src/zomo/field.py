@@ -9,8 +9,8 @@ Elements are plain immutable values (ints for PrimeField, int tuples for
 ExtField), so structural equality is element equality.  ``polys`` works
 over a PrimeField only.
 
-Both fields keep log/antilog tables over a generator g of the
-multiplicative group, built on first use with a Zech table for addition
+Both fields build, in their constructors, log/antilog tables over a
+generator g of the multiplicative group and a Zech table for addition
 (FLINT's ``fq_zech``; K. Huber, IEEE Trans. Inform. Theory 36, 1990).
 values and quotients stay in the log domain over a whole list of points:
 one column of logs per coordinate, a term is a sum of columns, terms add
@@ -40,23 +40,17 @@ class _LogField:
     generator g that ``_powers`` picks (the least primitive root of F_p,
     and t for F_{q^k}), ``log`` maps each element back to its exponent
     (zero to None), ``int_log[c]`` is the log of the constant c in [0, q)
-    and ``zech[i]`` is log(1 + g^i) (None where 1 + g^i = 0).  All four
-    stay None until first read, so a field that is only sized (say, to
-    refuse a point budget) never pays."""
+    and ``zech[i]`` is log(1 + g^i) (None where 1 + g^i = 0).  The
+    constructor fills all four, so a field is whole once built; a scan
+    sizes its field before building it (``curves.field_for``)."""
 
-    exp = log = int_log = zech = None
-
-    def tables(self):
-        """(exp, log), built on the first call and kept on the object; it also
-        fills ``int_log`` and ``zech``, which ``_log_sums`` reads directly."""
-        if self.exp is None:
-            exp, succ = self._powers()
-            log = {e: i for i, e in enumerate(exp)}
-            log[self.zero] = None
-            self.int_log = [log[self.from_int(c)] for c in range(self.q)]
-            self.zech = [log[e] for e in succ]
-            self.exp, self.log = exp, log
-        return self.exp, self.log
+    def _build_logs(self):
+        exp, succ = self._powers()
+        log = {e: i for i, e in enumerate(exp)}
+        log[self.zero] = None
+        self.exp, self.log = exp, log
+        self.int_log = [log[self.from_int(c)] for c in range(self.q)]
+        self.zech = [log[e] for e in succ]
 
     def _not_element(self, *args):
         """The error for the first argument the log table does not hold."""
@@ -75,8 +69,8 @@ class _LogField:
         degree)) reaches: a term with a zero factor stays at or above it.
         Terms add through the Zech table, log(g^a + g^b) = a +
         zech[(b - a) mod n], and a cancelled sum (None) becomes big."""
-        log = self.log or self.tables()[1]
-        int_log, zech, q, n = self.int_log, self.zech, self.q, len(self.exp)
+        log, int_log, zech = self.log, self.int_log, self.zech
+        q, n = self.q, len(self.exp)
         big = n * (1 + sum(1 + sum(e) for f in forms for e, _ in f))
         try:
             cols = [[big if j is None else j for j in map(log.__getitem__, c)]
@@ -134,6 +128,7 @@ class PrimeField(_LogField):
         self.order = q
         self.zero = 0
         self.one = 1 % q
+        self._build_logs()
 
     def from_int(self, n):
         return n % self.q
@@ -236,6 +231,7 @@ class ExtField(_LogField):
         self.one = tuple([1 % base.q] + [0] * (k - 1))
         # red[i] = i mod q for -3q <= i < 3q, a C-level lookup per coefficient
         self._red = tuple(range(self.q)) * 3
+        self._build_logs()
 
     def from_int(self, n):
         return tuple([n % self.q] + [0] * (self.k - 1))
@@ -263,8 +259,6 @@ class ExtField(_LogField):
 
     def mul(self, a, b):
         exp, log = self.exp, self.log
-        if log is None:
-            exp, log = self.tables()
         try:
             i, j = log[a], log[b]
         except (KeyError, TypeError):
@@ -276,8 +270,6 @@ class ExtField(_LogField):
 
     def inv(self, a):
         exp, log = self.exp, self.log
-        if log is None:
-            exp, log = self.tables()
         try:
             i = log[a]
         except (KeyError, TypeError):

@@ -79,7 +79,7 @@ class FunctionField:
                                  % (p, n))
         self.degree = n
         self.m0 = rows[0]
-        self.zeta = constants.tables()[0][(p - 1) // n % (p - 1)]
+        self.zeta = constants.exp[(p - 1) // n % (p - 1)]
         self.zero = FFElem(self, ((),) * n, (1,))
         self.one = self.scalar((1,))
 

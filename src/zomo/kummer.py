@@ -38,7 +38,6 @@ from math import prod
 from . import ZomoError, polys
 from .analysis import _log3, frattini  # noqa: F401 (bench tracer test)
 from .curves import ROTATION, PointSet, act, field_for
-from .field import PrimeField
 from .funcfield import (FFElem, _canonical, _mul_nums, apply_endo,
                         ffelem_str, scaled_str, valuation_at)
 from .group import FiniteGroup, group_from_permutations
@@ -313,11 +312,11 @@ def build_kummer(q, golden_text):
     c_m w_{m0} is that form times a cube exactly when c_m lead(w_{m0}) is a
     cube, (c_m lead)^((q-1)/3) = 1 as q = 1 mod 3; z -> z/c then leaves the
     extension as it is."""
-    F = PrimeField(q)
+    data = _cached_gbar(q)
+    F = data.E.C
     field = hesse_function_field(F)
     best = None
     seen_equations = []
-    data = _cached_gbar(q)
     points = {}     # slope -> the first point of theta_2 on its line
     for Q in data.theta[1]:
         points.setdefault(line_slope(data.E, Q), Q)
@@ -367,7 +366,7 @@ def small_gbar27(q=19):
     orbits.  delta's permutation of the points is checked to be the
     translation by rot(O), and the group is closed with that translation
     for delta."""
-    E = EllipticGroup(PrimeField(q))
+    E = EllipticGroup(_base_field(q))
     delta = _point_perm(E, ROTATION)
     if delta != E.translation_perm(E.points[delta[E.iO]]):
         raise KummerError("the rotation is not a translation of E")

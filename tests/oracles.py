@@ -476,7 +476,7 @@ def eval_monomials_by_add(C, monos, p):
     a sum of logs, the terms added with ``C.add``."""
     if not isinstance(C, ExtField):
         return C.eval_monomials(monos, p)
-    exp, log = C.tables()
+    exp, log = C.exp, C.log
     logs = [log[c] for c in p]
     acc = C.zero
     for exps, n in monos:

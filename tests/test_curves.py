@@ -42,25 +42,41 @@ def test_budget_guard(monkeypatch):
         curves.enumerate_points(dense, 19)
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_dense_scan_matches_a_point_by_point_search(k):
-    # the dense cubic (singular at (1 : 1 : 1) over F_19) takes the row
-    # scan; every projective point with last nonzero coordinate 1 is tried
-    # one at a time with eval_monomials and the partials
-    dense = curves.PlaneCurve.make(
-        "dense", {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): -3})
-    S = curves.enumerate_points(dense, 19, k)
+def _assert_scan_matches_a_point_by_point_search(curve, q, k):
+    """Every projective point with last nonzero coordinate 1 is tried one
+    at a time with eval_monomials and the partials; returns the scan."""
+    S = curves.enumerate_points(curve, q, k)
     C = S.field
     els = list(C.elements())
     cands = ([(x, y, C.one) for x in els for y in els]
              + [(x, C.one, C.zero) for x in els] + [(C.one, C.zero, C.zero)])
-    on = [p for p in cands if C.eval_monomials(dense.coeffs, p) == C.zero]
+    on = [p for p in cands if C.eval_monomials(curve.coeffs, p) == C.zero]
     sing = {p for p in on
-            if all(C.eval_monomials(_partial(dense.coeffs, a), p) == C.zero
+            if all(C.eval_monomials(_partial(curve.coeffs, a), p) == C.zero
                    for a in range(3))}
     assert S.points == on
     assert {S.points[i] for i in S.singular} == sing
-    assert (C.one, C.one, C.one) in sing
+    return S
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_dense_scan_matches_a_point_by_point_search(k):
+    # the dense cubic (singular at (1 : 1 : 1) over F_19) takes the row scan
+    dense = curves.PlaneCurve.make(
+        "dense", {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): -3})
+    S = _assert_scan_matches_a_point_by_point_search(dense, 19, k)
+    C = S.field
+    assert (C.one, C.one, C.one) in {S.points[i] for i in S.singular}
+
+
+def test_scan_reads_the_coefficients_mod_q():
+    # 19 y^9 is zero over F_19, so the curve is x^3 z^3 (x^3 + z^3): not
+    # separated in y, and its z = 0 restriction vanishes identically, so
+    # the line z = 0 lies on it
+    curve = curves.PlaneCurve.make(
+        "c", {(0, 9, 0): 19, (6, 0, 3): 1, (3, 0, 6): 1})
+    S = _assert_scan_matches_a_point_by_point_search(curve, 19, 1)
+    assert (len(S.points), len(S.singular)) == (96, 39)
 
 
 def test_budget_guard_counts_the_x_values_of_separated_scans(monkeypatch):

@@ -122,24 +122,24 @@ def test_modulus_is_the_least_with_t_of_full_order(q, k):
                                   (19, 1)])
 def test_exp_table_is_the_powers_of_t(q, k):
     K = ExtField(PrimeField(q), k)
-    exp, _ = K.tables()
+    exp = K.exp
     assert exp[1] == _times_t(q, K.modulus, K.one)
     if q ** k < 1000:
         assert all(exp[i + 1] == _times_t(q, K.modulus, exp[i])
                    for i in range(len(exp) - 1))
 
 
-def test_ext_field_tables_are_built_on_first_use():
-    K = ExtField(PrimeField(271), 3)
-    assert K.exp is None and K.log is None
-    K2 = ExtField(F7, 2)
-    assert K2.mul(K2.one, K2.one) == K2.one
-    assert len(K2.exp) == 48
+@pytest.mark.parametrize("K", [PrimeField(19), ExtField(PrimeField(19), 2),
+                               ExtField(PrimeField(5), 3)], ids=repr)
+def test_tables_are_built_with_the_field(K):
+    n = K.order - 1
+    assert (len(K.exp), len(K.log), len(K.int_log), len(K.zech)) == (
+        n, n + 1, K.q, n)
 
 
 @pytest.mark.parametrize("K", [F49, F361, F6859], ids=repr)
 def test_ext_field_exp_lists_each_nonzero_element_once(K):
-    exp, log = K.tables()
+    exp, log = K.exp, K.log
     assert exp[0] == K.one
     assert sorted(exp) == [e for e in K.elements() if e != K.zero]
     assert all(log[e] == i for i, e in enumerate(exp))
@@ -239,9 +239,7 @@ F125 = ExtField(PrimeField(5), 3)
 
 @pytest.mark.parametrize("K", [F19, F361, F125], ids=repr)
 def test_zech_table_is_the_log_of_one_plus_each_power(K):
-    fresh = PrimeField(K.q) if K.order == K.q else ExtField(K.base, K.k)
-    assert fresh.zech is None
-    exp, log = K.tables()
+    exp, log = K.exp, K.log
     n = len(exp)
     assert K.zech == [log[K.add(K.one, e)] for e in exp]
     # 1 + g^i = 0 only at g^i = -1 = g^(n/2)
@@ -318,7 +316,7 @@ def test_quotients_match_repeated_mul(case):
 def _edge_points(K):
     """Points (x, y) with x or y zero, and points whose coordinate logs are
     large, so that degree-9 terms sum to several times the group order."""
-    exp, _ = K.tables()
+    exp = K.exp
     top = [exp[-1], exp[-2], exp[len(exp) // 2 + 1]]
     return ([(K.zero, K.zero), (K.zero, exp[1]), (exp[1], K.zero)]
             + [(a, b) for a in top for b in top])

@@ -363,3 +363,16 @@ def test_load_golden_missing():
 def test_build_kummer_enumerates_choices(kummer19):
     assert len(kummer19.all_equations) >= 1
     assert kummer19.equation in kummer19.all_equations
+
+
+def test_small_gbar27_builds_its_field_through_the_gate(monkeypatch):
+    with pytest.raises(kummer.KummerError, match="q = 17 is not 1 mod 3"):
+        kummer.small_gbar27(17)
+    monkeypatch.setenv("ZOMO_BUDGET", "5")
+    with pytest.raises(curves.BudgetError, match="19 values over F_19"):
+        kummer.small_gbar27(19)
+
+
+def test_build_kummer_works_over_the_field_of_its_gbar():
+    out = kummer.build_kummer(19, kummer.load_golden(19))
+    assert out.w.field.constants is kummer._cached_gbar(19).E.C
