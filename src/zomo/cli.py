@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -192,34 +193,24 @@ def _load_curve(name):
     return curves.PlaneCurve.make(name, parse_curve(text))
 
 
-_VAR_AXIS = {"X": 0, "Y": 1, "Z": 2}
-
-
 def parse_curve(text):
-    """Parse 'X^3 + Y^3 + Z^3' style homogeneous polynomials."""
+    """Parse 'X^3 - 2*Y^3 + Z^3' style homogeneous polynomials: comments
+    (from '#') and whitespace aside, terms of at most one sign, each a
+    '*'-product of digit strings and of X, Y or Z with an optional '^' and
+    digit exponent; anything else is refused."""
     coeffs = {}
-    text = " ".join(line.split("#", 1)[0] for line in text.splitlines())
-    for term in text.replace("-", "+ -").split("+"):
-        term = term.strip()
-        if not term:
-            continue
-        n = 1
-        exps = [0, 0, 0]
-        for factor in term.split("*"):
-            factor = factor.strip()
-            if not factor:
-                continue
-            if factor.lstrip("-").isdigit():
-                n *= int(factor)
-                continue
-            var, _, exp = factor.partition("^")
-            var = var.strip()
-            if var.startswith("-"):
-                n = -n
-                var = var[1:]
-            if var not in _VAR_AXIS:
+    text = "".join("".join(line.split("#", 1)[0].split())
+                   for line in text.splitlines())
+    for term in filter(None, re.split("(?=[+-])", text)):
+        n, exps = -1 if term[0] == "-" else 1, [0, 0, 0]
+        for factor in term.lstrip("+-").split("*"):
+            m = re.fullmatch(r"([0-9]+)|([XYZ])(?:\^([0-9]+))?", factor)
+            if m is None:
                 raise UsageError("bad curve term %r" % term)
-            exps[_VAR_AXIS[var]] += int(exp) if exp else 1
+            if m[1]:
+                n *= int(m[1])
+            else:
+                exps["XYZ".index(m[2])] += int(m[3] or 1)
         key = tuple(exps)
         coeffs[key] = coeffs.get(key, 0) + n
     return coeffs

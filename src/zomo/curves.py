@@ -61,6 +61,17 @@ def _int_terms(name, terms):
     return {k: v for k, v in terms.items() if v}
 
 
+def _forms(name, dicts):
+    """The sorted nonzero int terms of each dict (``_int_terms``), for the
+    forms of one curve or map; a zero form, or terms of more than one
+    degree, is a ``CurveError`` that names it."""
+    forms = tuple(tuple(sorted(_int_terms(name, d).items())) for d in dicts)
+    if not all(forms) or len({sum(k) for f in forms for k, _ in f}) != 1:
+        raise CurveError("%s has a zero form or terms of more than one "
+                         "degree" % name)
+    return forms
+
+
 @dataclass(frozen=True)
 class PlaneCurve:
     name: str
@@ -68,11 +79,7 @@ class PlaneCurve:
 
     @staticmethod
     def make(name, coeff_dict):
-        coeff_dict = _int_terms(name, coeff_dict)
-        degs = {sum(k) for k in coeff_dict}
-        if not coeff_dict or len(degs) != 1:
-            raise CurveError("coefficients must be nonzero and homogeneous")
-        return PlaneCurve(name, tuple(sorted(coeff_dict.items())))
+        return PlaneCurve(name, _forms(name, [coeff_dict])[0])
 
     @property
     def degree(self):
@@ -177,20 +184,7 @@ class RationalMap:
 
     @staticmethod
     def make(name, f0, f1, f2):
-        forms = []
-        deg = None
-        for f in (f0, f1, f2):
-            f = _int_terms(name, f)
-            degs = {sum(k) for k in f}
-            if len(degs) != 1:
-                raise CurveError("map forms must be homogeneous and nonzero")
-            d = degs.pop()
-            if deg is None:
-                deg = d
-            elif d != deg:
-                raise CurveError("map forms must share a degree")
-            forms.append(tuple(sorted(f.items())))
-        return RationalMap(name, tuple(forms))
+        return RationalMap(name, _forms(name, [f0, f1, f2]))
 
     def images(self, C, points):
         """The image of each point, scaled so its last nonzero coordinate is
@@ -396,10 +390,10 @@ def x0_endos(field):
 
 
 def x0_branch_x_values(q=19):
-    """The affine x-coordinates with y = 0: the roots of x^3 + 1."""
+    """The affine x-coordinates with y = 0: the roots of x^3 + 1, in
+    element order, read from a cube table."""
     C = PrimeField(q)
-    return sorted(x for x in C.elements()
-                  if C.add(C.mul(x, C.mul(x, x)), C.one) == C.zero)
+    return _power_table(C, 3).get(C.neg(C.one), [])
 
 
 # ---------------------------------------------------------------------------

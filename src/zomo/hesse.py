@@ -186,18 +186,20 @@ class EllipticGroup:
         m1 = self.c // gcd(self.c, j)
         return m1 * (self.a // gcd(self.a, m1 * i - m1 * j // self.c * self.b))
 
-    def multiples(self, p):
-        i, j = self.coords[self.index[p]]
-        return [self.points[self.at(m * i, m * j)]
-                for m in range(self.order_of(p))]
-
     def sylow3(self):
-        """Points of 3-power order, with invariant factors (d1 >= d2)."""
+        """(pts, g1, g2): the 3-Sylow group A and, from the same orders, g1
+        the first point of the largest order d1 and g2 the first of order
+        d2 = |A|/d1 with (d2/3) g2 outside <g1>.  A holds the nine flexes,
+        E[3] = (Z/3)^2, so it is never cyclic, and such a g2 exists."""
         n3 = 3 ** split_power(len(self.points), 3)[0]  # the 3-part of #E
-        orders = {p: self.order_of(p) for p in self.points}
-        pts = [p for p in self.points if n3 % orders[p] == 0]
-        d1 = max(orders[p] for p in pts)
-        return pts, (d1, n3 // d1) if n3 > d1 else (d1,)
+        orders = list(map(self.order_of, self.points))
+        pts = [p for p, d in zip(self.points, orders) if n3 % d == 0]
+        d1 = max(d for d in orders if n3 % d == 0)
+        (i1, j1), m = self.coords[orders.index(d1)], n3 // d1 // 3
+        span1 = {self.at(k * i1, k * j1) for k in range(d1)}
+        g2 = next(p for p, d, (i, j) in zip(self.points, orders, self.coords)
+                  if d == 3 * m and self.at(m * i, m * j) not in span1)
+        return pts, self.points[orders.index(d1)], g2
 
     def translation_perm(self, t):
         """Translation by t as a permutation (list of point indices)."""

@@ -64,23 +64,6 @@ def kummer_h(q):
     return split_power(len(enumerate_hesse_points(_base_field(q))), 3)[0]
 
 
-def _sylow_generators(E, pts, invariants):
-    """Two points generating the 3-Sylow group A: g1 the first point of
-    order d1, and g2 the first point of order d2 = |A|/d1 whose image
-    generates A/<g1>, i.e. whose multiple (d2/3) g2 lies outside <g1>
-    (g2 = O when A is cyclic)."""
-    d1 = max(invariants)
-    d2 = len(pts) // d1
-    g1 = next(p for p in pts if E.order_of(p) == d1)
-    if d2 == 1:
-        return g1, E.O
-    span1 = set(E.multiples(g1))
-    for p in pts:
-        if E.order_of(p) == d2 and E.multiples(p)[d2 // 3] not in span1:
-            return g1, p
-    raise KummerError("3-Sylow subgroup is not 2-generated (internal)")
-
-
 @dataclass(frozen=True)
 class GbarData:
     q: int
@@ -96,9 +79,8 @@ def build_gbar(q):
     """Gbar = (3-Sylow translations) x| <alpha> acting on E(F_q), alpha
     the diagonal map (X : eps Y : Z) for E's root eps = ``E.epsilon``."""
     E = EllipticGroup(_base_field(q))
-    pts, invariants = E.sylow3()
+    pts, g1, g2 = E.sylow3()
     h = _log3(len(pts))
-    g1, g2 = _sylow_generators(E, pts, invariants)
     G, _, S = _close_gbar(E, h, ("t1", "t2", "al"),
                           [(E.index[g1], 0), (E.index[g2], 0), (E.iO, 1)])
     U = next(E.index[p] for p in pts if E.index[p] not in S)

@@ -1,6 +1,21 @@
+import warnings
+
 import pytest
 
 from zomo import curves, kummer
+
+# Hypothesis imports its explicit-example patcher, and libcst with it, only
+# when a test fails; where libcst is installed that import raises a
+# DeprecationWarning, which -W error turns into a pytest INTERNALERROR in
+# place of the falsifying example.  Importing it here once, with that
+# warning ignored, leaves the failure report intact; without libcst the
+# import fails and nothing changes.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

@@ -56,6 +56,10 @@ from ``curves.act``.
 the map permutation on the point tuples themselves, with a {point: image}
 memo per map filled by the one and read by the other; the package indexes
 the points once per degree and runs both on ints.
+``sylow_generators`` picks the 3-Sylow generators of ``EllipticGroup.sylow3``
+in a second pass over the orders, testing each candidate's multiple in a
+``multiples`` list from repeated ``hesse_add``; the package reads that one
+multiple off the coordinates in its pass over the orders.
 ``TableEllipticGroup`` is E(F_q) with its full addition table, each row a
 composition of ``hesse_add`` rows, and ``gbar_by_point_closure`` closes
 Kummer's Gbar on the permutations of its points and reads S = {alpha(T) - T}
@@ -78,8 +82,7 @@ from zomo.group import group_from_permutations
 from zomo.hesse import (BASE_POINT, HesseError, HessePoint,
                         enumerate_hesse_points, hesse_add, make_point,
                         scaling_point_map, translation_endo)
-from zomo.kummer import (GbarData, KummerError, _base_field, _log3,
-                         _sylow_generators)
+from zomo.kummer import GbarData, KummerError, _base_field, _log3
 
 
 def maximal_subgroups(G: FiniteGroup):
@@ -530,11 +533,37 @@ def rotation_point_map(E):
     return lambda p: make_point(E.C, *p.coords[1:], p.coords[0])
 
 
+def multiples(E, p):
+    """[O, p, 2p, ...] up to the order of p, by repeated ``hesse_add``."""
+    out = [E.O, p]
+    while out[-1] != E.O:
+        out.append(hesse_add(E.C, out[-1], p))
+    return out[:-1]
+
+
+def sylow_generators(E, pts):
+    """The two-pass reference for the generators ``EllipticGroup.sylow3``
+    picks in its one pass over the orders: g1 the first point of pts, the
+    3-Sylow group A, of the largest order d1, and g2 the first point of
+    order d2 = |A|/d1 whose image generates A/<g1>, i.e. whose multiple
+    (d2/3) g2 lies outside <g1>, with the multiples read from ``multiples``
+    lists."""
+    orders = [E.order_of(p) for p in pts]
+    d1 = max(orders)
+    d2 = len(pts) // d1
+    g1 = pts[orders.index(d1)]
+    span1 = set(multiples(E, g1))
+    for p, d in zip(pts, orders):
+        if d == d2 and multiples(E, p)[d2 // 3] not in span1:
+            return g1, p
+    raise KummerError("3-Sylow subgroup is not 2-generated")
+
+
 def gbar_generator_perms(data):
     """The point permutations t1, t2, al that ``kummer.build_gbar`` closed
     into data.group."""
     E = data.E
-    g1, g2 = _sylow_generators(E, *E.sylow3())
+    g1, g2 = sylow_generators(E, E.sylow3()[0])
     alpha = map_perm(E, scaling_point_map(E.C, E.C.from_int(E.epsilon)))
     return [E.translation_perm(g1), E.translation_perm(g2), alpha]
 
@@ -618,21 +647,10 @@ class TableEllipticGroup:
             k += 1
         return k
 
-    def multiples(self, a):
-        row = self.table[self.index[a]]
-        out = [self.O]
-        i = row[self.iO]
-        while i != self.iO:
-            out.append(self.points[i])
-            i = row[i]
-        return out
-
     def sylow3(self):
         n3 = 3 ** split_power(len(self.points), 3)[0]
-        orders = {p: self.order_of(p) for p in self.points}
-        pts = [p for p in self.points if n3 % orders[p] == 0]
-        d1 = max(orders[p] for p in pts)
-        return pts, (d1, n3 // d1) if n3 > d1 else (d1,)
+        pts = [p for p in self.points if n3 % self.order_of(p) == 0]
+        return (pts, *sylow_generators(self, pts))
 
     def translation_perm(self, t):
         return list(self.table[self.index[t]])
@@ -646,9 +664,8 @@ def gbar_by_point_closure(q, epsilon):
     {alpha(T) - T} read off the table, and the theta cosets are sums from
     the table."""
     E = TableEllipticGroup(_base_field(q))
-    pts, invariants = E.sylow3()
+    pts, g1, g2 = E.sylow3()
     h = _log3(len(pts))
-    g1, g2 = _sylow_generators(E, pts, invariants)
     alpha = map_perm(E, scaling_point_map(E.C, epsilon))
     gens = [E.translation_perm(g1), E.translation_perm(g2), alpha]
     G = group_from_permutations(gens, gen_names=("t1", "t2", "al"))

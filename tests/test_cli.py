@@ -134,6 +134,37 @@ def test_curve_check_hesse(capsys):
     assert "27" in out
 
 
+@pytest.mark.parametrize("text, coeffs", [
+    ("X^3 - Y^3 + Z^3", {(3, 0, 0): 1, (0, 3, 0): -1, (0, 0, 3): 1}),
+    ("X^3 - 2*Y^3 + Z^3", {(3, 0, 0): 1, (0, 3, 0): -2, (0, 0, 3): 1}),
+    ("X^3 + Y^3 + Z^3 - X*Y*Z",
+     {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): -1}),
+    ("-X ^ 2*Y # a comment\n + 3 * Z^3 - Z^3", {(2, 1, 0): -1, (0, 0, 3): 2}),
+])
+def test_parse_curve_reads_signed_terms(text, coeffs):
+    assert cli.parse_curve(text) == coeffs
+
+
+@pytest.mark.parametrize("text, term", [
+    ("X^ + Y^3", "X^"), ("X^-1", "X^"), ("X^3 + + Y^3", "+"),
+    ("X^3 - -Y^3", "-"), ("X^3 + W^3", "+W^3"), ("X^3Y", "X^3Y"),
+    ("2*", "2*"), ("x^3", "x^3"),
+])
+def test_parse_curve_refuses_a_malformed_term(text, term):
+    with pytest.raises(cli.UsageError,
+                       match=re.escape("bad curve term %r" % term)):
+        cli.parse_curve(text)
+
+
+def test_packaged_curve_files_parse_as_pinned():
+    assert {name: cli._load_curve(name).coeffs for name in cli.CURVE_NAMES} == {
+        "hesse": (((0, 0, 3), 1), ((0, 3, 0), 1), ((3, 0, 0), 1)),
+        "x0": (((0, 9, 0), 1), ((3, 0, 6), 1), ((6, 0, 3), 1)),
+        "fermat9": (((0, 0, 9), 1), ((0, 9, 0), 1), ((9, 0, 0), 1)),
+        "genus10": (((0, 0, 9), 1), ((3, 6, 0), 1), ((6, 3, 0), 1)),
+    }
+
+
 def test_curve_check_unknown_name(capsys):
     code, _, _ = run(capsys, "curve", "check", "--name", "nope", "--q", "19")
     assert code == 2

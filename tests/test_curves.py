@@ -117,6 +117,27 @@ def test_a_coefficient_that_is_not_an_int_is_refused_by_name(make):
         make(eps)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: curves.PlaneCurve.make("mixed", {(3, 0, 0): 1, (0, 2, 0): 1}),
+    lambda: curves.RationalMap.make("mixed", {(1, 0, 0): 1},
+                                    {(0, 1, 0): 0}, {(0, 0, 1): 1}),
+    lambda: curves.RationalMap.make("mixed", {(1, 0, 0): 1},
+                                    {(0, 2, 0): 1}, {(0, 0, 1): 1}),
+], ids=["curve_of_two_degrees", "map_with_a_zero_form",
+        "map_of_two_degrees"])
+def test_a_zero_or_inhomogeneous_form_is_refused_by_name(make):
+    with pytest.raises(curves.CurveError,
+                       match="^mixed has a zero form or terms of more than "
+                             "one degree$"):
+        make()
+
+
+@pytest.mark.parametrize("q", [19, 37, 73])
+def test_branch_x_values_are_the_roots_of_x3_plus_1(q):
+    assert curves.x0_branch_x_values(q) == [
+        x for x in range(q) if (x ** 3 + 1) % q == 0]
+
+
 # (points, singular points) over F_{q^k} for each (q, k) of
 # EXTENSION_FIELDS; None where the scan exceeds the default budget.  The
 # counts do not depend on the modulus that builds F_{q^k}.

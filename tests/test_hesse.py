@@ -1,11 +1,11 @@
 import pytest
 
-from zomo import hesse, kummer
+from zomo import hesse
 from zomo.field import PrimeField, _normalize
 from zomo.funcfield import apply_endo
 from zomo.genus import split_power
 
-from oracles import map_perm, scaling_endo
+from oracles import map_perm, multiples, scaling_endo, sylow_generators
 
 F19 = PrimeField(19)
 F73 = PrimeField(73)
@@ -69,25 +69,32 @@ def test_table_matches_chord_tangent_law(F):
     assert [[E.index[hesse.hesse_add(F, a, b)] for b in E.points]
             for a in E.points] == table
     for p in E.points:
-        assert E.order_of(p) == len(E.multiples(p))
+        assert _multiples_by_coords(E, p) == multiples(E, p)
+
+
+def _multiples_by_coords(E, p):
+    """[O, p, 2p, ...] up to ``order_of(p)``, each mp read off E's
+    coordinates as ``E.at(m i, m j)`` for p's (i, j)."""
+    i, j = E.coords[E.index[p]]
+    return [E.points[E.at(m * i, m * j)] for m in range(E.order_of(p))]
 
 
 def _by_repeated_addition(E):
-    """The points at which order_of or multiples disagree with repeated
-    ``hesse_add``, and whether sylow3 agrees with the orders so found."""
+    """The points at which order_of or the coordinate multiples disagree
+    with repeated ``hesse_add``, and, when there are none, whether sylow3
+    agrees with the orders so found and with the two-pass reference for
+    its generators."""
     wrong, orders = [], {}
     for p in E.points:
-        mult = [E.O]
-        while len(mult) == 1 or mult[-1] != E.O:
-            mult.append(hesse.hesse_add(E.C, mult[-1], p))
-        orders[p] = len(mult) - 1
-        if E.order_of(p) != orders[p] or E.multiples(p) != mult[:-1]:
+        mult = multiples(E, p)
+        orders[p] = len(mult)
+        if _multiples_by_coords(E, p) != mult:
             wrong.append(p)
+    if wrong:
+        return wrong, False
     n3 = 3 ** split_power(len(E.points), 3)[0]
     pts = [p for p in E.points if n3 % orders[p] == 0]
-    d1 = max(orders[p] for p in pts)
-    sylow = (pts, (d1, n3 // d1) if n3 > d1 else (d1,))
-    return wrong, E.sylow3() == sylow
+    return wrong, E.sylow3() == (pts, *sylow_generators(E, pts))
 
 
 @pytest.mark.parametrize("q, n", [(31, 36), (43, 36), (61, 63), (97, 117)])
@@ -137,10 +144,22 @@ def test_sylow_generators_pinned(q, g1, g2):
     # the generators the span search over every point pair chose; the
     # one-pass choice must pick the same ones, or Gbar's element order
     # changes
-    E = hesse.EllipticGroup(PrimeField(q))
-    pts, invariants = E.sylow3()
-    got = kummer._sylow_generators(E, pts, invariants)
+    _, *got = hesse.EllipticGroup(PrimeField(q)).sylow3()
     assert tuple(p.coords for p in got) == (g1, g2)
+
+
+PRIMES_1_MOD_3 = [q for q in range(7, 600, 3)
+                  if all(q % r for r in range(2, int(q ** 0.5) + 1))]
+
+
+@pytest.mark.parametrize("q", PRIMES_1_MOD_3)
+def test_sylow3_generators_match_the_two_pass_reference(q):
+    # q = 1 mod 3 puts the nine flexes E[3] = (Z/3)^2 in A, so A is never
+    # cyclic and g2 has order at least 3
+    E = hesse.EllipticGroup(PrimeField(q))
+    pts, g1, g2 = E.sylow3()
+    assert (g1, g2) == sylow_generators(E, pts)
+    assert E.order_of(g2) >= 3
 
 
 def test_point_validation():
@@ -162,16 +181,20 @@ def test_inflection_points():
         assert E.add(p, E.add(p, p)) == E.O
 
 
+def _generator_orders(E):
+    _, g1, g2 = E.sylow3()
+    return E.order_of(g1), E.order_of(g2)
+
+
 def test_sylow_structure():
-    assert hesse.EllipticGroup(F19).sylow3()[1] == (9, 3)
-    assert hesse.EllipticGroup(F73).sylow3()[1] == (9, 9)
+    assert _generator_orders(hesse.EllipticGroup(F19)) == (9, 3)
+    assert _generator_orders(hesse.EllipticGroup(F73)) == (9, 9)
 
 
 def test_sylow_structure_f271():
     E = hesse.EllipticGroup(PrimeField(271))
-    pts, inv = E.sylow3()
-    assert inv == (27, 9)
-    assert len(pts) == 243
+    assert _generator_orders(E) == (27, 9)
+    assert len(E.sylow3()[0]) == 243
 
 
 def test_translations_sharply_transitive():

@@ -106,9 +106,8 @@ def _module_state(path):
 # caches that wait for the benchmark's per-run cache context (ROADMAP item
 # 3), because bench/checks.py clears them by name; a new cache belongs in an
 # explicit object, not in this set.
-MODULE_STATE = {"catalog.PROPERTY_EVALUATORS", "cli._VAR_AXIS",
-                "catalog._group_cache", "kummer._GBAR_CACHE",
-                "kummer._LIFT_CACHE"}
+MODULE_STATE = {"catalog.PROPERTY_EVALUATORS", "catalog._group_cache",
+                "kummer._GBAR_CACHE", "kummer._LIFT_CACHE"}
 
 
 def test_no_new_module_level_cache():
