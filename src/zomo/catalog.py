@@ -25,7 +25,7 @@ from importlib import resources
 from math import lcm
 
 from . import ZomoError, analysis
-from .coset import BudgetExceeded
+from .coset import EnumerationError
 from .group import FiniteGroup, coset_enumerate
 from .words import Presentation, parse_presentation, parse_word
 
@@ -293,7 +293,7 @@ def materialize(entry: CatalogEntry) -> FiniteGroup:
 def verify_entry(entry: CatalogEntry) -> EntryReport:
     try:
         G = materialize(entry)
-    except BudgetExceeded as exc:
+    except EnumerationError as exc:
         return EntryReport(entry.id, False, (), error=str(exc))
     rows = []
     for exp in entry.expected:

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from zomo import catalog
-from zomo.words import ParseError
+from zomo.words import ParseError, parse_presentation
 
 
 def _declared_order(e):
@@ -50,6 +50,16 @@ def test_verify_full_catalog():
         if not report.ok:
             failures.append((e.id, report.rows, report.error))
     assert not failures, failures
+
+
+def test_verify_entry_reports_an_enumeration_error():
+    # Z, whose enumeration over <a> refuses a of infinite order: an ERROR
+    # row, as for an exhausted budget, not an exception
+    entry = catalog.CatalogEntry(
+        "infinite_z", parse_presentation("<a, b | b*a^-2>"), ())
+    report = catalog.verify_entry(entry)
+    assert (report.id, report.ok, report.rows) == ("infinite_z", False, ())
+    assert report.error == "generator a has infinite order"
 
 
 def test_property_rows_spot_check():

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import zomo
-from zomo import checks, cli, kummer
+from zomo import catalog, checks, cli, kummer
+from zomo.words import parse_presentation
 
 SRC = str(Path(zomo.__file__).resolve().parents[1])
 
@@ -207,6 +208,28 @@ def test_analyze_names_the_order_of_a_non_3_group(tmp_path, capsys):
     code, out, err = run(capsys, "groups", "analyze", str(p))
     assert (code, out) == (2, "")
     assert err == "error: order 6 is not a power of 3\n"
+
+
+def test_analyze_infinite_group_names_the_generator(tmp_path, capsys):
+    # Z: the enumeration over <a> finds a of infinite order
+    p = tmp_path / "z.pres"
+    p.write_text("<a, b | b*a^-2>\n")
+    code, out, err = run(capsys, "groups", "analyze", str(p))
+    assert (code, out) == (2, "")
+    assert err == "error: generator a has infinite order\n"
+
+
+def test_verify_catalog_goes_on_past_an_enumeration_error(monkeypatch,
+                                                          capsys):
+    bad = catalog.CatalogEntry(
+        "infinite_z", parse_presentation("<a, b | b*a^-2>"), ())
+    good = catalog.entry_by_id("C9_rtimes_C3")
+    monkeypatch.setattr(catalog, "load_catalog", lambda: [bad, good])
+    code, out, _ = run(capsys, "groups", "verify-catalog")
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "infinite_z: ERROR generator a has infinite order")
+    assert out.splitlines()[1].startswith("C9_rtimes_C3: ok (")
 
 
 def test_kummer_build_json(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import element_perms, enumerate_cosets_repeated
 from zomo import analysis, catalog, coset, curves, group, kummer, words
-from zomo.coset import BudgetExceeded, enumerate_cosets
+from zomo.coset import BudgetExceeded, EnumerationError, enumerate_cosets
 from zomo.group import (FiniteGroup, GroupError, analyze_presentation,
                         coset_enumerate, group_from_permutations)
 from zomo.words import parse_presentation, parse_word
@@ -74,13 +74,14 @@ def test_coset_enumeration_heisenberg():
 
 
 def test_coset_numbering_is_pinned():
-    # the raw coset tables of recorded enumerations: this pins the
-    # enumerator, not the group, which FiniteGroup renumbers breadth-first
+    # the raw maps of recorded enumerations, elements a^e t_k numbered
+    # e m + k: this pins the enumerator over <a>, not the group, which
+    # FiniteGroup renumbers breadth-first
     heis = parse_presentation(
         "<a, b | a^3, b^3, [a,b]^3, [[a,b],a], [[a,b],b]>")
-    cases = [(heis, "9559e2db2a707265")]
-    for eid, digest in (("C9_rtimes_C3", "d7b570fe262c33e7"),
-                        ("caseI1_e2_k0", "eb4601a11c7b105c")):
+    cases = [(heis, "58c2a100a7617457")]
+    for eid, digest in (("C9_rtimes_C3", "db752ee76a121ddb"),
+                        ("caseI1_e2_k0", "c2ae507432d149e3")):
         cases.append((catalog.entry_by_id(eid).presentation, digest))
     for pres, digest in cases:
         got = repr(enumerate_cosets(pres)).encode()
@@ -90,6 +91,75 @@ def test_coset_numbering_is_pinned():
 def test_coset_budget():
     with pytest.raises(BudgetExceeded):
         coset_enumerate(parse_presentation("<a, b | a^2>"), max_cosets=50)
+
+
+@pytest.mark.parametrize("source, a, order", [
+    # the longest power relator is on the second generator
+    ("<a, b | a^3, b^9, b^a*b^-4>", 1, 27),
+    # the only power relator is on the second generator
+    ("<a, b | b^3, [a,b], a^3*b^-1>", 1, 9),
+    # a tie goes to the first generator
+    ("<a, b | a^3, b^3, [a,b]^3, [[a,b],a], [[a,b],b]>", 0, 27),
+    # no power relator: the quaternion group, over generator 0 (of order 4)
+    ("<a, b | a^2*b^-2, b^-1*a*b*a>", 0, 8),
+], ids=["longest_second", "only_second", "tie", "no_power"])
+def test_cyclic_generator_choice(source, a, order):
+    pres = parse_presentation(source)
+    assert coset._cyclic_generator(pres) == a
+    got = FiniteGroup(*enumerate_cosets(pres))
+    assert got.order == order
+    want = FiniteGroup(*enumerate_cosets_repeated(pres))
+    assert got.gen_maps == want.gen_maps
+
+
+def _elliptic_type(h, a):
+    """G_h(a) = <x, y | x^3, y^3, (xy)^9, [(xy)^3, x], [(xy)^3, y],
+    w_h (xy)^(-3a)>, with w_0 = x y^-1 and w_(j+1) = w_j (x w_j x^-1)^-1."""
+    x, y = ((0, 1),), ((1, 1),)
+    xy = words.concat_words(x, y)
+    w = words.concat_words(x, words.invert_word(y))
+    for _ in range(h):
+        w = words.concat_words(w, words.invert_word(
+            words.concat_words(x, w, words.invert_word(x))))
+    xy3 = words.power_word(xy, 3)
+    return words.Presentation(("x", "y"), (
+        words.power_word(x, 3), words.power_word(y, 3),
+        words.power_word(xy, 9), words.commutator_word(xy3, x),
+        words.commutator_word(xy3, y),
+        words.concat_words(w, words.power_word(xy, -3 * a))))
+
+
+def test_elliptic_type_order_6561_within_the_default_budget():
+    # 68,693 cosets of <x> where the trivial subgroup needed 195,884
+    G = coset_enumerate(_elliptic_type(6, 0))
+    assert G.order == 6561
+
+
+def test_certificate_refuses_a_relator_that_does_not_close(monkeypatch):
+    # the finished table of Z3 x Z3 over <a>, certified against one more
+    # relator b, which moves coset 0 to another coset
+    pres = parse_presentation("<a, b | a^3, b^3, [a,b]>")
+    tables = []
+    certify = coset._regular_maps
+
+    def capture(ct, *args):
+        tables.append(ct)
+        return certify(ct, *args)
+
+    monkeypatch.setattr(coset, "_regular_maps", capture)
+    assert enumerate_cosets(pres)[0] == 9
+    wider = parse_presentation("<a, b | a^3, b^3, [a,b], b>")
+    with pytest.raises(EnumerationError, match="does not close at coset 0"):
+        certify(tables[0], wider, 0)
+
+
+def test_infinite_cyclic_generator_is_refused():
+    # <a, b | b a^-2> is Z: its table over <a> is one coset with b = a^2,
+    # and every relator closes with label sum 0, so a has no finite order
+    with pytest.raises(EnumerationError,
+                       match="^generator a has infinite order$") as exc:
+        enumerate_cosets(parse_presentation("<a, b | b*a^-2>"))
+    assert not isinstance(exc.value, BudgetExceeded)
 
 
 def _relators_close(pres, order, maps):
@@ -113,37 +183,30 @@ def _relators_close(pres, order, maps):
     return True
 
 
-def _counted(run, table, pres, max_cosets=100000):
-    """(run's (order, maps), or BudgetExceeded when it raises that, with
-    the calls it made to table.define and to table.coincidence)."""
-    calls = {"define": 0, "coincidence": 0}
-    originals = {name: getattr(table, name) for name in calls}
+def _counted(run, table, pres):
+    """run's (order, maps) at the default budget, with the calls it made to
+    table.define."""
+    calls = [0]
+    define = table.define
 
-    def counting(name):
-        def method(self, *args):
-            calls[name] += 1
-            return originals[name](self, *args)
-        return method
+    def counting(self, *args):
+        calls[0] += 1
+        return define(self, *args)
 
-    for name in calls:
-        setattr(table, name, counting(name))
+    table.define = counting
     try:
-        out = run(pres, max_cosets)
-    except BudgetExceeded:
-        out = BudgetExceeded
+        out = run(pres)
     finally:
-        for name, method in originals.items():
-            setattr(table, name, method)
-    return out, calls["define"], calls["coincidence"]
+        table.define = define
+    return out, calls[0]
 
 
-def _package_and_oracle(pres, max_cosets=100000):
-    """_counted for the package's one pass and for the oracle's repeated
-    passes on the frozen table, which scans again from the coset after
-    every definition."""
-    return (_counted(enumerate_cosets, coset.CosetTable, pres, max_cosets),
-            _counted(enumerate_cosets_repeated, oracles.CosetTable, pres,
-                     max_cosets))
+def _within(run, pres, max_cosets):
+    """run's (order, maps), or None when it exhausts max_cosets."""
+    try:
+        return run(pres, max_cosets)
+    except BudgetExceeded:
+        return None
 
 
 @pytest.mark.parametrize("source", [
@@ -152,16 +215,17 @@ def _package_and_oracle(pres, max_cosets=100000):
     "<a, b | a^3, b^3, [a,b]^3, [[a,b],a], [[a,b],b]>",
 ], ids=["caseII1_e3_k2", "metacyclic27", "heisenberg"])
 def test_coset_budget_boundary(monkeypatch, source):
-    # d definitions make d + 1 cosets, counting coset 0: a budget of d + 1
-    # succeeds and one of d fails, in the package and the oracle alike, and
-    # the columns never grow past the budget
+    # d definitions make d + 1 cosets of <a>, counting coset 0: a budget of
+    # d + 1 succeeds and one of d fails, and no column, label columns
+    # included, grows past the budget.  The oracle, over the trivial
+    # subgroup, has the same boundary at its own count and the same group.
     if source.startswith("<"):
         pres = parse_presentation(source)
     else:
         pres = catalog.entry_by_id(source).presentation
-    want, defined, _ = _counted(enumerate_cosets, coset.CosetTable, pres)
+    want, defined = _counted(enumerate_cosets, coset.CosetTable, pres)
     if source == "caseII1_e3_k2":
-        assert defined == 30590
+        assert defined == 1047
     tables = []
     init = coset.CosetTable.__init__
 
@@ -173,19 +237,25 @@ def test_coset_budget_boundary(monkeypatch, source):
     assert enumerate_cosets(pres, max_cosets=defined + 1) == want
     with pytest.raises(BudgetExceeded):
         enumerate_cosets(pres, max_cosets=defined)
-    assert enumerate_cosets_repeated(pres, max_cosets=defined + 1) == want
-    with pytest.raises(BudgetExceeded):
-        enumerate_cosets_repeated(pres, max_cosets=defined)
     for table, budget in zip(tables, (defined + 1, defined), strict=True):
-        assert max(len(col) for col in table.cols) <= budget
+        assert max(len(col) for col in table.cols + table.labels) <= budget
+    oracle, oracle_defined = _counted(enumerate_cosets_repeated,
+                                      oracles.CosetTable, pres)
+    assert FiniteGroup(*oracle).gen_maps == FiniteGroup(*want).gen_maps
+    assert enumerate_cosets_repeated(pres,
+                                     max_cosets=oracle_defined + 1) == oracle
+    with pytest.raises(BudgetExceeded):
+        enumerate_cosets_repeated(pres, max_cosets=oracle_defined)
 
 
 @pytest.mark.parametrize("entry", catalog.load_catalog(), ids=lambda e: e.id)
 def test_one_hlt_pass_matches_repeated_passes_on_the_catalog(entry):
-    # the same table from the same definitions and coincidences: the
-    # resumed scans keep the strategy, not only the group
-    got, want = _package_and_oracle(entry.presentation)
-    assert got == want
+    # the one pass over the cosets of <a> and the oracle's repeated passes
+    # over the trivial subgroup give the same group, element for element
+    # once FiniteGroup has walked both breadth-first
+    got = FiniteGroup(*enumerate_cosets(entry.presentation))
+    want = FiniteGroup(*enumerate_cosets_repeated(entry.presentation))
+    assert got.gen_maps == want.gen_maps
 
 
 @pytest.mark.parametrize("relators, reduced, order", [
@@ -246,13 +316,22 @@ def small_presentations(draw):
 @given(small_presentations())
 @settings(max_examples=100, deadline=None)
 def test_one_hlt_pass_matches_repeated_passes(pres):
-    """One pass closes every relator at every coset and gives the table of
-    the passes repeated until nothing changes, or both exhaust the budget,
-    with the same calls to define and coincidence."""
-    got, want = _package_and_oracle(pres, max_cosets=5000)
-    assert got == want
-    if got[0] is not BudgetExceeded:
-        assert _relators_close(pres, *got[0])
+    """The one pass over the cosets of <a> and the oracle's passes over the
+    trivial subgroup, repeated until nothing changes, give the same group,
+    whose relators close at every element, or both exhaust 5,000 cosets.
+    When only one finishes, the other runs again with 20 times the budget
+    and must agree."""
+    got = _within(enumerate_cosets, pres, 5000)
+    want = _within(enumerate_cosets_repeated, pres, 5000)
+    if got is None and want is None:
+        return
+    if got is None:
+        got = _within(enumerate_cosets, pres, 100000)
+    if want is None:
+        want = _within(enumerate_cosets_repeated, pres, 100000)
+    assert got is not None and want is not None
+    assert _relators_close(pres, *got)
+    assert FiniteGroup(*got).gen_maps == FiniteGroup(*want).gen_maps
 
 
 @st.composite
@@ -278,14 +357,14 @@ def unreduced_presentations(draw):
 def test_cancelling_pairs_leave_the_presentation_and_its_group(case):
     """Presentation reduces the padded relators to the drawn ones, and the
     oracle's passes over the raw words give the group of the one pass over
-    the reduced ones.  The raw words can need more cosets, so the oracle
-    has ten times the budget."""
+    the reduced ones.  The groups are those the oracle enumerates on the
+    reduced words within 2,000 cosets; the raw words can need more, so the
+    oracle on them has ten times that budget."""
     pres, raw = case
     assert words.Presentation(pres.generators, raw) == pres
-    try:
-        got = enumerate_cosets(pres, max_cosets=2000)
-    except BudgetExceeded:
-        return  # budget parity on reduced words is tested above
+    if _within(enumerate_cosets_repeated, pres, 2000) is None:
+        return  # the budget boundary is tested above
+    got = enumerate_cosets(pres)
     stand_in = types.SimpleNamespace(generators=pres.generators,
                                      relators=raw)
     want = enumerate_cosets_repeated(stand_in, max_cosets=20000)
