@@ -1,11 +1,12 @@
 """Structural invariants of finite groups.
 
-Centers, derived and Frattini subgroups, ascending central series,
+Centers, derived and Frattini subgroups, lower central series,
 quotients, element-order censuses, minimal non-abelian subgroup search, and
 an isomorphism-invariant fingerprint used in place of database
 identification.  They multiply through generators (``FiniteGroup.gen_maps``
 and the Cayley rows of a few elements), never through the whole table, and
-no subgroup is copied into a group of its own.
+no subgroup is copied into a group of its own: the center's one test per
+generator, run on labels of the cosets of a central S, gives Z(G/S).
 Each subgroup is derived once, as the closure of a few generators:
 Phi(G) = G'G^3 is one normal closure of the generators' commutators and
 cubes.  Element orders are counted one cyclic subgroup at a time, each
@@ -21,6 +22,8 @@ which is the only case exercised here.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import eq
 
 from .genus import split_power
 from .group import FiniteGroup, GroupError, _reach
@@ -99,11 +102,17 @@ def _commutator(G: FiniteGroup, A, B):
     return normal_closure(G, {G.comm(a, b) for a in A for b in B})
 
 
-def center(G: FiniteGroup) -> Subgroup:
-    pairs = [(m, G.row(g)) for m, g in zip(G.gen_maps, G.gens)]
-    members = [x for x in range(G.order)
-               if all(m[x] == row[x] for m, row in pairs)]
-    return Subgroup(tuple(members))
+def center(G: FiniteGroup, label=None) -> Subgroup:
+    """The x with label[x g] == label[g x] for each generator g, tested on
+    the survivors of the generators before it: Z(G) with no label, and the
+    preimage of Z(G/N) with labels that tell the cosets of a normal N apart."""
+    xs = range(G.order)
+    for m, g in zip(G.gen_maps, G.gens):
+        xg, gx = map(m.__getitem__, xs), map(G.row(g).__getitem__, xs)
+        if label:
+            xg, gx = map(label.__getitem__, xg), map(label.__getitem__, gx)
+        xs = list(compress(xs, map(eq, xg, gx)))
+    return Subgroup(tuple(xs))
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
@@ -155,9 +164,7 @@ def nilpotency_class(G: FiniteGroup):
 
 
 def is_maximal_class(G: FiniteGroup):
-    _require_3group(G)
-    m = _log3(G.order)
-    return nilpotency_class(G) == m - 1
+    return _log3(G.order) - 1 == nilpotency_class(G)
 
 
 def order_census(G: FiniteGroup, restrict_outside: Subgroup | None = None):
@@ -235,39 +242,30 @@ def _cyclic_generators(G: FiniteGroup):
 
 
 def central_quotient_center_pattern(G: FiniteGroup):
-    """Multiset {|Z(G/Z)|} over the order-3 subgroups Z of the center."""
+    """Multiset {|Z(G/S)|} over the S = <s>, s = a, b, ab, ab^2, of order 3
+    in an elementary abelian Z(G) = <a, b>, by labels min(x, sx, s^2 x)."""
     Z = center(G)
-    if len(Z) != 9 or any(G.element_order(z) > 3 for z in Z.members):
+    gens = generators_of(G, Z.members)
+    if len(Z) != 9 or any(G.element_order(z) > 3 for z in gens):
         raise GroupError("center is not elementary abelian of order 9")
-    pattern = []
-    done = set()
-    for z in Z.members:
-        if z == 0:
-            continue
-        S = subgroup_closure(G, [z])
-        if S.members in done:
-            continue
-        done.add(S.members)
-        Q, _ = quotient(G, S)
-        pattern.append(len(center(Q)))
-    return sorted(pattern, reverse=True)
+    a, b = map(G.row, gens)
+    ab = [*map(a.__getitem__, b)]  # the rows of ab and ab^2, composed
+    labels = ([x if x < y and x < z else min(y, z) for x, y, z
+               in zip(range(G.order), s, map(s.__getitem__, s))]
+              for s in (a, b, ab, [*map(ab.__getitem__, b)]))
+    return sorted((len(center(G, lab)) // 3 for lab in labels), reverse=True)
 
 
 def abelian_invariants(G: FiniteGroup):
-    """Invariant factors of an abelian 3-group (via the order census)."""
-    _require_3group(G)
+    """Invariant factors of an abelian 3-group, largest first, from the
+    order census: with 3^r_k = |{x : x^(3^k) = 1}| / |{x : x^(3^(k-1)) = 1}|,
+    r_k factors have order 3^k or more, and the i-th is 3^#{k : r_k > i}."""
     census = order_census(G)
-    # counts[k] = number of elements killed by 3^k
-    counts = [sum(n for o, n in census.items() if 3 ** k % o == 0)
+    killed = [sum(n for o, n in census.items() if o <= 3 ** k)
               for k in range(_log3(max(census)) + 1)]
-    # partition lambda with counts[k] = 3^(sum min(lam_i, k))
-    exps = [_log3(counts[k] // counts[k - 1]) for k in range(1, len(counts))]
-    # exps[k-1] = #{i : lam_i >= k}; convert to invariant factors
-    factors = []
-    for i in range(exps[0] if exps else 0):
-        lam = sum(1 for e in exps if e > i)
-        factors.append(3 ** lam)
-    return sorted(factors, reverse=True)
+    ranks = [_log3(b // a) for a, b in zip(killed, killed[1:])]
+    return [3 ** sum(r > i for r in ranks)
+            for i in range(max(ranks, default=0))]
 
 
 def derived_length(G: FiniteGroup):
@@ -328,12 +326,10 @@ def fundamental_subgroup(G: FiniteGroup) -> Subgroup:
     """C_G(K_2/K_4) in a maximal-class 3-group: the preimage of the
     centralizer of K_2/K_4 in G/K_4, tested on the images of K_2's
     generators, so that only rows of the quotient are built."""
-    K = lower_central_series(G)
-    K2 = K[1] if len(K) > 1 else Subgroup((0,))
-    K4 = K[3] if len(K) > 3 else Subgroup((0,))
-    Q, proj = quotient(G, K4)
+    K = lower_central_series(G) + [Subgroup((0,))] * 3  # 1 past the end
+    Q, proj = quotient(G, K[3])
     rows = [(k, Q.row(k))
-            for k in {proj[x] for x in generators_of(G, K2.members)}]
+            for k in {proj[x] for x in generators_of(G, K[1].members)}]
     central = {y for y in range(Q.order)
                if all(Q.row(y)[k] == row[y] for k, row in rows)}
     return Subgroup(tuple(x for x in range(G.order) if proj[x] in central))

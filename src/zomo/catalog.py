@@ -163,8 +163,8 @@ def _prop_center_order(G, pres):
 
 
 def _prop_center_elem_abelian(G, pres):
-    Z = analysis.center(G)
-    return all(G.power(z, 3) == 0 for z in Z.members)
+    Z = analysis.center(G).members
+    return all(G.power(z, 3) == 0 for z in analysis.generators_of(G, Z))
 
 
 def _prop_center_pattern(G, pres):

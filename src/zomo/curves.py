@@ -301,9 +301,13 @@ def fixed_points(perm):
 
 
 def verify_invariant_function(f, endos):
-    """Whether f(e) = f for every endo e, checked as N = D f for the
-    (N, D) of the substitution, so no inverse is taken."""
-    return all(N == D * f for N, D in (_substitute(e, f) for e in endos))
+    """Whether f(e) = f for every endo e, as N = D f (no inverse) for the
+    (N, D) of one substitution per distinct pair of images that f reads,
+    v_image only above v^0: equal canonical images give equal (N, D)."""
+    reads_v = any(f.nums[1:])
+    images = {(e.u_image, e.v_image if reads_v else None): e for e in endos}
+    return all(N == D * f for N, D in (_substitute(e, f)
+                                       for e in images.values()))
 
 
 # ---------------------------------------------------------------------------

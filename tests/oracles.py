@@ -13,6 +13,12 @@ the reference too.
 ``cyclic_generators_by_rows`` walks the powers of each cyclic subgroup's
 generator along its Cayley row; the package runs the generator's
 spanning-tree word through the generator maps and builds no row.
+``center_by_rows`` tests the elements one at a time against the generator
+maps and rows, and ``central_quotient_center_pattern_by_quotients`` builds
+the quotient group G/S and its center for each central S of order 3; the
+package tests all elements per generator by C-level maps, then only the
+survivors, and reads |Z(G/S)| in G by the same test on labels of the
+cosets of S.
 ``eval_poly_by_ffelem`` evaluates an F_p[u] polynomial at a function-field
 element by Horner's rule in ``FFElem`` arithmetic, one canonical form per
 step, and ``substitute_by_ffelem`` runs it on every numerator of f; the
@@ -285,6 +291,31 @@ def cyclic_generators_by_rows(G: FiniteGroup):
                 y, k = row[y], k + 1
             reps.append((x, k))
     return reps
+
+
+def center_by_rows(G: FiniteGroup):
+    """The x with m[x] == row(g)[x] for the map m and the row of each
+    generator g, one element at a time."""
+    pairs = [(m, G.row(g)) for m, g in zip(G.gen_maps, G.gens)]
+    return tuple(x for x in range(G.order)
+                 if all(m[x] == row[x] for m, row in pairs))
+
+
+def central_quotient_center_pattern_by_quotients(G: FiniteGroup):
+    """Multiset {|Z(G/S)|} over the order-3 subgroups S of the center, one
+    quotient group G/S and its center per S."""
+    Z = center_by_rows(G)
+    if len(Z) != 9 or any(G.element_order(z) > 3 for z in Z):
+        raise GroupError("center is not elementary abelian of order 9")
+    pattern = []
+    done = set()
+    for z in Z[1:]:
+        S = analysis.subgroup_closure(G, [z])
+        if S.members not in done:
+            done.add(S.members)
+            Q, _ = analysis.quotient(G, S)
+            pattern.append(len(center_by_rows(Q)))
+    return sorted(pattern, reverse=True)
 
 
 def eval_poly_by_ffelem(field, poly, x):

@@ -3,7 +3,9 @@ import itertools
 
 import pytest
 
-from oracles import cyclic_generators_by_rows, maximal_subgroups
+from oracles import (center_by_rows,
+                     central_quotient_center_pattern_by_quotients,
+                     cyclic_generators_by_rows, maximal_subgroups)
 from zomo import analysis, catalog, kummer
 from zomo.group import (FiniteGroup, GroupError, analyze_presentation,
                         coset_enumerate, group_from_permutations)
@@ -211,6 +213,7 @@ def _pair_search_by_mult(G):
 
 SMALL_ENTRIES = [e.id for e in catalog.load_catalog()
                  if _expected_order(e) <= 243]
+ALL_ENTRIES = [e.id for e in catalog.load_catalog()]
 
 
 @pytest.mark.parametrize("eid", SMALL_ENTRIES)
@@ -289,10 +292,54 @@ def test_center_quotient_and_closure_build_few_rows():
     assert rows_built() == before
 
 
+# -- the center and Z(G/S) by the labelled generator test --------------------
+
+@pytest.mark.parametrize("eid", SMALL_ENTRIES)
+def test_center_matches_its_definition(eid):
+    G = _catalog_group(eid)
+    n = G.order
+    Z = tuple(x for x in range(n)
+              if all(G.mult(x, y) == G.mult(y, x) for y in range(n)))
+    assert analysis.center(G).members == Z == center_by_rows(G)
+
+
+@pytest.mark.parametrize("eid", ["C9_rtimes_C3", "qu24agosto_odd_n2",
+                                 "caseI1_e2_k2", "caseII1_e3_k2"])
+def test_labelled_center_is_the_preimage_of_the_quotient_center(eid):
+    # coset labels of any normal N give the preimage of Z(G/N)
+    G = _catalog_group(eid)
+    for N in (analysis.center(G), analysis.derived_subgroup(G),
+              analysis.frattini(G), analysis.subgroup_closure(G, [])):
+        Q, proj = analysis.quotient(G, N)
+        ZQ = set(center_by_rows(Q))
+        want = tuple(x for x in range(G.order) if proj[x] in ZQ)
+        assert analysis.center(G, proj).members == want
+
+
+@pytest.mark.parametrize("eid", ALL_ENTRIES)
+def test_center_pattern_matches_the_quotient_groups(eid):
+    G = _catalog_group(eid)
+    try:
+        want = central_quotient_center_pattern_by_quotients(G)
+    except GroupError:
+        with pytest.raises(GroupError):
+            analysis.central_quotient_center_pattern(G)
+    else:
+        assert analysis.central_quotient_center_pattern(G) == want
+
+
+def test_center_pattern_builds_no_quotient_group(monkeypatch):
+    G = coset_enumerate(catalog.entry_by_id("caseII1_e3_k2").presentation)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pattern built a group")
+
+    monkeypatch.setattr(analysis, "quotient", refuse)
+    monkeypatch.setattr(FiniteGroup, "__init__", refuse)
+    assert analysis.central_quotient_center_pattern(G) == [9, 3, 3, 3]
+
+
 # -- the counted invariants against the listings they replaced ---------------
-
-ALL_ENTRIES = [e.id for e in catalog.load_catalog()]
-
 
 def _group(eid, request):
     if eid == "genus28":

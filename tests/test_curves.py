@@ -4,8 +4,8 @@ import pytest
 
 from zomo import ZomoError, analysis, catalog, cli, curves
 from zomo.field import ExtField, FieldError, PrimeField, roots_of_unity
-from zomo.funcfield import (Endo, FunctionField, _partial, apply_endo,
-                            valuation_at)
+from zomo.funcfield import (Endo, FunctionField, _partial, _substitute,
+                            apply_endo, valuation_at)
 from zomo.group import group_from_permutations
 
 from oracles import (act_by_points, element_perms, map_image_by_normalize,
@@ -483,6 +483,41 @@ def test_invariance_check_can_fail(x0_field_and_endos):
         # endo by endo, the inverse-free check agrees with apply_endo
         assert ([curves.verify_invariant_function(f, [e]) for e in endos]
                 == [apply_endo(e, f) == f for e in endos])
+
+
+def test_invariance_check_keys_on_the_images_f_reads(x0_field_and_endos):
+    field, endos = x0_field_and_endos
+    x, y = field.u(), field.v()
+    # the nine endos (x, mu y), the identity first
+    nine = sorted((e for e in endos if e.u_image == x),
+                  key=lambda e: e.v_image != y)
+    assert len(nine) == 9 and nine[0].v_image == y
+    y9 = y ** 9  # -(x^6 + x^3), in K(x)
+    assert not any(y9.nums[1:])
+    for f, fixed in ((y, False), (y9, True)):
+        # one u-image: a key that ignores v would test y at the identity,
+        # in one of the two orders
+        assert curves.verify_invariant_function(f, nine) is fixed
+        assert curves.verify_invariant_function(f, nine[::-1]) is fixed
+        assert ([curves.verify_invariant_function(f, [e]) for e in nine]
+                == [apply_endo(e, f) == f for e in nine])
+
+
+def test_invariance_check_substitutes_once_per_u_image(x0_field_and_endos,
+                                                       monkeypatch):
+    # t lies in K(x), and the 81 endos have 9 distinct u-images
+    field, endos = x0_field_and_endos
+    calls = []
+
+    def counted(e, f):
+        calls.append(e)
+        return _substitute(e, f)
+
+    monkeypatch.setattr(curves, "_substitute", counted)
+    assert curves.verify_invariant_function(curves.x0_invariant_t(field),
+                                            endos)
+    assert len(calls) == 9
+    assert len({e.u_image for e in calls}) == 9
 
 
 def test_invariant_t_pole_orders():
