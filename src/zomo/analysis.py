@@ -1,20 +1,21 @@
 """Structural invariants of finite groups.
 
 Centers, derived and Frattini subgroups, lower central series,
-quotients, element-order censuses, minimal non-abelian subgroup search, and
-an isomorphism-invariant fingerprint used in place of database
+element-order censuses, minimal non-abelian subgroup search, and an
+isomorphism-invariant fingerprint used in place of database
 identification.  They multiply through generators (``FiniteGroup.gen_maps``
 and the Cayley rows of a few elements), never through the whole table, and
-no subgroup is copied into a group of its own: the center's one test per
-generator, run on labels of the cosets of a central S, gives Z(G/S).
-Each subgroup is derived once, as the closure of a few generators:
-Phi(G) = G'G^3 is one normal closure of the generators' commutators and
-cubes.  Element orders are counted one cyclic subgroup at a time, each
-walked by right multiplication with its generator's spanning-tree word
+no routine builds a group: Z(G/S) and C_G(K_2/K_4) are tested on labels of
+cosets, and G/G' is read off the indices of the normal closures
+G'G^(3^k) of the generators' commutators and 3^k-th powers, Phi(G) = G'G^3
+the first.  By Burnside's basis theorem Phi(G/N) = N Phi(G)/N, so G/N is
+cyclic exactly when |G : N Phi(G)| <= 3, which decides metacyclicity.
+Element orders are counted one cyclic subgroup at a time, each walked by
+right multiplication with its generator's spanning-tree word
 (``FiniteGroup.along_tree``), so a census builds no Cayley row, and
 maximal subgroups are counted from the rank r of the abelianization
-(Burnside's basis theorem: |G:Phi(G)| = 3^r gives (3^r - 1)/2 of them), not
-listed.  Minimality is tested on generating pairs only, by Redei's criterion
+(|G:Phi(G)| = 3^r gives (3^r - 1)/2 of them), not listed.  Minimality is
+tested on generating pairs only, by Redei's criterion
 (``is_minimal_nonabelian_pair``), both in the subgroup search and for the
 catalog.  Most routines assume (and some require) a group of 3-power order,
 which is the only case exercised here.
@@ -125,36 +126,28 @@ def is_abelian_set(G: FiniteGroup, members):
 
 
 def frattini(G: FiniteGroup) -> Subgroup:
-    """Frattini subgroup of a 3-group, G'G^3, as the normal closure N of the
-    generators' commutators and cubes: G/N is abelian of exponent 3, so N
-    contains G'G^3, and its seeds lie in G'G^3."""
+    """Frattini subgroup of a 3-group, G'G^3."""
     _require_3group(G)
+    return _derived_times_powers(G, 3)
+
+
+def _derived_times_powers(G: FiniteGroup, e):
+    """G'G^e as the normal closure N of the generators' commutators and
+    e-th powers: G/N is abelian, generated by elements of order dividing
+    e, so N contains G'G^e, and its seeds lie in G'G^e."""
     seeds = [G.comm(a, b) for a in G.gens for b in G.gens]
-    return normal_closure(G, seeds + [G.power(g, 3) for g in G.gens])
+    return normal_closure(G, seeds + [G.power(g, e) for g in G.gens])
 
 
-def quotient(G: FiniteGroup, N: Subgroup):
-    """Quotient group G/N with the natural projection.
-
-    Returns (Q, proj) where proj[x] is the element of Q holding x.  Coset
-    labels are ordered by least member index, which is already Q's own
-    breadth-first order, so Q keeps them: G's walk first meets a coset at
-    its least member, by a step r -> rg from the least member r of a coset
-    (the walk leaves r before any other member of Nr), in Q's walk order.
-    """
-    if not is_normal(G, N):
-        raise GroupError("subgroup is not normal")
+def _coset_labels(G: FiniteGroup, N: Subgroup):
+    """label[x] = the least member of the coset Nx of a normal N."""
     rows = [G.row(n) for n in generators_of(G, N.members)]
-    coset_of = [-1] * G.order
-    reps = []
+    label = [-1] * G.order
     for x in range(G.order):
-        if coset_of[x] == -1:  # x is the least member of its coset Nx
+        if label[x] == -1:  # x is the least member of its coset Nx
             for y in _reach(rows, {x}, [x]):
-                coset_of[y] = len(reps)
-            reps.append(x)
-    maps = [[coset_of[m[r]] for r in reps] for m in G.gen_maps]
-    Q = FiniteGroup(len(reps), maps, gen_names=G.gen_names)
-    return Q, coset_of
+                label[y] = x
+    return label
 
 
 def nilpotency_class(G: FiniteGroup):
@@ -257,13 +250,15 @@ def central_quotient_center_pattern(G: FiniteGroup):
 
 
 def abelian_invariants(G: FiniteGroup):
-    """Invariant factors of an abelian 3-group, largest first, from the
-    order census: with 3^r_k = |{x : x^(3^k) = 1}| / |{x : x^(3^(k-1)) = 1}|,
-    r_k factors have order 3^k or more, and the i-th is 3^#{k : r_k > i}."""
-    census = order_census(G)
-    killed = [sum(n for o, n in census.items() if o <= 3 ** k)
-              for k in range(_log3(max(census)) + 1)]
-    ranks = [_log3(b // a) for a, b in zip(killed, killed[1:])]
+    """Invariant factors of G/G' for a 3-group G, largest first, read in G:
+    N_k = G'G^(3^k) has |G : N_k| = prod min(f, 3^k) over the factors f,
+    so r_k = log3 |N_(k-1) : N_k| factors have order 3^k or more, and the
+    i-th is 3^#{k : r_k > i}.  The N_k shrink to G', where the walk stops."""
+    _require_3group(G)
+    derived, sizes = len(derived_subgroup(G)), [G.order]  # sizes[k] = |N_k|
+    while sizes[-1] > derived:
+        sizes.append(len(_derived_times_powers(G, 3 ** len(sizes))))
+    ranks = [_log3(a // b) for a, b in zip(sizes, sizes[1:])]
     return [3 ** sum(r > i for r in ranks)
             for i in range(max(ranks, default=0))]
 
@@ -296,8 +291,7 @@ class Fingerprint:
 
 def fingerprint(G: FiniteGroup) -> Fingerprint:
     _require_3group(G)
-    Q, _ = quotient(G, derived_subgroup(G))
-    ab = tuple(abelian_invariants(Q))  # |G:Phi(G)| = 3^len(ab)
+    ab = tuple(abelian_invariants(G))  # |G:Phi(G)| = 3^len(ab)
     return Fingerprint(
         order=G.order,
         center_order=len(center(G)),
@@ -323,28 +317,30 @@ def lower_central_series(G: FiniteGroup):
 
 
 def fundamental_subgroup(G: FiniteGroup) -> Subgroup:
-    """C_G(K_2/K_4) in a maximal-class 3-group: the preimage of the
-    centralizer of K_2/K_4 in G/K_4, tested on the images of K_2's
-    generators, so that only rows of the quotient are built."""
+    """C_G(K_2/K_4) in a maximal-class 3-group: the x with k^x in K_4 k for
+    each generator k of K_2, told on labels of the K_4-cosets.  The
+    conjugates k^x are carried over the spanning tree, k^(xg) = (k^x)^g."""
     K = lower_central_series(G) + [Subgroup((0,))] * 3  # 1 past the end
-    Q, proj = quotient(G, K[3])
-    rows = [(k, Q.row(k))
-            for k in {proj[x] for x in generators_of(G, K[1].members)}]
-    central = {y for y in range(Q.order)
-               if all(Q.row(y)[k] == row[y] for k, row in rows)}
-    return Subgroup(tuple(x for x in range(G.order) if proj[x] in central))
+    label = _coset_labels(G, K[3])
+    by_gen = [(m, G.row(G.inv(g))) for m, g in zip(G.gen_maps, G.gens)]
+    xs = range(G.order)
+    for k in generators_of(G, K[1].members):
+        conj = G.along_tree(k, by_gen, lambda y, mr: mr[0][mr[1][y]])
+        xs = [x for x in xs if label[conj[x]] == label[k]]
+    return Subgroup(tuple(xs))
 
 
 def is_metacyclic(G: FiniteGroup):
-    """Scan the cyclic normal subgroups N of a 3-group, one per generator
-    walk, and test G/N cyclic (an element of order |G/N|)."""
-    for x, _ in [(0, 1)] + _cyclic_generators(G):
-        N = subgroup_closure(G, [x])
-        if is_normal(G, N):
-            Q, _ = quotient(G, N)
-            if Q.order in order_census(Q):
-                return True
-    return False
+    """Whether some cyclic normal N has G/N cyclic, in a 3-group.  By
+    Burnside's basis theorem Phi(G/N) = N Phi(G)/N, so G/N is cyclic
+    exactly when |G : N Phi(G)| <= 3.  With |G : Phi(G)| = 3^r, N = <x>
+    has |G : N Phi(G)| = 3^(r-1) for x outside Phi(G) and 3^r otherwise:
+    so r <= 1, or r = 2 and some x outside Phi(G) has <x> normal."""
+    Phi = frattini(G)
+    r = _log3(G.order // len(Phi))
+    return r <= 1 or r == 2 and any(
+        x not in Phi and is_normal(G, subgroup_closure(G, [x]))
+        for x, _ in _cyclic_generators(G))
 
 
 def _log3(n):

@@ -36,10 +36,6 @@ from .group import analyze_presentation
 TOOL_NAME = "artifact"
 
 
-def _tool_version():
-    return __version__
-
-
 class UsageError(ZomoError, ValueError):
     pass
 
@@ -72,7 +68,7 @@ def _report_json(records):
     payload = {
         "schema": 1,
         "suite": "full",
-        "tool": {"name": TOOL_NAME, "version": _tool_version()},
+        "tool": {"name": TOOL_NAME, "version": __version__},
         "overall": "pass" if all(r.status == "pass" for r in records)
         else "fail",
         "checks": [
@@ -85,7 +81,7 @@ def _report_json(records):
 
 def _report_markdown(records):
     lines = ["# verification report", "",
-             "tool: %s %s" % (TOOL_NAME, _tool_version()),
+             "tool: %s %s" % (TOOL_NAME, __version__),
              "overall: %s" % ("pass" if all(r.status == "pass"
                                            for r in records) else "fail"),
              "", "| id | citation | expected | actual | status | elapsed |",

@@ -4,6 +4,13 @@ and the plain or repeated computations it replaced by one pass.
 ``maximal_subgroups`` lists every maximal subgroup of a 3-group as the
 preimages of the index-3 subgroups of its Frattini quotient; the package
 only counts them, (|G:Phi(G)| - 1)/2 by Burnside's basis theorem.
+``quotient`` builds G/N as a ``FiniteGroup`` of its own, the package's
+former route to every quotient invariant; the package builds no group and
+reads them in G.  ``abelian_invariants_by_census`` reads G/G' off the order
+census of that quotient group, and ``is_metacyclic_by_quotients`` tests
+G/N cyclic for each cyclic normal N, one quotient group each; the package
+reads G/G' off the indices of the closures G'G^(3^k) and decides
+metacyclicity from Phi(G) by Burnside's basis theorem.
 ``enumerate_cosets_repeated`` repeats HLT passes until one leaves the coset
 table unchanged; the package runs one.  It drives ``CosetTable``, a frozen
 copy of the package's former row-major table, whose scan starts again from
@@ -83,7 +90,7 @@ from zomo.field import ExtField, _normalize
 from zomo.funcfield import (Endo, FuncFieldError, _canonical, _reduce,
                             apply_endo)
 from zomo.genus import RamificationProfile, split_power
-from zomo.group import FiniteGroup, GroupError
+from zomo.group import FiniteGroup, GroupError, _reach
 from zomo.group import group_from_permutations
 from zomo.hesse import (BASE_POINT, HesseError, HessePoint,
                         enumerate_hesse_points, hesse_add, make_point,
@@ -97,7 +104,7 @@ def maximal_subgroups(G: FiniteGroup):
     if G.order == 1:
         return []
     Phi = analysis.frattini(G)
-    Q, proj = analysis.quotient(G, Phi)
+    Q, proj = quotient(G, Phi)
     for x in range(1, Q.order):
         if Q.power(x, 3) != 0:
             raise GroupError("Frattini quotient is not elementary abelian")
@@ -107,6 +114,56 @@ def maximal_subgroups(G: FiniteGroup):
         out.append(Subgroup(members))
     out.sort(key=lambda s: s.members)
     return out
+
+
+def quotient(G: FiniteGroup, N: Subgroup):
+    """Quotient group G/N with the natural projection.
+
+    Returns (Q, proj) where proj[x] is the element of Q holding x.  Coset
+    labels are ordered by least member index, which is already Q's own
+    breadth-first order, so Q keeps them: G's walk first meets a coset at
+    its least member, by a step r -> rg from the least member r of a coset
+    (the walk leaves r before any other member of Nr), in Q's walk order.
+    """
+    if not analysis.is_normal(G, N):
+        raise GroupError("subgroup is not normal")
+    rows = [G.row(n) for n in analysis.generators_of(G, N.members)]
+    coset_of = [-1] * G.order
+    reps = []
+    for x in range(G.order):
+        if coset_of[x] == -1:  # x is the least member of its coset Nx
+            for y in _reach(rows, {x}, [x]):
+                coset_of[y] = len(reps)
+            reps.append(x)
+    maps = [[coset_of[m[r]] for r in reps] for m in G.gen_maps]
+    Q = FiniteGroup(len(reps), maps, gen_names=G.gen_names)
+    return Q, coset_of
+
+
+def abelian_invariants_by_census(G: FiniteGroup):
+    """Invariant factors of G/G', largest first, from the order census of
+    the quotient group A = G/G': with 3^r_k = |{x in A : x^(3^k) = 1}| /
+    |{x in A : x^(3^(k-1)) = 1}|, r_k factors have order 3^k or more, and
+    the i-th is 3^#{k : r_k > i}."""
+    A, _ = quotient(G, analysis.derived_subgroup(G))
+    census = analysis.order_census(A)
+    killed = [sum(n for o, n in census.items() if o <= 3 ** k)
+              for k in range(analysis._log3(max(census)) + 1)]
+    ranks = [analysis._log3(b // a) for a, b in zip(killed, killed[1:])]
+    return [3 ** sum(r > i for r in ranks)
+            for i in range(max(ranks, default=0))]
+
+
+def is_metacyclic_by_quotients(G: FiniteGroup):
+    """Scan the cyclic normal subgroups N of a 3-group, one per generator
+    walk, and test G/N cyclic (an element of order |G/N|)."""
+    for x, _ in [(0, 1)] + analysis._cyclic_generators(G):
+        N = analysis.subgroup_closure(G, [x])
+        if analysis.is_normal(G, N):
+            Q, _ = quotient(G, N)
+            if Q.order in analysis.order_census(Q):
+                return True
+    return False
 
 
 def _index3_subgroups_elem_abelian(Q: FiniteGroup):
@@ -313,7 +370,7 @@ def central_quotient_center_pattern_by_quotients(G: FiniteGroup):
         S = analysis.subgroup_closure(G, [z])
         if S.members not in done:
             done.add(S.members)
-            Q, _ = analysis.quotient(G, S)
+            Q, _ = quotient(G, S)
             pattern.append(len(center_by_rows(Q)))
     return sorted(pattern, reverse=True)
 

@@ -7,7 +7,7 @@ row by row in ``test_checks.py``; these tests go beyond them."""
 import time
 
 from oracles import (element_perms, gbar_generator_perms, maximal_subgroups,
-                     translation_point)
+                     quotient, translation_point)
 from zomo import analysis, catalog, curves, hesse, kummer
 from zomo.field import PrimeField
 from zomo.group import group_from_permutations
@@ -242,12 +242,12 @@ def test_11_property_suites():
         for N in tests:
             if not analysis.is_normal(G, N):
                 continue
-            Q, _ = analysis.quotient(G, N)
+            Q, _ = quotient(G, N)
             q_ab = all(Q.mult(a, b) == Q.mult(b, a)
                        for a in range(Q.order) for b in range(Q.order))
             assert q_ab == (D <= set(N.members))
         Phi = analysis.frattini(G)
-        Q, proj = analysis.quotient(G, Phi)
+        Q, proj = quotient(G, Phi)
         assert all(Q.element_order(a) == 3 for a in range(1, Q.order))
         assert all(Q.mult(a, b) == Q.mult(b, a)
                    for a in range(Q.order) for b in range(Q.order))

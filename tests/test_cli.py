@@ -24,7 +24,7 @@ def test_tool_version_is_the_project_version():
     # a regex, not tomllib: Python 3.10 has no tomllib
     text = (Path(SRC).parent / "pyproject.toml").read_text()
     want = re.search(r'^version = "([^"]+)"$', text, re.M).group(1)
-    assert cli._tool_version() == want
+    assert json.loads(cli._report_json([]))["tool"]["version"] == want
 
 
 def test_bound_exit_zero(capsys):

@@ -4,7 +4,7 @@ elliptic-translation groups, rather than on a single example."""
 import pytest
 
 from oracles import (element_perms, gbar_generator_perms, maximal_subgroups,
-                     translation_point)
+                     quotient, translation_point)
 from zomo import analysis, catalog, kummer
 
 
@@ -74,7 +74,7 @@ def test_abelian_quotient_iff_derived_contained(entry):
     for N in _normal_test_subgroups(G):
         if not analysis.is_normal(G, N):
             continue
-        Q, _ = analysis.quotient(G, N)
+        Q, _ = quotient(G, N)
         q_abelian = all(Q.mult(a, b) == Q.mult(b, a)
                         for a in range(Q.order) for b in range(Q.order))
         assert q_abelian == (D <= set(N.members))
@@ -84,7 +84,7 @@ def test_abelian_quotient_iff_derived_contained(entry):
 def test_frattini_quotient_basis(entry):
     G = catalog.materialize(entry)
     Phi = analysis.frattini(G)
-    Q, proj = analysis.quotient(G, Phi)
+    Q, proj = quotient(G, Phi)
     # the quotient is elementary abelian of exponent 3
     for a in range(Q.order):
         for b in range(Q.order):
